@@ -54,26 +54,14 @@ def _parse_float(token: str):
     return value
 
 
-def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
-    """One numeric column from a delimited file.
+def _is_record(row) -> bool:
+    """A csv row that carries data: not blank, not whitespace only, not a '#' comment."""
+    return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
 
-    ``selector`` is a 0-based index or a header name.  Rows whose selected
-    field is a missing token ('?', empty, NA) are dropped; any other
-    non-numeric field is a data error.
-    """
-    try:
-        with open(path, newline="") as fh:
-            rows = [
-                row
-                for row in csv.reader(fh, delimiter=delimiter)
-                if row and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
-            ]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} is empty")
 
-    first = [f.strip() for f in rows[0]]
+def _locate_column(first_row, selector: str, path: str) -> tuple[int, bool]:
+    """Index of the selected column, and whether the first record is a header."""
+    first = [f.strip() for f in first_row]
     try:
         idx = int(selector)
         has_header = idx < len(first) and first[idx] not in MISSING_TOKENS and _parse_float(first[idx]) is None
@@ -82,6 +70,15 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
             raise DataError(f"column {selector!r} not found in header of {path}") from None
         idx = first.index(selector)
         has_header = True
+    return idx, has_header
+
+
+def _read_column_rows(fh, path: str, selector: str, delimiter: str) -> np.ndarray:
+    """Row-by-row parse: the reference, and the only path that raises on bad data."""
+    rows = [row for row in csv.reader(fh, delimiter=delimiter) if _is_record(row)]
+    if not rows:
+        raise DataError(f"{path} is empty")
+    idx, has_header = _locate_column(rows[0], selector, path)
 
     out = []
     for lineno, row in enumerate(rows[1:] if has_header else rows, start=2 if has_header else 1):
@@ -97,6 +94,59 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
     if len(out) < 2:
         raise DataError(f"{path}: fewer than 2 usable rows in column {selector!r}")
     return np.asarray(out, dtype=float)
+
+
+def _read_column_fast(fh, path: str, selector: str, delimiter: str) -> np.ndarray | None:
+    """numpy's C parser on the records after the header, or None to defer to the row parser.
+
+    It declines whatever the row parser treats specially: quotes, any '#'
+    after the header (a comment line may follow), tokens it cannot parse
+    (missing tokens included), non-finite values and fewer than 2 values.
+    """
+    while True:
+        record_start = fh.tell()
+        line = fh.readline()
+        if not line or '"' in line:
+            return None
+        first_row = next(csv.reader([line], delimiter=delimiter), [])
+        if _is_record(first_row):
+            break
+    idx, has_header = _locate_column(first_row, selector, path)
+    body_start = fh.tell() if has_header else record_start
+    fh.seek(body_start)
+    body = fh.read()
+    if '"' in body or "#" in body or not body.strip():
+        return None
+    fh.seek(body_start)
+    try:
+        values = np.loadtxt(fh, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if values.size < 2 or not np.all(np.isfinite(values)):
+        return None
+    return values
+
+
+def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
+    """One numeric column from a delimited file.
+
+    ``selector`` is a 0-based index or a header name.  Rows whose selected
+    field is a missing token ('?', empty, NA, nan) are dropped; any other
+    non-numeric field is a data error.  Clean files go through numpy's C
+    parser; anything it declines is parsed row by row, with identical values
+    and errors either way.
+    """
+    try:
+        with open(path, newline="") as fh:
+            values = None
+            if fh.seekable():  # a pipe can be read only once, by the row parser
+                values = _read_column_fast(fh, path, selector, delimiter)
+                fh.seek(0)
+            if values is None:
+                values = _read_column_rows(fh, path, selector, delimiter)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return values
 
 
 # ---------------------------------------------------------------- dist spec

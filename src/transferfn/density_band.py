@@ -36,22 +36,17 @@ def raised_cosine(u):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel plus bandwidth rule.
+    """Bandwidth rule for the raised-cosine kernel.
 
     ``bandwidth=None`` selects h = n^(-1/6), which satisfies the admissibility
     conditions (loglog n)^(1/2) h -> 0 and sqrt(n) h^2 / loglog n -> inf.
     """
 
-    kernel: object = raised_cosine
-    support: tuple[float, float] = (-math.pi, math.pi)
     bandwidth: float | None = None
 
     def __post_init__(self):
         if self.bandwidth is not None and not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
             raise DomainError("explicit bandwidth must be positive and finite")
-        d1, d2 = self.support
-        if not d1 < d2:
-            raise DomainError("kernel support must be a nondegenerate interval")
 
     def bandwidth_for(self, n: int) -> float:
         if self.bandwidth is not None:
@@ -78,20 +73,45 @@ class BandResult:
 
 
 def kde(sample_y: Sample, spec: KernelSpec, y):
-    """f_n(y) = (1/(n h)) sum_i kernel((y - Y_i)/h), evaluated exactly."""
+    """f_n(y) = (1/(n h)) sum_i raised_cosine((y - Y_i)/h), in O((n + m) log n).
+
+    The addition formula splits each term in the window |y - Y_i| <= pi h:
+    1 + cos((y - a)/h - t_i) = 1 + cos(phi) cos(t_i) + sin(phi) sin(t_i) with
+    t_i = (Y_i - a)/h, so prefix sums of cos(t_i) and sin(t_i) over the sorted
+    sample give every window sum.  The anchor a is not global: the sorted
+    sample is cut into cells of width 4 pi h, each anchored at its own first
+    value, so both phases stay within a few multiples of 2 pi however large
+    |Y|/h is (a global anchor loses the phase to rounding as |Y|/h grows).
+    A window of width 2 pi h overlaps at most two consecutive cells.
+    """
     h = spec.bandwidth_for(sample_y.n)
     if not h > 0.0:
         raise DomainError("bandwidth must be positive")
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     data = sample_y.sorted_values
-    out = np.empty(ys.shape, dtype=float)
-    # chunk the evaluation grid so the broadcast stays within a few MB
-    chunk = max(1, int(4_000_000 // max(sample_y.n, 1)))
-    for start in range(0, ys.size, chunk):
-        block = ys[start : start + chunk]
-        u = (block[:, None] - data[None, :]) / h
-        out[start : start + chunk] = np.sum(spec.kernel(u), axis=1)
-    out /= sample_y.n * h
+    n = sample_y.n
+
+    cell_key = np.floor((data - data[0]) / (4.0 * math.pi * h))
+    opens = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
+    starts = np.flatnonzero(opens)
+    cell = np.cumsum(opens) - 1
+    anchors = data[starts]
+    cell_end = np.append(starts[1:], n)
+    theta = (data - anchors[cell]) / h
+    csum = np.concatenate(([0.0], np.cumsum(np.cos(theta))))
+    ssum = np.concatenate(([0.0], np.cumsum(np.sin(theta))))
+
+    lo = np.searchsorted(data, ys - math.pi * h, side="left")
+    hi = np.searchsorted(data, ys + math.pi * h, side="right")
+    first = cell[np.minimum(lo, n - 1)]
+    last = cell[np.maximum(hi - 1, 0)]
+    split = np.minimum(hi, cell_end[first])
+    total = (hi - lo).astype(float)
+    for c, i, j in ((first, lo, split), (last, split, hi)):
+        phi = (ys - anchors[c]) / h
+        total += np.cos(phi) * (csum[j] - csum[i]) + np.sin(phi) * (ssum[j] - ssum[i])
+    # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
+    out = np.where(hi > lo, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
     if np.ndim(y) == 0:
         return float(out[0])
     return out

@@ -89,3 +89,12 @@ def ma_series(coef, n, rng):
     coef = np.asarray(coef, dtype=float)
     eps = rng.standard_normal(n + coef.size - 1)
     return np.convolve(eps, coef, mode="valid")
+
+
+def naive_kde(values, h, ys):
+    """Dense raised-cosine KDE: (1/(n h)) sum over |u| <= pi of (1 + cos u)/(2 pi), u = (y - Y_i)/h."""
+    values = np.asarray(values, dtype=float)
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    u = (ys[:, None] - values[None, :]) / h
+    terms = np.where(np.abs(u) <= np.pi, 1.0 + np.cos(u), 0.0)
+    return terms.sum(axis=1) / (2.0 * np.pi * values.size * h)

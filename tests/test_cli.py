@@ -1,10 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, UsageError, DataError
+from transferfn.cli import _read_column_fast, _read_column_rows
 from transferfn import Gamma, Normal, Uniform
 
 
@@ -77,6 +80,91 @@ def test_read_column_missing_policy(tmp_path):
     bad.write_text("a\n1\nxyz\n")
     with pytest.raises(DataError):
         read_column(str(bad), "a")
+
+
+def _ingestion_corpus():
+    """(name, text, selectors, fast): small files covering every row-parser rule.
+
+    ``fast`` marks clean files that numpy's parser must accept itself rather
+    than defer to the row parser.
+    """
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(40) * 10.0 ** rng.uniform(-5, 5, 40), rng.gamma(2.0, 3.0, 40)
+    g17 = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
+    f6 = "".join(f"{x:.6f},{y:.6f}\n" for x, y in zip(a, b))
+    return [
+        ("g17 header", "y,z\n" + g17, ("y", "z", "0", "1"), True),
+        ("g17 no header", g17, ("0", "1"), True),
+        ("f6 header", "y,z\n" + f6, ("y", "1"), True),
+        ("f6 no header", f6, ("0", "1"), True),
+        ("f6 tab", "y\tz\n" + f6.replace(",", "\t"), ("z",), True),
+        ("crlf", ("y,z\n" + f6).replace("\n", "\r\n"), ("y", "1"), True),
+        ("padded", "  y ,  z \n 1.5 ,  2 \n3,4  \n\t5\t,6\n", ("y", "z", "1"), True),
+        ("cr endings", "y,z\r1,2\r3,4\r", ("y", "1"), False),
+        ("byte order mark", "\ufeffy,z\n1,2\n3,4\n", ("y", "z"), False),
+        ("no final newline", "y\n1\n2", ("y", "0"), True),
+        ("blank lines", "y,z\n1,2\n\n3,4\n\n\n5,6\n", ("y", "1"), True),
+        ("top comments", "# units: mg/l\n#\ny,z\n1,2\n3,4\n", ("y", "1"), True),
+        ("top comments no header", "# note\n1,2\n3,4\n", ("0", "1"), True),
+        ("signed zeros", "y\n-0\n0\n-0.0\n", ("y",), True),
+        ("missing tokens", "a,b\n1,2\n?,3\n,4\nNA,5\nnan,6\n7,?\n8,9\n", ("a", "b", "0", "1"), False),
+        ("mid comments", "y,z\n1,2\n# gap\n3,4\n  # indented\n5,6\n", ("y", "z"), False),
+        ("commented data row", "y,z\n1,2\n#3,9\n4,5\n", ("y", "z"), False),
+        ("inline hash", "y,z\n1,2#x\n3,4\n", ("y", "z"), False),
+        ("whitespace rows", "y,z\n1,2\n   \n3,4\n , \n5,6\n", ("y", "1"), False),
+        ("quoted", '"y","z"\n"1",2\n3,"4"\n"5","6"\n', ("y", "z"), False),
+        ("quoted label column", 'label,y\n"a,1,b",2\n"c,3,d",4\n', ("y", "1"), False),
+        ("quoted newline in header", '"a\nb",y\n1,2\n3,4\n', ("y", "0"), False),
+        ("quoted delimiter", 'y,z\n"1,5",2\n3,4\n', ("y", "z"), False),
+        ("underscores", "y\n1_000\n2_5\n3\n", ("y",), False),
+        ("inf", "y,z\ninf,1\n2,-inf\n3,4\n", ("y", "z"), False),
+        ("NaN and overflow", "y,z\nNaN,1\n2,1e999\n3,4\n", ("y", "z"), False),
+        ("junk", "y\n1\nxyz\n", ("y",), False),
+        ("short row", "a,b\n1,2\n3\n5,6\n", ("a", "b"), False),
+        ("missing column", "a,b\n1,2\n3,4\n", ("c", "2", "7"), False),
+        ("one value", "y\n1\n", ("y",), False),
+        ("only missing", "y\n?\nNA\n", ("y",), False),
+        ("header only", "y,z\n", ("y",), False),
+        ("empty", "", ("0",), False),
+        ("comments only", "# a\n\n# b\n", ("0",), False),
+        ("numeric header", "1,2\n3,4\n", ("0",), True),
+        ("missing token header", "?,z\n1,2\n3,4\n", ("0",), False),
+    ]
+
+
+def _outcome(reader, path, selector, delimiter):
+    try:
+        with open(path, newline="") as fh:
+            return reader(fh, path, selector, delimiter)
+    except DataError as exc:
+        return str(exc)
+
+
+def test_read_column_fast_path_matches_row_parser(tmp_path):
+    for k, (name, text, selectors, fast) in enumerate(_ingestion_corpus()):
+        path = tmp_path / f"case{k}.csv"
+        path.write_bytes(text.encode())
+        delimiter = "\t" if "tab" in name else ","
+        for selector in selectors:
+            ref = _outcome(_read_column_rows, str(path), selector, delimiter)
+            try:
+                got = read_column(str(path), selector, delimiter)
+            except DataError as exc:
+                got = str(exc)
+            if isinstance(ref, str):
+                assert isinstance(got, str) and got == ref, (name, selector)
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
+            if fast:
+                assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+
+
+def test_read_column_from_pipe():
+    # a pipe cannot be rewound, so only the row parser may read it
+    code = "import sys; from transferfn.cli import read_column; print(read_column('/dev/stdin', 'y').tolist())"
+    done = subprocess.run([sys.executable, "-c", code], input="y\n1.5\n?\n2\n", capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[1.5, 2.0]"
 
 
 def test_estimate_identity_tracks_x(tmp_path, capsys, uniform_identity_file):

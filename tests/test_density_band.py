@@ -15,6 +15,8 @@ from transferfn import (
     raised_cosine,
 )
 
+from oracles import naive_kde
+
 
 def test_raised_cosine_shape():
     assert raised_cosine(0.0) == pytest.approx(1.0 / math.pi)
@@ -82,6 +84,38 @@ def test_kde_derivative_continuous_at_observations():
         slope_left = (kde(s, spec, y0) - kde(s, spec, y0 - delta)) / delta
         slope_right = (kde(s, spec, y0 + delta) - kde(s, spec, y0)) / delta
         assert abs(slope_right - slope_left) < 1e-3
+
+
+def test_kde_matches_dense_oracle_at_any_offset():
+    # the prefix-sum KDE must stay within 1e-9 of the 1/(n h) flag floor of
+    # the dense sum even where |Y|/h is huge, and be exactly 0 off the data
+    rng = np.random.default_rng(15)
+    for offset in (0.0, 1e3, 1e6, 1e9):
+        for rule in ("default", 0.01, 1.0):
+            for _ in range(3):
+                n = int(rng.integers(1, 3001))
+                h = n ** (-1.0 / 6.0) if rule == "default" else rule
+                spread = 10.0 ** rng.uniform(-1.0, 2.0)
+                values = offset + spread * rng.standard_normal(n)
+                s = Sample(values)
+                pick = rng.choice(n, size=min(n, 20), replace=False)
+                edge = math.pi * h
+                lo, hi = s.sorted_values[0], s.sorted_values[-1]
+                ys = np.concatenate(
+                    [
+                        values[pick],
+                        values[pick] - edge,
+                        values[pick] + edge,
+                        [lo - edge * (1 + 1e-3), hi + edge * (1 + 1e-3), lo - 2 * edge, hi + 2 * edge],
+                        rng.uniform(lo - edge, hi + edge, size=20),
+                    ]
+                )
+                got = kde(s, KernelSpec(bandwidth=h), ys)
+                ref = naive_kde(values, h, ys)
+                assert np.max(np.abs(got - ref)) <= 1e-9 / (n * h), (offset, rule, n, spread)
+                empty = np.min(np.abs(ys[:, None] - values[None, :]), axis=1) > edge * (1 + 1e-3)
+                assert np.all(got[empty] == 0.0)
+                assert np.all(got >= 0.0)
 
 
 def _squared_sample(n, seed):

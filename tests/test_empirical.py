@@ -109,14 +109,26 @@ def test_block_quantiles_against_naive_on_ma_data():
 
 def test_block_quantiles_randomized_oracle():
     rng = np.random.default_rng(99)
+    cases = []
     for _ in range(25):
         n = int(rng.integers(2, 120))
-        b = int(rng.integers(1, n + 1))
+        cases.append((rng.normal(size=n), int(rng.integers(1, n + 1))))
+    for _ in range(25):
+        # integer-valued data: many ties inside every window
+        n = int(rng.integers(2, 120))
+        cases.append((rng.integers(-3, 4, size=n).astype(float), int(rng.integers(1, n + 1))))
+    for n in (2, 7, 50, 51):
+        # even and odd b, from a single value up to the whole sample
+        values = rng.integers(0, 5, size=n).astype(float)
+        for b in sorted({1, 2, 3, n // 2, n // 2 + 1, n - 1, n}):
+            if 1 <= b <= n:
+                cases.append((values, b))
+    cases.append((rng.normal(size=3000), 605))
+    for values, b in cases:
         p = float(rng.uniform(0.01, 1.0))
-        values = rng.normal(size=n)
         assert np.array_equal(
             block_quantiles(Sample(values), b, p), naive_window_quantiles(values, b, p)
-        )
+        ), (values.size, b, p)
 
 
 def test_block_quantiles_domain():
@@ -141,6 +153,5 @@ def test_sample_is_immutable_view():
     values[0] = 99.0
     assert s.values.tolist() == [3.0, 1.0, 2.0]
     assert s.sorted_values.tolist() == [1.0, 2.0, 3.0]
-    assert s.values[s.order].tolist() == s.sorted_values.tolist()
     with pytest.raises(ValueError):
         s.sorted_values[0] = 0.0
