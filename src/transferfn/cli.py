@@ -64,25 +64,30 @@ def _locate_column(first_row, selector: str, path: str) -> tuple[int, bool]:
     first = [f.strip() for f in first_row]
     try:
         idx = int(selector)
-        has_header = idx < len(first) and first[idx] not in MISSING_TOKENS and _parse_float(first[idx]) is None
     except ValueError:
         if selector not in first:
             raise DataError(f"column {selector!r} not found in header of {path}") from None
         idx = first.index(selector)
         has_header = True
+    else:
+        if idx < -len(first):
+            raise DataError(f"column {idx} is out of range: the first row of {path} has {len(first)} columns")
+        has_header = idx < len(first) and first[idx] not in MISSING_TOKENS and _parse_float(first[idx]) is None
     return idx, has_header
 
 
 def _read_column_rows(fh, path: str, selector: str, delimiter: str) -> np.ndarray:
     """Row-by-row parse: the reference, and the only path that raises on bad data."""
-    rows = [row for row in csv.reader(fh, delimiter=delimiter) if _is_record(row)]
-    if not rows:
+    reader = csv.reader(fh, delimiter=delimiter)
+    # (physical line on which the record ends, record)
+    records = [(reader.line_num, row) for row in reader if _is_record(row)]
+    if not records:
         raise DataError(f"{path} is empty")
-    idx, has_header = _locate_column(rows[0], selector, path)
+    idx, has_header = _locate_column(records[0][1], selector, path)
 
     out = []
-    for lineno, row in enumerate(rows[1:] if has_header else rows, start=2 if has_header else 1):
-        if idx >= len(row):
+    for lineno, row in records[1:] if has_header else records:
+        if not -len(row) <= idx < len(row):
             raise DataError(f"{path}:{lineno}: row has no column {idx}")
         token = row[idx].strip()
         if token in MISSING_TOKENS:

@@ -8,6 +8,7 @@ scalars or numpy arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,9 +31,11 @@ __all__ = [
     "Gamma",
     "Uniform",
     "fit_gamma_mle",
+    "fit_gamma_rows",
     "fit_normal",
     "fit_uniform",
     "FAMILIES",
+    "stack_laws",
 ]
 
 
@@ -54,6 +57,10 @@ class KnownDistribution:
 
     F is strictly increasing on (a, b) with F(a+) = 0 and F(b-) = 1; the
     density is positive on the interior for every shipped family.
+
+    Parameters may also be (rows, 1) columns, one law per row (see
+    ``stack_laws``); cdf, pdf and quantile then broadcast a (points,)
+    argument to (rows, points).
     """
 
     @property
@@ -106,7 +113,7 @@ class Normal(KnownDistribution):
     sd: float = 1.0
 
     def __post_init__(self):
-        if not (self.sd > 0.0 and math.isfinite(self.sd) and math.isfinite(self.mean)):
+        if not (np.all(self.sd > 0.0) and np.all(np.isfinite(self.sd)) and np.all(np.isfinite(self.mean))):
             raise DomainError("normal requires finite mean and sd > 0")
 
     @property
@@ -145,7 +152,7 @@ class Gamma(KnownDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
+        if not (np.all(self.shape > 0.0) and np.all(self.rate > 0.0)):
             raise DomainError("gamma requires shape > 0 and rate > 0")
 
     @classmethod
@@ -169,7 +176,7 @@ class Gamma(KnownDistribution):
 
     def _log_pdf(self, arr):
         return (
-            self.shape * math.log(self.rate)
+            self.shape * np.log(self.rate)
             + (self.shape - 1.0) * np.log(arr)
             - self.rate * arr
             - gammaln(self.shape)
@@ -177,10 +184,10 @@ class Gamma(KnownDistribution):
 
     def pdf(self, x):
         arr = _as_array(x, "x")
-        out = np.zeros_like(arr, dtype=float)
         pos = arr > 0.0
-        if np.any(pos):
-            out[pos] = np.exp(self._log_pdf(arr[pos]))
+        # the log density is taken at 1 where x <= 0, then discarded
+        with np.errstate(over="ignore"):
+            out = np.where(pos, np.exp(self._log_pdf(np.where(pos, arr, 1.0))), 0.0)
         return _maybe_scalar(out, x)
 
     def pdf_derivative(self, x):
@@ -203,7 +210,7 @@ class Uniform(KnownDistribution):
     hi: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)) and np.all(self.lo < self.hi)):
             raise DomainError("uniform requires finite lo < hi")
 
     @property
@@ -233,61 +240,84 @@ class Uniform(KnownDistribution):
         return rng.uniform(self.lo, self.hi, size=n)
 
 
-def _validate_positive_data(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError("need at least two observations")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("gamma fitting requires finite, strictly positive data")
-    return arr
+# fit_gamma_rows status of one row
+FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE = range(4)
 
 
-def fit_gamma_mle(data, max_iter: int = 200, grad_tol: float = 1e-8) -> Gamma:
-    """Maximum-likelihood gamma fit via Newton on the profile shape equation.
+def fit_gamma_rows(data, max_iter: int = 200, grad_tol: float = 1e-8):
+    """Gamma MLE of every row of a (rows, n) array, by one Newton iteration over all rows.
 
     For fixed shape k the rate MLE is k / mean, which reduces the problem to
     log(k) - digamma(k) = log(mean) - mean(log data).  Initialisation is the
-    method of moments; at the returned parameters the per-observation
-    log-likelihood gradient has norm below ``grad_tol``.
+    method of moments.  A row leaves the iteration at the first iterate whose
+    per-observation log-likelihood gradient has norm below ``grad_tol``, so
+    its result does not depend on the other rows.
+
+    Returns (shape, rate, status), each of length rows.  status is FIT_OK,
+    FIT_BAD_DATA (a non-finite or nonpositive value), FIT_DEGENERATE
+    (near-constant data: the profile equation degenerates) or
+    FIT_NO_CONVERGENCE (shape and rate then hold the last iterate).
+    """
+    arr = np.asarray(data, dtype=float)
+    status = np.full(arr.shape[0], FIT_BAD_DATA)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        status[np.all((arr > 0.0) & (arr < math.inf), axis=1)] = FIT_NO_CONVERGENCE
+        mean = np.mean(arr, axis=1)
+        mean_log = np.mean(np.log(arr), axis=1)
+        s = np.log(mean) - mean_log  # >= 0 by Jensen, 0 iff constant
+        status[(status == FIT_NO_CONVERGENCE) & ~(s > 1e-12)] = FIT_DEGENERATE
+
+        var = np.var(arr, axis=1)
+        k = np.where(var > 0.0, mean * mean / var, 1.0 / (2.0 * s))
+        k = np.minimum(np.maximum(k, 1e-8), 1e8)
+
+        active = np.flatnonzero(status == FIT_NO_CONVERGENCE)
+        for _ in range(max_iter):
+            if active.size == 0:
+                break
+            k_act = k[active]
+            f = np.log(k_act) - digamma(k_act) - s[active]
+            fprime = 1.0 / k_act - polygamma(1, k_act)
+            k_new = k_act - f / fprime
+            k_new = np.where(k_new <= 0.0, k_act / 2.0, k_new)
+            k_act = np.minimum(np.maximum(k_new, 1e-10), 1e10)
+            k[active] = k_act
+            rate = k_act / mean[active]
+            grad_shape = np.log(rate) + mean_log[active] - digamma(k_act)
+            grad_rate = k_act / rate - mean[active]
+            done = np.hypot(grad_shape, grad_rate) < grad_tol
+            status[active[done]] = FIT_OK
+            active = active[~done]
+        return k, k / mean, status
+
+
+def fit_gamma_mle(data, max_iter: int = 200, grad_tol: float = 1e-8) -> Gamma:
+    """Maximum-likelihood gamma fit: the one-row call of ``fit_gamma_rows``.
+
+    At the returned parameters the per-observation log-likelihood gradient
+    has norm below ``grad_tol``.
 
     Raises
     ------
     DomainError
-        Nonpositive or too-few observations.
+        Nonpositive, non-finite or too-few observations.
     ConvergenceError
         Near-constant data (the profile equation degenerates) or no
         convergence within ``max_iter`` iterations; ``last`` holds the final
         (shape, rate) iterate.
     """
-    arr = _validate_positive_data(data)
-    mean = float(np.mean(arr))
-    mean_log = float(np.mean(np.log(arr)))
-    s = math.log(mean) - mean_log  # >= 0 by Jensen, 0 iff constant
-    if not s > 1e-12:
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise DomainError("need at least two observations")
+    shape, rate, status = fit_gamma_rows(arr[None, :], max_iter=max_iter, grad_tol=grad_tol)
+    k, rate, status = float(shape[0]), float(rate[0]), status[0]
+    if status == FIT_BAD_DATA:
+        raise DomainError("gamma fitting requires finite, strictly positive data")
+    if status == FIT_DEGENERATE:
         raise ConvergenceError("data are (numerically) constant; gamma MLE is degenerate", last=None)
-
-    var = float(np.var(arr))
-    k = mean * mean / var if var > 0.0 else 1.0 / (2.0 * s)
-    k = min(max(k, 1e-8), 1e8)
-
-    for _ in range(max_iter):
-        f = math.log(k) - float(digamma(k)) - s
-        fprime = 1.0 / k - float(polygamma(1, k))
-        step = f / fprime
-        k_new = k - step
-        if k_new <= 0.0:
-            k_new = k / 2.0
-        k = min(max(k_new, 1e-10), 1e10)
-        rate = k / mean
-        grad_shape = math.log(rate) + mean_log - float(digamma(k))
-        grad_rate = k / rate - mean
-        if math.hypot(grad_shape, grad_rate) < grad_tol:
-            return Gamma(shape=k, rate=rate)
-
-    raise ConvergenceError(
-        f"gamma MLE did not converge in {max_iter} iterations",
-        last=(k, k / mean),
-    )
+    if status == FIT_NO_CONVERGENCE:
+        raise ConvergenceError(f"gamma MLE did not converge in {max_iter} iterations", last=(k, rate))
+    return Gamma(shape=k, rate=rate)
 
 
 def fit_normal(data) -> Normal:
@@ -316,3 +346,20 @@ FAMILIES = {
     "normal": fit_normal,
     "uniform": fit_uniform,
 }
+
+
+def stack_laws(laws) -> KnownDistribution:
+    """One law whose parameters are (rows, 1) columns, row r holding those of laws[r].
+
+    The laws must be instances of one dataclass family, as every fitter in
+    ``FAMILIES`` returns.
+    """
+    cls = type(laws[0])
+    if any(type(law) is not cls for law in laws):
+        raise DomainError("laws to stack must belong to one family")
+    return cls(
+        **{
+            f.name: np.array([getattr(law, f.name) for law in laws], dtype=float)[:, None]
+            for f in dataclasses.fields(cls)
+        }
+    )

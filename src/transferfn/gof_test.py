@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FAMILIES, KnownDistribution
+from .distributions import FAMILIES, FIT_OK, Gamma, KnownDistribution, fit_gamma_rows, stack_laws
 from .empirical import Sample, quantile_rank
 from .errors import ConvergenceError, DomainError
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
@@ -30,12 +30,23 @@ __all__ = [
     "TestResult",
     "trimming_fraction",
     "test_statistic",
+    "test_statistic_rows",
+    "rows_per_block",
     "test",
     "monte_carlo_p_value",
 ]
 
 _MIN_N = 16  # loglog n must be positive and the trim below 1/2
 _TRIM_CAP = 0.2
+# Elements in one (rows x evaluation points) temporary of a batched
+# statistic: a block of bootstrap replicates stays within a few MB.
+_BLOCK_ELEMENTS = 1 << 15
+
+_BAD_LAW, _BAD_DERIVATIVE = 1, 2
+_ROW_ERRORS = {
+    _BAD_LAW: "the input law's quantile or density is not finite on the trimmed region",
+    _BAD_DERIVATIVE: "h must have a positive derivative on the trimmed region",
+}
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,83 @@ def trimming_fraction(n: int) -> float:
     return min(25.0 * math.log(math.log(n)) / n, _TRIM_CAP)
 
 
-def _weighted_gaps(dist, hyp, xs, ghat_vals, hvals=None):
-    hprime = np.asarray(hyp.deriv(xs), dtype=float)
-    if np.any(hprime <= 0.0) or not np.all(np.isfinite(hprime)):
-        raise DomainError("h must have a positive derivative on the trimmed region")
-    if hvals is None:
-        hvals = np.asarray(hyp.fn(xs), dtype=float)
-    weight = np.asarray(dist.pdf(xs), dtype=float) / hprime
-    return weight * np.abs(ghat_vals - hvals)
+def _evaluation_set(n: int, grid_points: int):
+    """Where the statistic is evaluated, and ghat's one-sided limits there.
+
+    Returns (u, lo, hi): u is the ``grid_points`` grid on [delta_n,
+    1-delta_n] followed by every jump u = i/n inside it; lo and hi are the
+    0-based indices into the sorted sample of ghat's left and right limits
+    at u (equal on the grid).
+    """
+    delta = trimming_fraction(n)
+    u_grid = np.linspace(delta, 1.0 - delta, grid_points)
+    grid_idx = quantile_rank(n, u_grid) - 1
+    i = np.arange(1, n)
+    i = i[(i / n >= delta) & (i / n <= 1.0 - delta)]
+    u = np.concatenate([u_grid, i / n])
+    lo = np.concatenate([grid_idx, i - 1])
+    hi = np.concatenate([grid_idx, i])
+    return u, lo, hi
+
+
+def rows_per_block(n: int, grid_points: int = 512) -> int:
+    """Rows of n-point samples whose statistic temporaries fit _BLOCK_ELEMENTS."""
+    u, _, _ = _evaluation_set(n, grid_points)
+    return max(1, _BLOCK_ELEMENTS // u.size)
+
+
+def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points):
+    """Statistic of every row of a (rows, n) array of sorted samples, with a status per row.
+
+    ``dist`` is one law for all rows or a law with (rows, 1) parameter
+    columns; ``points`` is _evaluation_set(n, grid_points).  quantile, pdf,
+    h and h' are evaluated once on the (1 or rows) x points array.  Status 0
+    marks a defined statistic; any other status is a key of _ROW_ERRORS,
+    and that row's statistic is meaningless.
+    """
+    n = sorted_rows.shape[1]
+    u, lo, hi = points
+    x = np.atleast_2d(np.asarray(dist.quantile(u), dtype=float))
+    bad_law = ~np.all(np.isfinite(x), axis=1)
+    if np.any(bad_law):
+        # pdf rejects non-finite x outright, which would fail every row
+        x = np.where(bad_law[:, None], 0.0, x)
+    hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
+    hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
+    density = np.asarray(dist.pdf(x), dtype=float)
+    bad_law |= ~np.all(np.isfinite(density), axis=1)
+    status = np.where(bad_law, _BAD_LAW, 0)
+    status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
+
+    # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h)
+    gap = sorted_rows[:, hi] - hvals
+    np.maximum(gap, hvals - sorted_rows[:, lo], out=gap)
+    with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
+        gap *= density / hprime
+    stats = math.sqrt(n) * np.max(gap, axis=1)
+    return stats, np.broadcast_to(status, stats.shape)
+
+
+def test_statistic_rows(
+    sorted_rows: np.ndarray,
+    dist: KnownDistribution,
+    hyp: HypothesisFunction,
+    grid_points: int = 512,
+) -> np.ndarray:
+    """``test_statistic`` of every row of a (rows, n) array of sorted samples.
+
+    ``dist`` is one law for all rows or a law with (rows, 1) parameter
+    columns (``distributions.stack_laws``).  Row r equals, bit for bit,
+    the statistic of that row alone.  Raises DomainError if any row's is
+    undefined.
+    """
+    sorted_rows = np.asarray(sorted_rows, dtype=float)
+    points = _evaluation_set(sorted_rows.shape[1], grid_points)
+    stats, status = _statistic_rows(sorted_rows, dist, hyp, points)
+    failed = np.flatnonzero(status)
+    if failed.size:
+        raise DomainError(_ROW_ERRORS[int(status[failed[0]])])
+    return stats
 
 
 def test_statistic(
@@ -100,28 +180,10 @@ def test_statistic(
     smooth factor.  The evaluation set is therefore a ``grid_points`` grid of
     x = xi_Z(u) with u equispaced in [delta_n, 1-delta_n], augmented with
     both one-sided limits at every order-statistic boundary u = i/n inside
-    the trimmed region; pure gridding would understate the sup.
+    the trimmed region; pure gridding would understate the sup.  This is
+    the one-row call of ``test_statistic_rows``.
     """
-    n = sample_y.n
-    delta = trimming_fraction(n)
-    ys = sample_y.sorted_values
-
-    u_grid = np.linspace(delta, 1.0 - delta, grid_points)
-    x_grid = np.asarray(dist.quantile(u_grid), dtype=float)
-    ghat_grid = ys[quantile_rank(n, u_grid) - 1]
-    vals = _weighted_gaps(dist, hyp, x_grid, ghat_grid)
-
-    i = np.arange(1, n)
-    u_jump = i / n
-    inside = (u_jump >= delta) & (u_jump <= 1.0 - delta)
-    i = i[inside]
-    if i.size:
-        x_jump = np.asarray(dist.quantile(i / n), dtype=float)
-        left = _weighted_gaps(dist, hyp, x_jump, ys[i - 1])
-        right = _weighted_gaps(dist, hyp, x_jump, ys[i])
-        vals = np.concatenate([vals, left, right])
-
-    return float(math.sqrt(n) * np.max(vals))
+    return float(test_statistic_rows(sample_y.sorted_values[None, :], dist, hyp, grid_points)[0])
 
 
 def test(
@@ -137,16 +199,14 @@ def test(
     stat = test_statistic(sample_y, dist, hyp, grid_points=grid_points)
     critical = ks_sup_quantile(1.0 - alpha)
     p_value = ks_sup_tail(stat) if stat > 0.0 else 1.0
-    n = sample_y.n
-    delta = trimming_fraction(n)
-    jumps = np.count_nonzero((np.arange(1, n) / n >= delta) & (np.arange(1, n) / n <= 1.0 - delta))
+    _, lo, hi = _evaluation_set(sample_y.n, grid_points)
     return TestResult(
         statistic=stat,
         critical=critical,
         p_value=p_value,
         reject=stat > critical,
-        trim=delta,
-        eval_points=grid_points + 2 * int(jumps),
+        trim=trimming_fraction(sample_y.n),
+        eval_points=lo.size + int(np.count_nonzero(lo != hi)),  # a jump counts both limits
         method="asymptotic",
         level=1.0 - alpha,
     )
@@ -169,8 +229,11 @@ def monte_carlo_p_value(
     bias).  Returns (1 + #{simulated >= observed}) / (successful + 1).
 
     ``family`` is a name from distributions.FAMILIES or a fitter callable.
-    Replications whose refit fails are dropped; more than 5% failures raises
-    ConvergenceError.
+    Replication r draws from SeedSequence(entropy=seed, spawn_key=(r,)).
+    Replications are refitted and tested a block of rows at a time; each
+    row's statistic equals the one-replicate ``test_statistic`` bit for bit.
+    Replications whose draw, refit or statistic fails are dropped; more than
+    5% failures raises ConvergenceError.
     """
     if replications < 99:
         raise DomainError("need at least 99 bootstrap replications")
@@ -179,19 +242,26 @@ def monte_carlo_p_value(
     observed = test_statistic(data, fitted, hyp, grid_points=grid_points)
 
     n = data.n
+    points = _evaluation_set(n, grid_points)
+    block = rows_per_block(n, grid_points)
     exceed = 0
     failures = 0
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-        draw = fitted.rvs(n, rng)
-        try:
-            refit = fitter(draw)
-            stat = test_statistic(Sample(draw), refit, hyp, grid_points=grid_points)
-        except (ConvergenceError, DomainError):
-            failures += 1
+    for start in range(0, replications, block):
+        reps = range(start, min(start + block, replications))
+        draws = np.stack(
+            [
+                fitted.rvs(n, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+                for rep in reps
+            ]
+        )
+        refits, fitted_ok = _refit_rows(family, fitter, draws)
+        if not np.any(fitted_ok):
+            failures += len(reps)
             continue
-        if stat >= observed:
-            exceed += 1
+        stats, status = _statistic_rows(np.sort(draws[fitted_ok], axis=1), refits, hyp, points)
+        ok = status == 0
+        failures += len(reps) - int(np.count_nonzero(ok))
+        exceed += int(np.count_nonzero(stats[ok] >= observed))
     if failures > 0.05 * replications:
         raise ConvergenceError(
             f"{failures}/{replications} bootstrap refits failed; the family does not fit this data",
@@ -199,3 +269,29 @@ def monte_carlo_p_value(
         )
     successful = replications - failures
     return (1 + exceed) / (successful + 1)
+
+
+def _refit_rows(family, fitter, draws: np.ndarray):
+    """Refit the family to every row of ``draws``: (law with a parameter column per fitted row, fitted mask).
+
+    The gamma family is refitted by one Newton iteration over all rows; any
+    other family, a callable included, row by row, its laws then stacked.
+    A row fails where the scalar path would fail: a non-finite draw, or a
+    refit raising ConvergenceError or DomainError.
+    """
+    if family == "gamma":
+        shape, rate, status = fit_gamma_rows(draws)
+        ok = status == FIT_OK
+        return Gamma(shape=shape[ok, None], rate=rate[ok, None]), ok
+    finite = np.all(np.isfinite(draws), axis=1)
+    ok = np.zeros(len(draws), dtype=bool)
+    laws = []
+    for r, row in enumerate(draws):
+        try:
+            law = fitter(row)
+        except (ConvergenceError, DomainError):
+            continue
+        if finite[r]:
+            ok[r] = True
+            laws.append(law)
+    return (stack_laws(laws) if laws else None), ok

@@ -7,6 +7,7 @@ engine for the uniform confidence band and the goodness-of-fit test.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
@@ -52,12 +53,14 @@ def _tail_derivative(c: float) -> float:
     return -8.0 * c * total
 
 
+@functools.lru_cache(maxsize=64)
 def ks_sup_quantile(p: float) -> float:
     """c with ks_sup_tail(c) = 1 - p, i.e. the level-p critical value.
 
     Bisection on [1e-6, 10] (the tail is strictly decreasing, and below
     1e-80 at 10, so any p in (0,1) is bracketed) followed by a Newton polish
-    to residual 1e-10.
+    to residual 1e-10.  Memoised: studies ask for the same few levels
+    thousands of times.
     """
     if not (0.0 < p < 1.0):
         raise DomainError("quantile level must lie in (0, 1)")

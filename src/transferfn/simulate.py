@@ -20,7 +20,8 @@ from .distributions import KnownDistribution, Normal
 from .empirical import Sample
 from .errors import ConfigError, DomainError
 from .estimator import estimate_with_ci
-from .gof_test import HypothesisFunction, test
+from .gof_test import HypothesisFunction, rows_per_block, test_statistic_rows
+from .ks_distribution import ks_sup_quantile
 from .subsampling import default_block_length, subsample_ci
 
 __all__ = [
@@ -319,27 +320,35 @@ def run_test_table(
 ) -> ExperimentReport:
     """Correct-test ratio per (h, perturbation) cell.
 
-    A repetition is correct when the test accepts under "none" and rejects
-    under either perturbation.  Cell (i, j), repetition r draws from the
-    (i*len+j, r) stream of the root seed.
+    A repetition is correct when the asymptotic test accepts under "none"
+    and rejects under either perturbation.  Cell (i, j), repetition r draws
+    from the (i*len+j, r) stream of the root seed; a cell's repetitions are
+    tested a block of rows at a time by ``test_statistic_rows``.
     """
     if repetitions < 1:
         raise DomainError("need at least one repetition")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("alpha must lie in (0, 1)")
     if dist is None:
         dist = Normal()
     t0 = time.perf_counter()
+    critical = ks_sup_quantile(1.0 - alpha)
+    block = rows_per_block(n)
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)
         for col, pert in enumerate(perturbations):
             g = perturbed(h, pert, n)
-            correct = 0
             cell_key = row * len(perturbations) + col
-            for rep in range(repetitions):
-                rng = replication_rng(seed, (cell_key, rep))
-                _, y = _finite_pair(lambda: dist.rvs(n, rng), g, f"{g.name!r} under {dist!r}")
-                result = test(Sample(y), dist, h, alpha)
-                correct += result.reject if pert != "none" else (not result.reject)
+            stats = []
+            for start in range(0, repetitions, block):
+                ys = []
+                for rep in range(start, min(start + block, repetitions)):
+                    rng = replication_rng(seed, (cell_key, rep))
+                    ys.append(_finite_pair(lambda: dist.rvs(n, rng), g, f"{g.name!r} under {dist!r}")[1])
+                stats.append(test_statistic_rows(np.sort(ys, axis=1), dist, h))
+            reject = np.concatenate(stats) > critical
+            correct = int(np.count_nonzero(reject if pert != "none" else ~reject))
             cells[(h_name, pert)] = correct / repetitions
     return ExperimentReport(
         kind="test_table",

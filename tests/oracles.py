@@ -6,6 +6,8 @@ probabilities, so the tests check the implementation against something it
 does not share code with.
 """
 
+import math
+
 import numpy as np
 
 
@@ -98,3 +100,26 @@ def naive_kde(values, h, ys):
     u = (ys[:, None] - values[None, :]) / h
     terms = np.where(np.abs(u) <= np.pi, 1.0 + np.cos(u), 0.0)
     return terms.sum(axis=1) / (2.0 * np.pi * values.size * h)
+
+
+def naive_trimmed_sup(values, dist, h, grid_points=512):
+    """sqrt(n) max of f_Z(x) / h'(x) * |ghat - h(x)|, one evaluation point at a time.
+
+    The points are x = xi_Z(u) for u on a ``grid_points`` grid of
+    [delta, 1 - delta], delta = min(25 loglog(n) / n, 0.2), with ghat there
+    from naive_inf_quantile, plus every jump u = i/n in that range, where
+    ghat takes both the i-th and the (i+1)-th order statistic.
+    """
+    srt = np.sort(np.asarray(values, dtype=float))
+    n = srt.size
+    delta = min(25.0 * math.log(math.log(n)) / n, 0.2)
+
+    def term(u, ghat):
+        x = float(dist.quantile(u))
+        return float(dist.pdf(x)) / float(h.deriv(x)) * abs(ghat - float(h.fn(x)))
+
+    best = max(term(u, naive_inf_quantile(srt, u)) for u in np.linspace(delta, 1.0 - delta, grid_points))
+    for i in range(1, n):
+        if delta <= i / n <= 1.0 - delta:
+            best = max(best, term(i / n, srt[i - 1]), term(i / n, srt[i]))
+    return math.sqrt(n) * best

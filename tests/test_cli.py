@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -93,7 +94,7 @@ def _ingestion_corpus():
     g17 = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
     f6 = "".join(f"{x:.6f},{y:.6f}\n" for x, y in zip(a, b))
     return [
-        ("g17 header", "y,z\n" + g17, ("y", "z", "0", "1"), True),
+        ("g17 header", "y,z\n" + g17, ("y", "z", "0", "1", "-1", "-2"), True),
         ("g17 no header", g17, ("0", "1"), True),
         ("f6 header", "y,z\n" + f6, ("y", "1"), True),
         ("f6 no header", f6, ("0", "1"), True),
@@ -120,8 +121,8 @@ def _ingestion_corpus():
         ("inf", "y,z\ninf,1\n2,-inf\n3,4\n", ("y", "z"), False),
         ("NaN and overflow", "y,z\nNaN,1\n2,1e999\n3,4\n", ("y", "z"), False),
         ("junk", "y\n1\nxyz\n", ("y",), False),
-        ("short row", "a,b\n1,2\n3\n5,6\n", ("a", "b"), False),
-        ("missing column", "a,b\n1,2\n3,4\n", ("c", "2", "7"), False),
+        ("short row", "a,b\n1,2\n3\n5,6\n", ("a", "b", "-1", "-2"), False),
+        ("missing column", "a,b\n1,2\n3,4\n", ("c", "2", "7", "-3"), False),
         ("one value", "y\n1\n", ("y",), False),
         ("only missing", "y\n?\nNA\n", ("y",), False),
         ("header only", "y,z\n", ("y",), False),
@@ -157,6 +158,34 @@ def test_read_column_fast_path_matches_row_parser(tmp_path):
                 assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
             if fast:
                 assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+
+
+def test_read_column_errors_name_the_physical_line(tmp_path):
+    cases = [
+        ("y\n# c\n\n1\nxyz\n", 5),
+        ("y\n1\n\nxyz\n", 4),  # after a blank line
+        ("y\n1\n# note\nxyz\n", 4),  # after a comment line
+        ("1\n\n2\nxyz\n", 4),  # no header
+        ("y\r\n1\r\n\r\n2\r\nxyz\r\n", 5),
+    ]
+    for k, (text, line) in enumerate(cases):
+        path = tmp_path / f"bad{k}.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=re.escape(f"{path}:{line}: cannot parse 'xyz'")):
+            read_column(str(path), "0")
+
+
+def test_negative_column_selector(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text("z,y\n" + "".join(f"{v},{2 * v}\n" for v in range(1, 30)))
+    base = ["estimate", "--data", str(path), "--dist", "uniform:0,1", "--x", "0.5"]
+    code, out_last, _ = run_cli(capsys, *base, "--y-col", "-1")
+    assert code == 0
+    code, out_y, _ = run_cli(capsys, *base, "--y-col", "y")
+    assert code == 0 and out_last == out_y
+    code, out, err = run_cli(capsys, *base, "--y-col", "-5")
+    assert code == 3 and out == ""
+    assert "out of range" in err and "Traceback" not in err
 
 
 def test_read_column_from_pipe():

@@ -12,6 +12,7 @@ from transferfn import (
     Uniform,
     fit_gamma_mle,
 )
+from transferfn.distributions import FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE, FIT_OK, fit_gamma_rows
 
 from oracles import bisect_quantile, quadrature_cdf
 
@@ -167,3 +168,39 @@ def test_fit_gamma_mle_degenerate_and_bad_input():
         fit_gamma_mle([1.0, -2.0, 3.0])
     with pytest.raises(DomainError):
         fit_gamma_mle([1.0])
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+def test_fit_gamma_rows_match_one_row_fits():
+    rng = np.random.default_rng(11)
+    shapes = [0.3, 1.0, 2.0, 10.97, 250.0, 3.0, 3.0, 3.0, 3.0]
+    data = np.stack([rng.gamma(k, 2.0, size=301) for k in shapes])
+    data[5] = 3.7  # constant
+    data[6, 17] = -1.0
+    data[7, 40] = np.nan
+    data[8, 3] = np.inf
+    shape, rate, status = fit_gamma_rows(data)
+    assert status.tolist() == [FIT_OK] * 5 + [FIT_DEGENERATE] + [FIT_BAD_DATA] * 3
+    for r in range(5):
+        fit = fit_gamma_mle(data[r])
+        assert _same_bits(fit.shape, shape[r]) and _same_bits(fit.rate, rate[r]), r
+    with pytest.raises(ConvergenceError):
+        fit_gamma_mle(data[5])
+    for r in (6, 7, 8):
+        with pytest.raises(DomainError):
+            fit_gamma_mle(data[r])
+    # a row leaves the iteration on its own: cutting the budget leaves the
+    # slower rows unconverged, each with the iterate its one-row fit stops at
+    shape2, rate2, status2 = fit_gamma_rows(data[:5], max_iter=2)
+    assert FIT_NO_CONVERGENCE in status2.tolist()
+    for r in range(5):
+        if status2[r] == FIT_OK:
+            fit = fit_gamma_mle(data[r], max_iter=2)
+            assert _same_bits(fit.shape, shape2[r]) and _same_bits(fit.rate, rate2[r])
+        else:
+            with pytest.raises(ConvergenceError) as info:
+                fit_gamma_mle(data[r], max_iter=2)
+            assert _same_bits(info.value.last, (shape2[r], rate2[r]))

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from transferfn import (
+    ConvergenceError,
     DomainError,
+    Gamma,
     HypothesisFunction,
     Normal,
     Sample,
     Uniform,
+    fit_gamma_mle,
     get_transfer,
     ks_sup_tail,
     monte_carlo_p_value,
@@ -17,6 +22,10 @@ from transferfn import (
 from transferfn import test as gof
 from transferfn import test_statistic as gof_statistic
 import transferfn.gof_test as gof_module
+from oracles import naive_trimmed_sup
+from transferfn.distributions import stack_laws
+from transferfn.gof_test import rows_per_block
+from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
 
 
 def test_trimming_fraction():
@@ -188,3 +197,129 @@ def test_eval_points_includes_jumps():
     delta = trimming_fraction(100)
     jumps = sum(1 for i in range(1, 100) if delta <= i / 100 <= 1 - delta)
     assert res.eval_points == 512 + 2 * jumps
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("h_name", ["identity", "(x+4)^2", "x^3"])
+@pytest.mark.parametrize(
+    "laws",
+    [
+        [Normal(0.4, 1.0), Normal(0.3, 1.7), Normal(-0.2, 0.6), Normal(0.9, 2.5)],
+        [Gamma(10.97, 0.027), Gamma(2.0, 1.0), Gamma(0.7, 3.0), Gamma(40.0, 5.0)],
+        [Uniform(0.1, 1.0), Uniform(-1.0, 2.0), Uniform(0.5, 0.6), Uniform(-3.5, 4.0)],
+    ],
+    ids=["normal", "gamma", "uniform"],
+)
+def test_statistic_rows_bit_identical_to_one_row(laws, h_name):
+    h = get_transfer(h_name)
+    rng = np.random.default_rng(87)
+    for n in (100, 517):
+        rows = np.sort(np.stack([np.asarray(h.fn(law.rvs(n, rng))) + rng.normal(0.0, 0.01, n) for law in laws]), axis=1)
+        stacked = gof_statistic_rows(rows, stack_laws(laws), h)
+        shared = gof_statistic_rows(rows, laws[1], h)
+        for r, law in enumerate(laws):
+            assert _same_bits(stacked[r], gof_statistic(Sample(rows[r]), law, h)), (n, r)
+            assert _same_bits(shared[r], gof_statistic(Sample(rows[r]), laws[1], h)), (n, r)
+            if n == 100:
+                assert stacked[r] == pytest.approx(naive_trimmed_sup(rows[r], law, h), rel=1e-12), r
+
+
+def test_statistic_rows_rejects_any_bad_row():
+    # h' < 0 beyond x = 2, which only the middle row's law reaches
+    laws = [Normal(0.0, 1.0), Normal(3.0, 1.0), Normal(0.0, 1.0)]
+    rows = np.sort(np.random.default_rng(88).normal(size=(3, 100)), axis=1)
+    bent = HypothesisFunction(fn=lambda x: x, deriv=lambda x: np.where(np.asarray(x) > 2.0, -1.0, 1.0))
+    good = gof_statistic_rows(rows[[0, 2]], stack_laws(laws[::2]), bent)
+    assert good.shape == (2,)
+    with pytest.raises(DomainError, match="positive derivative"):
+        gof_statistic_rows(rows, stack_laws(laws), bent)
+
+
+def _reference_bootstrap(data, fitter, hyp, replications, seed):
+    """The parametric bootstrap one replicate at a time: (observed, replicate statistics, failures)."""
+    fitted = fitter(data.values)
+    observed = gof_statistic(data, fitted, hyp)
+    stats = []
+    failures = 0
+    for rep in range(replications):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+        draw = fitted.rvs(data.n, rng)
+        try:
+            stats.append(gof_statistic(Sample(draw), fitter(draw), hyp))
+        except (ConvergenceError, DomainError):
+            failures += 1
+    return observed, np.array(stats), failures
+
+
+def _recording_kernel(monkeypatch):
+    """Record the statistic of every successful row the batched kernel returns."""
+    recorded = []
+    kernel = gof_module._statistic_rows
+
+    def spy(*args):
+        stats, status = kernel(*args)
+        recorded.append(stats[status == 0])
+        return stats, status
+
+    monkeypatch.setattr(gof_module, "_statistic_rows", spy)
+    return recorded
+
+
+def _check_against_reference(monkeypatch, data, family, fitter, replications, seed):
+    idn = get_transfer("identity")
+    observed, stats, failures = _reference_bootstrap(data, fitter, idn, replications, seed)
+    recorded = _recording_kernel(monkeypatch)
+    p = monte_carlo_p_value(data, family, idn, replications=replications, seed=seed)
+    # the first call is the observed statistic's one-row call
+    assert _same_bits(recorded[0], [observed])
+    assert _same_bits(np.concatenate(recorded[1:]), stats)
+    exceed = int(np.count_nonzero(stats >= observed))
+    assert p == (1 + exceed) / (replications - failures + 1)
+    return exceed, failures
+
+
+def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
+    rng = np.random.default_rng(89)
+    data = Sample(rng.gamma(3.0, 2.0, size=300))
+    assert 99 % rows_per_block(300) != 0  # the last block is partial
+    for seed in (0, 5, 17):
+        for family in ("gamma", fit_gamma_mle):
+            with monkeypatch.context() as patch:
+                exceed, failures = _check_against_reference(patch, data, family, fit_gamma_mle, 99, seed)
+            assert failures == 0
+            assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
+    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    assert rows_per_block(300) == 1
+    _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 101, 3)
+
+    from transferfn import fit_normal
+
+    normal = Sample(rng.normal(5.0, 2.0, size=120))
+    _check_against_reference(monkeypatch, normal, "normal", fit_normal, 99, 2)
+
+
+def _fitter_failing_on(reps):
+    calls = itertools.count(-1)  # call -1 fits the observed data
+
+    def fit(data):
+        if next(calls) in reps:
+            raise ConvergenceError("chosen replicate", last=None)
+        return fit_gamma_mle(data)
+
+    return fit
+
+
+def test_monte_carlo_drops_and_counts_failed_refits():
+    idn = get_transfer("identity")
+    data = Sample(np.random.default_rng(90).gamma(3.0, 2.0, size=300))
+    dropped = {3, 45, 98}
+    observed, stats, failures = _reference_bootstrap(data, _fitter_failing_on(dropped), idn, 99, 4)
+    assert failures == 3
+    exceed = int(np.count_nonzero(stats >= observed))
+    p = monte_carlo_p_value(data, _fitter_failing_on(dropped), idn, replications=99, seed=4)
+    assert p == (1 + exceed) / (96 + 1)
+    with pytest.raises(ConvergenceError, match="6/99"):
+        monte_carlo_p_value(data, _fitter_failing_on({0, 1, 44, 45, 46, 98}), idn, replications=99, seed=4)
