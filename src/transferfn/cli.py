@@ -19,7 +19,8 @@ from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform
 from .empirical import Sample
 from .errors import ConfigError, ConvergenceError, DomainError
 from .estimator import estimate_with_ci
-from .gof_test import monte_carlo_p_value, test
+from .gof_test import _bootstrap, test
+from .ks_distribution import ks_sup_quantile
 from .simulate import (
     DGPConfig,
     TRANSFERS,
@@ -292,11 +293,10 @@ def _cmd_test(args) -> int:
         if family not in FAMILIES:
             raise UsageError(f"unknown family {family!r} in --dist; known: {', '.join(FAMILIES)}")
         fitted = FAMILIES[family](sample.values)
-        result = test(sample, fitted, hyp, alpha)
-        p_value = monte_carlo_p_value(sample, family, hyp, replications=args.mc_reps, seed=args.seed)
+        p_value, statistic = _bootstrap(sample, family, fitted, hyp, args.mc_reps, args.seed)
         payload = {
-            "statistic": result.statistic,
-            "critical": result.critical,
+            "statistic": statistic,
+            "critical": ks_sup_quantile(1.0 - alpha),
             "p_value": p_value,
             "decision": "reject" if p_value < alpha else "accept",
             "method": "monte_carlo",
@@ -314,6 +314,7 @@ def _cmd_test(args) -> int:
             "decision": result.decision,
             "method": result.method,
             "level": result.level,
+            "argmax_x": result.argmax_x,
         }
     if args.json:
         json.dump(payload, sys.stdout)

@@ -8,15 +8,25 @@ dependent data; only the interval construction differs (see subsampling).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .distributions import KnownDistribution
-from .empirical import Sample, sample_quantile
+from .empirical import Sample, quantile_rank
 from .errors import DomainError
 
-__all__ = ["EstimateResult", "PointwiseCI", "estimate", "pointwise_ci", "estimate_with_ci", "default_grid"]
+__all__ = [
+    "EstimateResult",
+    "EstimatorRanks",
+    "PointwiseCI",
+    "estimator_ranks",
+    "estimate",
+    "pointwise_ci",
+    "estimate_with_ci",
+    "default_grid",
+]
 
 
 @dataclass(frozen=True)
@@ -65,15 +75,6 @@ def _plug_in_levels(dist: KnownDistribution, xs: np.ndarray) -> np.ndarray:
     return np.clip(p, np.finfo(float).tiny, 1.0)
 
 
-def estimate(sample_y: Sample, dist: KnownDistribution, xs):
-    """ghat at each grid point; scalar in, scalar out."""
-    arr = _interior_grid(dist, xs)
-    out = sample_quantile(sample_y, _plug_in_levels(dist, arr))
-    if np.ndim(xs) == 0:
-        return float(out[0]) if np.ndim(out) else float(out)
-    return np.asarray(out, dtype=float)
-
-
 def _ci_levels(p: np.ndarray, n: int, alpha: float):
     half = ndtri(alpha / 2.0) * np.sqrt(p * (1.0 - p) / n)
     c1 = p + half        # ndtri(alpha/2) < 0
@@ -86,6 +87,51 @@ def _ci_levels(p: np.ndarray, n: int, alpha: float):
     return c1_cl, c2_cl, clamped
 
 
+class EstimatorRanks(NamedTuple):
+    """0-based indices into a sorted n-point sample for ghat and its pointwise CIs.
+
+    ``ghat[j]`` indexes the plug-in quantile at xs[j]; ``lo``/``hi`` index
+    the CI bounds at levels ``c1``/``c2``, and ``clamped`` flags the points
+    whose levels were pulled into [1/n, 1].  The CI fields are None when no
+    alpha was given.  Indices depend only on (dist, xs, n, alpha), so one
+    set serves every sample of size n.
+    """
+
+    xs: np.ndarray
+    ghat: np.ndarray
+    lo: np.ndarray | None
+    hi: np.ndarray | None
+    c1: np.ndarray | None
+    c2: np.ndarray | None
+    clamped: np.ndarray | None
+
+
+def estimator_ranks(dist: KnownDistribution, xs, n: int, alpha: float | None = None) -> EstimatorRanks:
+    """The rank core behind ``estimate``, ``pointwise_ci`` and ``estimate_with_ci``.
+
+    With ``alpha`` (in (0, 1/2)) it also returns the CI ranks: c1 = F(x) +
+    z_{alpha/2} sqrt(F(1-F)/n) and c2 likewise with z_{1-alpha/2}, clamped
+    into [1/n, 1] with the clamp recorded.
+    """
+    if alpha is not None and not (0.0 < alpha < 0.5):
+        raise DomainError("alpha must lie in (0, 1/2)")
+    arr = _interior_grid(dist, xs)
+    p = _plug_in_levels(dist, arr)
+    ghat = quantile_rank(n, p) - 1
+    if alpha is None:
+        return EstimatorRanks(arr, ghat, None, None, None, None, None)
+    c1, c2, clamped = _ci_levels(p, n, alpha)
+    return EstimatorRanks(arr, ghat, quantile_rank(n, c1) - 1, quantile_rank(n, c2) - 1, c1, c2, clamped)
+
+
+def estimate(sample_y: Sample, dist: KnownDistribution, xs):
+    """ghat at each grid point; scalar in, scalar out."""
+    out = sample_y.sorted_values[estimator_ranks(dist, xs, sample_y.n).ghat]
+    if np.ndim(xs) == 0:
+        return float(out[0])
+    return out
+
+
 def pointwise_ci(sample_y: Sample, dist: KnownDistribution, x: float, alpha: float) -> PointwiseCI:
     """Asymptotic level-(1-alpha) interval for g(x) from sample quantiles.
 
@@ -94,40 +140,28 @@ def pointwise_ci(sample_y: Sample, dist: KnownDistribution, x: float, alpha: flo
     recorded, so extreme F(x) degrades gracefully instead of erroring.
     Requires alpha in (0, 1/2).
     """
-    if not (0.0 < alpha < 0.5):
-        raise DomainError("alpha must lie in (0, 1/2)")
-    arr = _interior_grid(dist, x)
-    p = _plug_in_levels(dist, arr)
-    c1, c2, clamped = _ci_levels(p, sample_y.n, alpha)
-    lo = sample_quantile(sample_y, c1)
-    hi = sample_quantile(sample_y, c2)
+    r = estimator_ranks(dist, x, sample_y.n, alpha)
     return PointwiseCI(
-        lo=float(lo[0]),
-        hi=float(hi[0]),
-        c1=float(c1[0]),
-        c2=float(c2[0]),
-        clamped=bool(clamped[0]),
+        lo=float(sample_y.sorted_values[r.lo[0]]),
+        hi=float(sample_y.sorted_values[r.hi[0]]),
+        c1=float(r.c1[0]),
+        c2=float(r.c2[0]),
+        clamped=bool(r.clamped[0]),
     )
 
 
 def estimate_with_ci(sample_y: Sample, dist: KnownDistribution, xs, alpha: float) -> EstimateResult:
     """Vectorised estimate + pointwise CI over a grid."""
-    if not (0.0 < alpha < 0.5):
-        raise DomainError("alpha must lie in (0, 1/2)")
-    arr = _interior_grid(dist, xs)
-    p = _plug_in_levels(dist, arr)
-    ghat = sample_quantile(sample_y, p)
-    c1, c2, clamped = _ci_levels(p, sample_y.n, alpha)
-    lo = sample_quantile(sample_y, c1)
-    hi = sample_quantile(sample_y, c2)
+    r = estimator_ranks(dist, xs, sample_y.n, alpha)
+    srt = sample_y.sorted_values
     return EstimateResult(
-        xs=arr,
-        ghat=np.asarray(ghat, dtype=float),
-        ci_lo=np.asarray(lo, dtype=float),
-        ci_hi=np.asarray(hi, dtype=float),
+        xs=r.xs,
+        ghat=srt[r.ghat],
+        ci_lo=srt[r.lo],
+        ci_hi=srt[r.hi],
         level=1.0 - alpha,
         n=sample_y.n,
-        clamped=clamped,
+        clamped=r.clamped,
     )
 
 

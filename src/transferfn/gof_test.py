@@ -75,6 +75,7 @@ class TestResult:
     eval_points: int
     method: str
     level: float
+    argmax_x: float  # where the trimmed sup is attained
 
     @property
     def decision(self) -> str:
@@ -107,10 +108,15 @@ def _evaluation_set(n: int, grid_points: int):
     return u, lo, hi
 
 
+def block_rows(width: int) -> int:
+    """Rows of a (rows, width) temporary that fit _BLOCK_ELEMENTS, at least one."""
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
 def rows_per_block(n: int, grid_points: int = 512) -> int:
     """Rows of n-point samples whose statistic temporaries fit _BLOCK_ELEMENTS."""
     u, _, _ = _evaluation_set(n, grid_points)
-    return max(1, _BLOCK_ELEMENTS // u.size)
+    return block_rows(u.size)
 
 
 def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points):
@@ -120,7 +126,8 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     columns; ``points`` is _evaluation_set(n, grid_points).  quantile, pdf,
     h and h' are evaluated once on the (1 or rows) x points array.  Status 0
     marks a defined statistic; any other status is a key of _ROW_ERRORS,
-    and that row's statistic is meaningless.
+    and that row's statistic is meaningless.  ``argmax_x`` is the x at which
+    each row's sup is attained (the first such point).
     """
     n = sorted_rows.shape[1]
     u, lo, hi = points
@@ -141,8 +148,11 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     np.maximum(gap, hvals - sorted_rows[:, lo], out=gap)
     with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
         gap *= density / hprime
-    stats = math.sqrt(n) * np.max(gap, axis=1)
-    return stats, np.broadcast_to(status, stats.shape)
+    where = np.argmax(gap, axis=1)
+    rows = np.arange(gap.shape[0])
+    stats = math.sqrt(n) * gap[rows, where]
+    argmax_x = x[rows if x.shape[0] > 1 else 0, where]
+    return stats, np.broadcast_to(status, stats.shape), argmax_x
 
 
 def test_statistic_rows(
@@ -159,12 +169,17 @@ def test_statistic_rows(
     undefined.
     """
     sorted_rows = np.asarray(sorted_rows, dtype=float)
+    return _checked_rows(sorted_rows, dist, hyp, grid_points)[0]
+
+
+def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, grid_points: int):
+    """(statistics, argmax_x) of every row; DomainError if any row's statistic is undefined."""
     points = _evaluation_set(sorted_rows.shape[1], grid_points)
-    stats, status = _statistic_rows(sorted_rows, dist, hyp, points)
+    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points)
     failed = np.flatnonzero(status)
     if failed.size:
         raise DomainError(_ROW_ERRORS[int(status[failed[0]])])
-    return stats
+    return stats, argmax_x
 
 
 def test_statistic(
@@ -196,7 +211,8 @@ def test(
     """Asymptotic test of H0: g = h at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    stat = test_statistic(sample_y, dist, hyp, grid_points=grid_points)
+    stats, argmax_x = _checked_rows(sample_y.sorted_values[None, :], dist, hyp, grid_points)
+    stat = float(stats[0])
     critical = ks_sup_quantile(1.0 - alpha)
     p_value = ks_sup_tail(stat) if stat > 0.0 else 1.0
     _, lo, hi = _evaluation_set(sample_y.n, grid_points)
@@ -209,6 +225,7 @@ def test(
         eval_points=lo.size + int(np.count_nonzero(lo != hi)),  # a jump counts both limits
         method="asymptotic",
         level=1.0 - alpha,
+        argmax_x=float(argmax_x[0]),
     )
 
 
@@ -238,7 +255,16 @@ def monte_carlo_p_value(
     if replications < 99:
         raise DomainError("need at least 99 bootstrap replications")
     fitter = FAMILIES[family] if isinstance(family, str) else family
-    fitted = fitter(data.values)
+    return _bootstrap(data, family, fitter(data.values), hyp, replications, seed, grid_points)[0]
+
+
+def _bootstrap(data: Sample, family, fitted: KnownDistribution, hyp, replications, seed, grid_points=512):
+    """(p-value, observed statistic) of ``monte_carlo_p_value`` given the family already fitted to the data.
+
+    The CLI calls this with the law it has fitted and printed, so the data
+    are fitted and the observed statistic computed once.
+    """
+    fitter = FAMILIES[family] if isinstance(family, str) else family
     observed = test_statistic(data, fitted, hyp, grid_points=grid_points)
 
     n = data.n
@@ -258,7 +284,7 @@ def monte_carlo_p_value(
         if not np.any(fitted_ok):
             failures += len(reps)
             continue
-        stats, status = _statistic_rows(np.sort(draws[fitted_ok], axis=1), refits, hyp, points)
+        stats, status, _ = _statistic_rows(np.sort(draws[fitted_ok], axis=1), refits, hyp, points)
         ok = status == 0
         failures += len(reps) - int(np.count_nonzero(ok))
         exceed += int(np.count_nonzero(stats[ok] >= observed))
@@ -268,7 +294,7 @@ def monte_carlo_p_value(
             last=fitted,
         )
     successful = replications - failures
-    return (1 + exceed) / (successful + 1)
+    return (1 + exceed) / (successful + 1), observed
 
 
 def _refit_rows(family, fitter, draws: np.ndarray):

@@ -19,8 +19,8 @@ from .density_band import KernelSpec, confidence_band
 from .distributions import KnownDistribution, Normal
 from .empirical import Sample
 from .errors import ConfigError, DomainError
-from .estimator import estimate_with_ci
-from .gof_test import HypothesisFunction, rows_per_block, test_statistic_rows
+from .estimator import estimator_ranks
+from .gof_test import HypothesisFunction, block_rows, rows_per_block, test_statistic_rows
 from .ks_distribution import ks_sup_quantile
 from .subsampling import default_block_length, subsample_ci
 
@@ -247,6 +247,13 @@ def run_coverage_study(
     coverage and flagged-point counts), "subsample" the block-resampling
     intervals.  The statistical guidance is 50+ replications, but a single
     replication runs fine as a smoke test.
+
+    Replications run in blocks of up to 2^15 // n rows.  Replication r still
+    draws from its own ``replication_rng(seed, r)`` stream; for "ci" the
+    block is sorted once along the rows and every row's intervals are read
+    at the ranks ``estimator_ranks`` gives, so each row's coverage equals
+    that of ``estimate_with_ci`` on the replicate alone.  "band" and
+    "subsample" build each row's intervals on their own.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
@@ -260,31 +267,37 @@ def run_coverage_study(
         band_interval = (float(np.min(xs)), float(np.max(xs)))
 
     t0 = time.perf_counter()
-    hits = np.zeros(xs.size)
+    if method == "ci":
+        # the CI ranks depend only on (marginal, xs, n, alpha): one set serves every replicate
+        ranks = estimator_ranks(marginal, xs, config.n, alpha)
+    b = block if block is not None else default_block_length(config.n)
+    hits = np.zeros(xs.size, dtype=np.int64)
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
-    for rep in range(replications):
-        rng = replication_rng(config.seed, rep)
-        _, y = generate(config, rng)
-        sample = Sample(y)
+    rows = block_rows(config.n)
+    for start in range(0, replications, rows):
+        reps = range(start, min(start + rows, replications))
+        ys = np.stack([generate(config, replication_rng(config.seed, rep))[1] for rep in reps])
+        covered = np.empty((len(reps), xs.size), dtype=bool)
         if method == "ci":
-            res = estimate_with_ci(sample, marginal, xs, alpha)
-            covered = (res.ci_lo <= g_true) & (g_true <= res.ci_hi)
+            ys.sort(axis=1)
+            covered[:] = (ys[:, ranks.lo] <= g_true) & (g_true <= ys[:, ranks.hi])
         elif method == "band":
-            band = confidence_band(sample, marginal, band_interval, alpha, spec=spec, xs=xs)
-            covered = (band.band_lo <= g_true) & (g_true <= band.band_hi)
-            nflag = int(np.count_nonzero(band.flagged))
-            flagged_points += nflag
-            flagged_reps += 1 if nflag else 0
+            for r, y in enumerate(ys):
+                band = confidence_band(Sample(y), marginal, band_interval, alpha, spec=spec, xs=xs)
+                covered[r] = (band.band_lo <= g_true) & (g_true <= band.band_hi)
+                nflag = int(np.count_nonzero(band.flagged))
+                flagged_points += nflag
+                flagged_reps += 1 if nflag else 0
         else:
-            b = block if block is not None else default_block_length(config.n)
-            covered = np.empty(xs.size, dtype=bool)
-            for j, x in enumerate(xs):
-                res = subsample_ci(sample, marginal, float(x), alpha, b=b)
-                covered[j] = res.ci[0] <= g_true[j] <= res.ci[1]
-        hits += covered
-        simultaneous += bool(np.all(covered))
+            for r, y in enumerate(ys):
+                sample = Sample(y)
+                for j, x in enumerate(xs):
+                    res = subsample_ci(sample, marginal, float(x), alpha, b=b)
+                    covered[r, j] = res.ci[0] <= g_true[j] <= res.ci[1]
+        hits += np.count_nonzero(covered, axis=0)
+        simultaneous += int(np.count_nonzero(np.all(covered, axis=1)))
 
     cells = {float(x): hits[j] / replications for j, x in enumerate(xs)}
     extras = {"simultaneous": simultaneous / replications}

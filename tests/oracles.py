@@ -102,13 +102,14 @@ def naive_kde(values, h, ys):
     return terms.sum(axis=1) / (2.0 * np.pi * values.size * h)
 
 
-def naive_trimmed_sup(values, dist, h, grid_points=512):
-    """sqrt(n) max of f_Z(x) / h'(x) * |ghat - h(x)|, one evaluation point at a time.
+def _naive_trimmed_terms(values, dist, h, grid_points):
+    """(x, f_Z(x) / h'(x) * |ghat - h(x)|) at each evaluation point, grid first, then the jumps in order.
 
     The points are x = xi_Z(u) for u on a ``grid_points`` grid of
     [delta, 1 - delta], delta = min(25 loglog(n) / n, 0.2), with ghat there
     from naive_inf_quantile, plus every jump u = i/n in that range, where
-    ghat takes both the i-th and the (i+1)-th order statistic.
+    ghat takes both the i-th and the (i+1)-th order statistic (the larger
+    term is kept).
     """
     srt = np.sort(np.asarray(values, dtype=float))
     n = srt.size
@@ -118,8 +119,21 @@ def naive_trimmed_sup(values, dist, h, grid_points=512):
         x = float(dist.quantile(u))
         return float(dist.pdf(x)) / float(h.deriv(x)) * abs(ghat - float(h.fn(x)))
 
-    best = max(term(u, naive_inf_quantile(srt, u)) for u in np.linspace(delta, 1.0 - delta, grid_points))
+    terms = [(float(dist.quantile(u)), term(u, naive_inf_quantile(srt, u))) for u in np.linspace(delta, 1.0 - delta, grid_points)]
     for i in range(1, n):
         if delta <= i / n <= 1.0 - delta:
-            best = max(best, term(i / n, srt[i - 1]), term(i / n, srt[i]))
-    return math.sqrt(n) * best
+            terms.append((float(dist.quantile(i / n)), max(term(i / n, srt[i - 1]), term(i / n, srt[i]))))
+    return terms
+
+
+def naive_trimmed_sup(values, dist, h, grid_points=512):
+    """sqrt(n) max of f_Z(x) / h'(x) * |ghat - h(x)|, one evaluation point at a time (see _naive_trimmed_terms)."""
+    n = np.asarray(values).size
+    return math.sqrt(n) * max(t for _, t in _naive_trimmed_terms(values, dist, h, grid_points))
+
+
+def naive_trimmed_argmax(values, dist, h, grid_points=512):
+    """The x of the first evaluation point where naive_trimmed_sup's maximum is attained."""
+    terms = _naive_trimmed_terms(values, dist, h, grid_points)
+    best = max(t for _, t in terms)
+    return next(x for x, t in terms if t == best)

@@ -261,7 +261,7 @@ def test_test_command_asymptotic_and_json(capsys, gamma_file):
     )
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) >= {"statistic", "critical", "p_value", "decision", "method"}
+    assert set(payload) >= {"statistic", "critical", "p_value", "decision", "method", "argmax_x"}
     assert payload["method"] == "asymptotic"
 
 
@@ -275,6 +275,49 @@ def test_test_command_monte_carlo(capsys, gamma_file):
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
     assert 0.0 < payload["p_value"] <= 1.0
+
+
+def test_test_command_monte_carlo_fits_once(capsys, gamma_file, monkeypatch):
+    import transferfn.gof_test as gof_module
+    from transferfn import FAMILIES, Sample, get_transfer, monte_carlo_p_value, test
+
+    calls = {"fit": 0, "statistic": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    fit, statistic = FAMILIES["gamma"], gof_module.test_statistic
+    argv = ["test", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", "gamma", "--h", "identity", "--mc-reps", "99", "--seed", "3"]
+    with monkeypatch.context() as patch:
+        patch.setitem(FAMILIES, "gamma", counting("fit", fit))
+        patch.setattr(gof_module, "test_statistic", counting("statistic", statistic))
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert calls == {"fit": 1, "statistic": 1}
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+    # the payload holds what the library's own calls give
+    sample = Sample(read_column(str(gamma_file), "DQO-E"))
+    hyp = get_transfer("identity")
+    result = test(sample, fit(sample.values), hyp, 0.15)
+    p_value = monte_carlo_p_value(sample, "gamma", hyp, replications=99, seed=3)
+    payload = json.loads(out)
+    assert "argmax_x" not in payload  # the bootstrap payload is unchanged
+    assert (payload["statistic"], payload["critical"], payload["p_value"]) == (result.statistic, result.critical, p_value)
+    assert text == "".join(
+        f"{key}: {value}\n"
+        for key, value in (
+            ("statistic", result.statistic),
+            ("critical", result.critical),
+            ("p_value", p_value),
+            ("decision", "reject" if p_value < 0.15 else "accept"),
+            ("method", "monte_carlo"),
+        )
+    )
 
 
 def test_subsample_ci_command(capsys, tmp_path):

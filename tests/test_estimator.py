@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import naive_inf_quantile
 from transferfn import (
     DGPConfig,
     DomainError,
+    Gamma,
     Normal,
     Sample,
     Uniform,
@@ -14,6 +16,7 @@ from transferfn import (
     pointwise_ci,
     run_coverage_study,
 )
+from transferfn.estimator import estimator_ranks
 
 
 def test_estimate_identity_consistency():
@@ -131,3 +134,52 @@ def test_default_grid():
     assert xs[-1] == pytest.approx(ndtri(0.99))
     with pytest.raises(DomainError):
         default_grid(Normal(), npoints=0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "dist, lo, hi",
+    [(Normal(1.0, 2.0), -80.0, 80.0), (Gamma(3.0, 0.5), 1e-3, 40.0), (Uniform(-1.0, 2.0), -0.999, 1.999)],
+    ids=["normal", "gamma", "uniform"],
+)
+def test_rank_core_matches_public_api(dist, lo, hi):
+    # far-tail points clamp the CI levels at 1/n and 1 (the normal's cdf
+    # underflows to 0 at -80); n = 1 and 2 put every level on a boundary
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(float).tiny
+    clamps = 0
+    for n in (1, 2, 7, 100, 1000):
+        sample = Sample(dist.rvs(n, rng))
+        srt = sample.sorted_values
+        for _ in range(5):
+            xs = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 30))))
+            alpha = float(rng.uniform(1e-3, 0.49))
+            r = estimator_ranks(dist, xs, n, alpha)
+            assert np.array_equal(r.ghat, estimator_ranks(dist, xs, n).ghat)
+            assert np.array_equal(_bits(srt[r.ghat]), _bits(estimate(sample, dist, xs)))
+            res = estimate_with_ci(sample, dist, xs, alpha)
+            for got, want in ((res.ghat, srt[r.ghat]), (res.ci_lo, srt[r.lo]), (res.ci_hi, srt[r.hi])):
+                assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(res.clamped, r.clamped)
+            clamps += int(np.count_nonzero(r.clamped))
+            for j, x in enumerate(xs):
+                ci = pointwise_ci(sample, dist, float(x), alpha)
+                assert _bits([ci.lo, ci.hi, ci.c1, ci.c2]).tolist() == _bits([srt[r.lo[j]], srt[r.hi[j]], r.c1[j], r.c2[j]]).tolist()
+                assert ci.clamped == r.clamped[j]
+                assert estimate(sample, dist, float(x)) == srt[r.ghat[j]]
+            # the referee: the inf-quantile scan at the levels written out here
+            p = np.clip(dist.cdf(xs), tiny, 1.0)
+            half = ndtri(alpha / 2.0) * np.sqrt(p * (1.0 - p) / n)
+            c1 = np.clip(p + half, 1.0 / n, 1.0)
+            c2 = np.maximum(np.clip(p - half, 1.0 / n, 1.0), c1)
+            assert np.array_equal(_bits(r.c1), _bits(c1)) and np.array_equal(_bits(r.c2), _bits(c2))
+            for j in range(xs.size):
+                assert srt[r.ghat[j]] == naive_inf_quantile(srt, p[j])
+                assert srt[r.lo[j]] == naive_inf_quantile(srt, c1[j])
+                assert srt[r.hi[j]] == naive_inf_quantile(srt, c2[j])
+    assert clamps > 0
+    with pytest.raises(DomainError):
+        estimator_ranks(dist, xs, 10, 0.5)

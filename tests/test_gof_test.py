@@ -22,7 +22,7 @@ from transferfn import (
 from transferfn import test as gof
 from transferfn import test_statistic as gof_statistic
 import transferfn.gof_test as gof_module
-from oracles import naive_trimmed_sup
+from oracles import naive_trimmed_argmax, naive_trimmed_sup
 from transferfn.distributions import stack_laws
 from transferfn.gof_test import rows_per_block
 from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
@@ -145,7 +145,7 @@ def test_result_contract(monkeypatch):
     assert res.method == "asymptotic"
     assert res.trim == trimming_fraction(100)
     # degenerate perfect fit: statistic 0 means p-value 1 and acceptance
-    monkeypatch.setattr(gof_module, "test_statistic", lambda *a, **k: 0.0)
+    monkeypatch.setattr(gof_module, "_checked_rows", lambda *a, **k: (np.zeros(1), np.zeros(1)))
     res0 = gof(s, Normal(), idn, 0.15)
     assert res0.p_value == 1.0
     assert not res0.reject
@@ -227,6 +227,23 @@ def test_statistic_rows_bit_identical_to_one_row(laws, h_name):
                 assert stacked[r] == pytest.approx(naive_trimmed_sup(rows[r], law, h), rel=1e-12), r
 
 
+@pytest.mark.parametrize(
+    "law, h_name",
+    [(Normal(0.4, 1.3), "identity"), (Normal(), "(x+4)^2"), (Gamma(10.97, 0.027), "identity"), (Uniform(0.1, 1.0), "x^3")],
+)
+def test_result_reports_where_the_sup_is_attained(law, h_name):
+    h = get_transfer(h_name)
+    rng = np.random.default_rng(91)
+    for n in (60, 200):
+        # a local bump in g moves the sup away from the tails
+        z = law.rvs(n, rng)
+        sample = Sample(np.asarray(h.fn(z)) + 0.05 * np.exp(-((z - float(law.quantile(0.6))) ** 2)))
+        res = gof(sample, law, h, 0.15)
+        assert res.statistic == gof_statistic(sample, law, h)
+        assert res.argmax_x == pytest.approx(naive_trimmed_argmax(sample.values, law, h), rel=1e-12)
+        assert float(law.quantile(res.trim)) <= res.argmax_x <= float(law.quantile(1.0 - res.trim))
+
+
 def test_statistic_rows_rejects_any_bad_row():
     # h' < 0 beyond x = 2, which only the middle row's law reaches
     laws = [Normal(0.0, 1.0), Normal(3.0, 1.0), Normal(0.0, 1.0)]
@@ -260,9 +277,9 @@ def _recording_kernel(monkeypatch):
     kernel = gof_module._statistic_rows
 
     def spy(*args):
-        stats, status = kernel(*args)
+        stats, status, argmax_x = kernel(*args)
         recorded.append(stats[status == 0])
-        return stats, status
+        return stats, status, argmax_x
 
     monkeypatch.setattr(gof_module, "_statistic_rows", spy)
     return recorded

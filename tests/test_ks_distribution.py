@@ -37,7 +37,7 @@ def test_tail_strictly_decreasing_and_bounded():
     assert np.all(np.diff(vals) <= 2e-14)  # ulp-level jitter where the series saturates at 1
     # strictly decreasing between the saturation plateaus: above c ~ 4.02 the
     # leading term is already under the 1e-14 truncation floor and the value
-    # is exactly 0, below c ~ 0.25 it rounds to 1
+    # is exactly 0, below c ~ 0.175 it rounds to 1
     cs = np.linspace(0.25, 4.0, 2000)
     vals = np.array([ks_sup_tail(float(c)) for c in cs])
     assert np.all(np.diff(vals) < 0.0)
@@ -72,3 +72,52 @@ def test_quantile_monotone():
     ps = np.linspace(0.01, 0.999, 200)
     cs = np.array([ks_sup_quantile(float(p)) for p in ps])
     assert np.all(np.diff(cs) > 0.0)
+
+
+def _mp_cdf(mpmath, c):
+    """P(sup |B| <= c) from the alternating series at 400 digits, which absorb its cancellation."""
+    with mpmath.workdps(400):
+        c = mpmath.mpf(c)
+        total = mpmath.mpf(0)
+        k = 1
+        while True:
+            term = mpmath.exp(-2 * k * k * c * c)
+            if term < mpmath.mpf(10) ** -390:
+                break
+            total += term if k % 2 else -term
+            k += 1
+        return 1 - 2 * total
+
+
+def test_cdf_matches_high_precision_sum():
+    mpmath = pytest.importorskip("mpmath")
+    for c in np.linspace(0.05, 3.0, 60):
+        c = float(c)
+        ref = _mp_cdf(mpmath, c)
+        assert float(abs(ks_sup_cdf(c) - ref) / ref) <= 1e-13, c
+        if c < 1.0:  # above 1 the tail keeps the series' absolute 1e-14 truncation
+            assert float(abs(ks_sup_tail(c) - (1 - ref)) / (1 - ref)) <= 1e-13, c
+
+
+def test_dual_form_agrees_with_series_near_crossover():
+    from transferfn.ks_distribution import _dual_cdf
+
+    for c in np.linspace(0.9, 1.1, 41):
+        assert abs((1.0 - _dual_cdf(float(c))) - series_oracle(float(c))) <= 1e-15, c
+    # the switch at c = 1 leaves no step in either function
+    below = np.nextafter(1.0, 0.0)
+    assert abs(ks_sup_tail(below) - ks_sup_tail(1.0)) <= 1e-15
+    assert abs(ks_sup_cdf(below) - ks_sup_cdf(1.0)) <= 1e-15
+
+
+def test_lower_tail_quantile_round_trip():
+    for p in (1e-15, 1e-12, 1e-9, 1e-3, 0.3):
+        c = ks_sup_quantile(p)
+        assert ks_sup_cdf(c) == pytest.approx(p, rel=1e-8, abs=0.0)
+    assert ks_sup_cdf(1e-6) == 0.0 and ks_sup_tail(1e-6) == 1.0
+
+
+def test_critical_values_unchanged():
+    # the upper-tail solver and series are untouched by the lower-tail form
+    assert ks_sup_quantile(0.85) == 1.1379465424937751
+    assert ks_sup_quantile(0.99) == 1.6276236115189504

@@ -6,13 +6,19 @@ from transferfn import (
     DGPConfig,
     PERTURBATIONS,
     TRANSFERS,
+    Sample,
     Uniform,
+    confidence_band,
+    estimate_with_ci,
     generate,
     get_transfer,
     perturbed,
+    replication_rng,
     run_coverage_study,
     run_test_table,
+    subsample_ci,
 )
+import transferfn.gof_test as gof_module
 
 
 def test_registry_contents():
@@ -151,3 +157,65 @@ def test_band_flag_count_decreases_with_n():
         counts[n] = rep.extras["flagged_points"]
     assert counts[20_000] < counts[1000]
     assert counts[1000] > 0
+
+
+def _reference_coverage(config, xs, alpha, replications, method, block=None):
+    """A coverage study one replicate at a time: (cells, simultaneous, flagged points, flagged replicates)."""
+    xs = np.asarray(xs, dtype=float)
+    g_true = get_transfer(config.transfer).fn(xs)
+    marginal = config.marginal()
+    hits = np.zeros(xs.size, dtype=int)
+    simultaneous = flagged_points = flagged_reps = 0
+    for rep in range(replications):
+        sample = Sample(generate(config, replication_rng(config.seed, rep))[1])
+        if method == "ci":
+            res = estimate_with_ci(sample, marginal, xs, alpha)
+            lo, hi = res.ci_lo, res.ci_hi
+        elif method == "band":
+            band = confidence_band(sample, marginal, (xs.min(), xs.max()), alpha, xs=xs)
+            lo, hi = band.band_lo, band.band_hi
+            flagged_points += int(band.flagged.sum())
+            flagged_reps += int(band.flagged.any())
+        else:
+            cis = [subsample_ci(sample, marginal, float(x), alpha, b=block).ci for x in xs]
+            lo, hi = np.array(cis).T
+        covered = (lo <= g_true) & (g_true <= hi)
+        hits += covered
+        simultaneous += bool(covered.all())
+    cells = {float(x): hits[j] / replications for j, x in enumerate(xs)}
+    return cells, simultaneous / replications, flagged_points, flagged_reps
+
+
+def _check_study(config, xs, alpha, replications, method, block=None):
+    rep = run_coverage_study(config, xs, alpha, replications, method=method, block=block)
+    cells, simultaneous, flagged_points, flagged_reps = _reference_coverage(config, xs, alpha, replications, method, block)
+    assert rep.cells == cells
+    assert rep.extras["simultaneous"] == simultaneous
+    if method == "band":
+        assert rep.extras["flagged_points"] == flagged_points
+        assert rep.extras["flagged_reps"] == flagged_reps
+    return rep
+
+
+def test_coverage_study_matches_per_replicate_loop(monkeypatch):
+    # x = +-4 at n = 100 clamps the CI levels at 1/n and 1
+    ci_cfg = DGPConfig(transfer="(x+4)^2", n=100, seed=21)
+    ci_xs = [-4.0, -1.5, 0.0, 0.3, 2.0, 4.0]
+    assert 700 % (gof_module._BLOCK_ELEMENTS // 100) != 0  # the last block is partial
+    rep = _check_study(ci_cfg, ci_xs, 0.01, 700, "ci")
+    assert any(0.0 < c < 1.0 for c in rep.cells.values())  # some misses, so a misread row shows
+    rep = _check_study(ci_cfg, [-1.0, 0.0, 1.0], 0.05, 700, "ci")
+    assert 0.0 < rep.extras["simultaneous"] < 1.0
+
+    band_cfg = DGPConfig(transfer="x^3", n=1000, seed=22)
+    band_xs = np.linspace(-2.0, 2.0, 41)
+    rep = _check_study(band_cfg, band_xs, 0.01, 40, "band")  # blocks of 32 and 8
+    assert rep.extras["flagged_points"] > 0
+
+    ma_cfg = DGPConfig(transfer="(x+4)^2", n=3000, seed=23, ma_order=10, ma_decay=0.9)
+    _check_study(ma_cfg, [-0.5, 0.0, 1.0], 0.05, 13, "subsample", block=55)  # blocks of 10 and 3
+
+    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    _check_study(ci_cfg, ci_xs, 0.01, 57, "ci")
+    _check_study(band_cfg, band_xs, 0.01, 5, "band")
+    _check_study(ma_cfg, [0.0], 0.05, 3, "subsample", block=55)
