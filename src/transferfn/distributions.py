@@ -152,8 +152,13 @@ class Gamma(KnownDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (np.all(self.shape > 0.0) and np.all(self.rate > 0.0)):
-            raise DomainError("gamma requires shape > 0 and rate > 0")
+        if not (
+            np.all(self.shape > 0.0)
+            and np.all(self.rate > 0.0)
+            and np.all(np.isfinite(self.shape))
+            and np.all(np.isfinite(self.rate))
+        ):
+            raise DomainError("gamma requires finite shape > 0 and rate > 0")
 
     @classmethod
     def from_scale(cls, shape: float, scale: float) -> "Gamma":
@@ -202,6 +207,103 @@ class Gamma(KnownDistribution):
 
     def rvs(self, n, rng):
         return rng.gamma(self.shape, 1.0 / self.rate, size=n)
+
+
+# A shape table's interpolant must match gammaincinv to this relative error
+# at its check points; it spans this many asymptotic SDs of log(shape MLE)
+# either side of the fitted shape, in at most this many Chebyshev intervals.
+TABLE_REL_ERROR = 1e-13
+_TABLE_HALF_WIDTH_SDS = 8.0
+_TABLE_FIRST_INTERVALS = 8
+_TABLE_MAX_INTERVALS = 64
+
+
+def _chebyshev_points(intervals: int) -> np.ndarray:
+    """cos(j pi / intervals), j = 0..intervals: Chebyshev points of the second kind on [-1, 1]."""
+    return np.cos(np.arange(intervals + 1) * (math.pi / intervals))
+
+
+def _barycentric(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row r: the polynomial through (_chebyshev_points(m - 1), values) evaluated at t[r].
+
+    values is (m, points); the result is (len(t), points).  This is the
+    second (true) barycentric formula of Berrut & Trefethen (2004), whose
+    weights at these points are (-1)^j, halved at both ends.
+    """
+    intervals = values.shape[0] - 1
+    weights = (-1.0) ** np.arange(intervals + 1)
+    weights[[0, -1]] *= 0.5
+    diff = t[:, None] - _chebyshev_points(intervals)
+    on_node = diff == 0.0
+    hit = np.any(on_node, axis=1)
+    diff[on_node] = 1.0
+    coef = weights / diff
+    coef[hit] = on_node[hit]  # the formula is 0/0 at a node; take the node's value
+    coef /= np.sum(coef, axis=1, keepdims=True)
+    return coef @ values
+
+
+class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to every import
+    """gammaincinv(a, p) for a fixed probability set p and every shape a in a band, by interpolation.
+
+    log gammaincinv(a, p_j) is tabulated at Chebyshev points in log a and
+    interpolated barycentrically; ``gamma_quantile_table`` builds one and
+    checks it to TABLE_REL_ERROR.  Shapes outside the band get gammaincinv.
+    """
+
+    def __init__(self, center: float, half_width: float, p: np.ndarray, log_q: np.ndarray):
+        self.center = center  # the band is exp(center -+ half_width)
+        self.half_width = half_width
+        self.p = p
+        self.log_q = log_q  # (intervals + 1, p.size)
+
+    def quantile(self, law: Gamma) -> np.ndarray:
+        """(rows, p.size) quantiles of a law with (rows, 1) parameter columns, row r those of row r's law."""
+        shape, rate = law.shape[:, 0], law.rate
+        t = (np.log(shape) - self.center) / self.half_width
+        inside = np.abs(t) <= 1.0
+        out = np.empty((shape.size, self.p.size))
+        out[inside] = np.exp(_barycentric(t[inside], self.log_q))
+        out[~inside] = gammaincinv(shape[~inside, None], self.p)
+        out /= rate
+        return out
+
+
+def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
+    """A shape table centred on ``shape`` for refits of n-point samples, or None if none passes its check.
+
+    The band is log(shape) -+ 8 asymptotic SDs of the log shape MLE at n
+    points, var = 1 / (n a (a trigamma(a) - 1)) from the Fisher information.
+    Starting from 8 Chebyshev intervals, the table is compared with
+    gammaincinv at every interval's midpoint (in angle); while the largest
+    relative error exceeds TABLE_REL_ERROR the intervals double, the
+    midpoints becoming the new nodes, up to 64.
+    """
+    p = np.asarray(p, dtype=float)
+    center = math.log(shape)
+    info = n * shape * (shape * float(polygamma(1, shape)) - 1.0)  # 1 / var(log shape MLE)
+    if not 0.0 < info < math.inf:  # a trigamma(a) rounds to 1 for a beyond ~1e15
+        return None
+    half_width = _TABLE_HALF_WIDTH_SDS / math.sqrt(info)
+
+    def log_quantiles(t):
+        with np.errstate(divide="ignore"):
+            return np.log(gammaincinv(np.exp(center + half_width * t)[:, None], p))
+
+    intervals = _TABLE_FIRST_INTERVALS
+    log_q = log_quantiles(_chebyshev_points(intervals))
+    while np.all(np.isfinite(log_q)):
+        mid_t = _chebyshev_points(2 * intervals)[1::2]
+        mid = log_quantiles(mid_t)
+        # |log q - log q_exact| is the relative error of q to first order
+        if np.max(np.abs(_barycentric(mid_t, log_q) - mid)) <= TABLE_REL_ERROR:
+            return GammaQuantileTable(center, half_width, p, log_q)
+        if 2 * intervals > _TABLE_MAX_INTERVALS:
+            return None
+        finer = np.empty((2 * intervals + 1, p.size))
+        finer[0::2], finer[1::2] = log_q, mid
+        log_q, intervals = finer, 2 * intervals
+    return None
 
 
 @dataclass(frozen=True)

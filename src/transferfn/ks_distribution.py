@@ -21,7 +21,7 @@ from .errors import DomainError
 
 __all__ = ["ks_sup_tail", "ks_sup_cdf", "ks_sup_quantile"]
 
-_TERM_FLOOR = 1e-14
+_TERM_REL_FLOOR = 2.0**-60  # a series term this far below the running total no longer moves it
 _CROSSOVER = 1.0  # the dual form serves c below this, the alternating series c at or above
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # pi^2/8 exactly to 50 digits: the dual exponent pi^2/(8c^2) reaches ~500 at
@@ -52,25 +52,35 @@ def _dual_cdf(c: float) -> float:
     return _SQRT_2PI / c * total * (1.0 - a_lo)
 
 
+def _series(c: float, power: int) -> float:
+    """sum_{k>=1} (-1)^(k+1) k^power exp(-2 k^2 c^2), for c >= 1.
+
+    The terms alternate and decrease, so stopping at the first term below
+    2^-60 of the running total bounds the truncation error by that term:
+    the sum keeps full relative precision until exp(-2 c^2) underflows
+    (c ~ 19).
+    """
+    total = 0.0
+    k = 1
+    while True:
+        term = k**power * math.exp(-2.0 * k * k * c * c)
+        if term <= _TERM_REL_FLOOR * abs(total):
+            break
+        total += term if k % 2 == 1 else -term
+        k += 1
+    return total
+
+
 def ks_sup_tail(c: float) -> float:
     """P(sup_{0<=y<=1} |B(y)| > c) for c > 0.
 
-    At c >= 1 the series alternates with decreasing terms, so truncating
-    when the next term drops below 1e-14 bounds the error by that term.
-    Below c = 1 it is 1 minus the dual-form CDF.
+    At c >= 1 it is twice the alternating series, summed to full relative
+    precision; below c = 1 it is 1 minus the dual-form CDF.
     """
     _check_threshold(c)
     if c < _CROSSOVER:
         return 1.0 - _dual_cdf(c)
-    total = 0.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * c * c)
-        if term < _TERM_FLOOR:
-            break
-        total += term if k % 2 == 1 else -term
-        k += 1
-    return min(max(2.0 * total, 0.0), 1.0)
+    return min(max(2.0 * _series(c, 0), 0.0), 1.0)
 
 
 def ks_sup_cdf(c: float) -> float:
@@ -82,15 +92,7 @@ def ks_sup_cdf(c: float) -> float:
 
 
 def _tail_derivative(c: float) -> float:
-    total = 0.0
-    k = 1
-    while True:
-        term = k * k * math.exp(-2.0 * k * k * c * c)
-        if term < _TERM_FLOOR:
-            break
-        total += term if k % 2 == 1 else -term
-        k += 1
-    return -8.0 * c * total
+    return -8.0 * c * _series(c, 2)
 
 
 @functools.lru_cache(maxsize=64)

@@ -57,7 +57,7 @@ def test_parse_dist_variants():
     g2 = parse_dist("gamma:10.97,scale=37.10")
     assert g2.rate == pytest.approx(1.0 / 37.10)
     assert parse_dist("gamma:2,1") == Gamma(2.0, 1.0)
-    for bad in ("nope:1,2", "normal:1", "gamma:1,rate=-2", "gamma:-3,1"):
+    for bad in ("nope:1,2", "normal:1", "gamma:1,rate=-2", "gamma:-3,1", "gamma:inf,1", "gamma:2,rate=inf"):
         with pytest.raises(UsageError):
             parse_dist(bad)
 
@@ -427,6 +427,9 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         "--dist", "uniform:0,1", "--grid", "0.5..0.4x10",
     )
     assert code == 2
+    for dist in ("gamma:inf,1", "gamma:2,rate=inf"):
+        code, _, err = run_cli(capsys, "estimate", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", dist)
+        assert code == 2 and "finite" in err
     # data errors -> 3
     code, _, _ = run_cli(capsys, "estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1")
     assert code == 3

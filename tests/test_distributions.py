@@ -12,7 +12,18 @@ from transferfn import (
     Uniform,
     fit_gamma_mle,
 )
-from transferfn.distributions import FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE, FIT_OK, fit_gamma_rows
+from transferfn.distributions import (
+    FIT_BAD_DATA,
+    FIT_DEGENERATE,
+    FIT_NO_CONVERGENCE,
+    FIT_OK,
+    TABLE_REL_ERROR,
+    _barycentric,
+    _chebyshev_points,
+    fit_gamma_rows,
+    gamma_quantile_table,
+)
+from transferfn.gof_test import _evaluation_set
 
 from oracles import bisect_quantile, quadrature_cdf
 
@@ -124,8 +135,9 @@ def test_domain_errors():
     for p in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(DomainError):
             Normal().quantile(p)
-    with pytest.raises(DomainError):
-        Gamma(-1.0, 1.0)
+    for shape, rate in ((-1.0, 1.0), (math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)):
+        with pytest.raises(DomainError):
+            Gamma(shape, rate)
     with pytest.raises(DomainError):
         Uniform(2.0, 2.0)
 
@@ -204,3 +216,28 @@ def test_fit_gamma_rows_match_one_row_fits():
             with pytest.raises(ConvergenceError) as info:
                 fit_gamma_mle(data[r], max_iter=2)
             assert _same_bits(info.value.last, (shape2[r], rate2[r]))
+
+
+@pytest.mark.parametrize(
+    "n, shape",
+    [(50, 0.3), (50, 0.45), (50, 2.7), (300, 2.3), (518, 10.97), (200, 50.0), (100_000, 2.0)],
+)
+def test_gamma_quantile_table_meets_its_bound(n, shape):
+    # the bootstrap's table: the evaluation set of an n-point statistic, a
+    # shape band for refits of n points around the fitted shape
+    p = _evaluation_set(n, 512)[0]
+    table = gamma_quantile_table(shape, n, p)
+    assert table is not None
+    if (n, shape) == (50, 2.7):
+        assert table.log_q.shape[0] > 17  # 16 Chebyshev intervals do not pass here
+    nodes = _chebyshev_points(table.log_q.shape[0] - 1)
+    assert np.array_equal(_barycentric(nodes, table.log_q), table.log_q)  # 0/0 at a node: its value
+    lo, hi = table.center - table.half_width, table.center + table.half_width
+    rng = np.random.default_rng(12)
+    inside = np.exp(np.concatenate([[lo, hi, math.log(shape)], rng.uniform(lo, hi, 8 if n > 10_000 else 200)]))
+    outside = np.exp([lo - 0.01, hi + 0.01])
+    shapes = np.concatenate([inside, outside])
+    law = Gamma(shape=shapes[:, None], rate=rng.uniform(0.01, 10.0, shapes.size)[:, None])
+    q, exact = table.quantile(law), law.quantile(p)
+    assert np.max(np.abs(q[: inside.size] / exact[: inside.size] - 1.0)) <= TABLE_REL_ERROR
+    assert _same_bits(q[inside.size :], exact[inside.size :])  # gammaincinv itself outside the band

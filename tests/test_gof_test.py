@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from transferfn import (
 )
 from transferfn import test as gof
 from transferfn import test_statistic as gof_statistic
+import transferfn.distributions as distributions_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
-from transferfn.distributions import stack_laws
+from transferfn.distributions import TABLE_REL_ERROR, gamma_quantile_table, stack_laws
 from transferfn.gof_test import rows_per_block
 from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
 
@@ -272,17 +274,24 @@ def _reference_bootstrap(data, fitter, hyp, replications, seed):
 
 
 def _recording_kernel(monkeypatch):
-    """Record the statistic of every successful row the batched kernel returns."""
+    """Record, per call of the batched kernel, its successful rows' statistics and whether a shape table gave their quantiles."""
     recorded = []
     kernel = gof_module._statistic_rows
 
     def spy(*args):
         stats, status, argmax_x = kernel(*args)
-        recorded.append(stats[status == 0])
+        recorded.append((stats[status == 0], len(args) > 4 and args[4] is not None))
         return stats, status, argmax_x
 
     monkeypatch.setattr(gof_module, "_statistic_rows", spy)
     return recorded
+
+
+# A gamma bootstrap statistic scored from a shape table may differ from the
+# one-replicate statistic by this relative error.  The table's quantiles are
+# within TABLE_REL_ERROR; the statistic's error was measured at up to ~60
+# times theirs, from n = 16 to 1e5 and shapes 0.3 to 60.
+_TABLE_STAT_REL = 100 * TABLE_REL_ERROR
 
 
 def _check_against_reference(monkeypatch, data, family, fitter, replications, seed):
@@ -290,9 +299,18 @@ def _check_against_reference(monkeypatch, data, family, fitter, replications, se
     observed, stats, failures = _reference_bootstrap(data, fitter, idn, replications, seed)
     recorded = _recording_kernel(monkeypatch)
     p = monte_carlo_p_value(data, family, idn, replications=replications, seed=seed)
-    # the first call is the observed statistic's one-row call
-    assert _same_bits(recorded[0], [observed])
-    assert _same_bits(np.concatenate(recorded[1:]), stats)
+    # the first call is the observed statistic's one-row call, with exact quantiles
+    (first, first_from_table), *rest = recorded
+    assert not first_from_table and _same_bits(first, [observed])
+    from_table = [s for s, table in rest if table]
+    exact = [s for s, table in rest if not table]
+    if from_table:
+        # every row is scored from the table; the rows re-scored near the
+        # observed statistic are exact
+        assert np.concatenate(from_table) == pytest.approx(stats, rel=_TABLE_STAT_REL, abs=0.0)
+        assert np.all(np.isin(np.concatenate([np.empty(0), *exact]).view(np.int64), stats.view(np.int64)))
+    else:
+        assert _same_bits(np.concatenate(exact), stats)
     exceed = int(np.count_nonzero(stats >= observed))
     assert p == (1 + exceed) / (replications - failures + 1)
     return exceed, failures
@@ -316,6 +334,36 @@ def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
 
     normal = Sample(rng.normal(5.0, 2.0, size=120))
     _check_against_reference(monkeypatch, normal, "normal", fit_normal, 99, 2)
+
+
+def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
+    # with the interval cap at the first table's 8, no table passes its
+    # check here, and every statistic is the one-replicate one bit for bit
+    data = Sample(np.random.default_rng(89).gamma(3.0, 2.0, size=300))
+    monkeypatch.setattr(distributions_module, "_TABLE_MAX_INTERVALS", 8)
+    u = gof_module._evaluation_set(300, 512)[0]
+    assert gamma_quantile_table(fit_gamma_mle(data.values).shape, 300, u) is None
+    for family in ("gamma", fit_gamma_mle):
+        with monkeypatch.context() as patch:
+            exceed, failures = _check_against_reference(patch, data, family, fit_gamma_mle, 99, 5)
+        assert failures == 0
+        assert 0 < exceed < 99
+
+
+def test_monte_carlo_rescores_rows_near_the_observed_statistic(monkeypatch):
+    # a window covering every row: each row is scored from the table, then
+    # re-scored with exact quantiles, and the p-value is the exact one
+    data = Sample(np.random.default_rng(89).gamma(3.0, 2.0, size=300))
+    idn = get_transfer("identity")
+    observed, stats, failures = _reference_bootstrap(data, fit_gamma_mle, idn, 99, 5)
+    monkeypatch.setattr(gof_module, "_RESCORE_REL", math.inf)
+    recorded = _recording_kernel(monkeypatch)
+    p = monte_carlo_p_value(data, "gamma", idn, replications=99, seed=5)
+    assert any(from_table for _, from_table in recorded)
+    assert _same_bits(np.concatenate([s for s, from_table in recorded[1:] if not from_table]), stats)
+    exceed = int(np.count_nonzero(stats >= observed))
+    assert 0 < exceed < 99
+    assert p == (1 + exceed) / (99 - failures + 1)
 
 
 def _fitter_failing_on(reps):

@@ -35,9 +35,8 @@ def test_tail_strictly_decreasing_and_bounded():
     vals = np.array([ks_sup_tail(float(c)) for c in cs])
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) <= 2e-14)  # ulp-level jitter where the series saturates at 1
-    # strictly decreasing between the saturation plateaus: above c ~ 4.02 the
-    # leading term is already under the 1e-14 truncation floor and the value
-    # is exactly 0, below c ~ 0.175 it rounds to 1
+    # strictly decreasing above the plateau below c ~ 0.175, where the tail
+    # rounds to 1
     cs = np.linspace(0.25, 4.0, 2000)
     vals = np.array([ks_sup_tail(float(c)) for c in cs])
     assert np.all(np.diff(vals) < 0.0)
@@ -95,8 +94,21 @@ def test_cdf_matches_high_precision_sum():
         c = float(c)
         ref = _mp_cdf(mpmath, c)
         assert float(abs(ks_sup_cdf(c) - ref) / ref) <= 1e-13, c
-        if c < 1.0:  # above 1 the tail keeps the series' absolute 1e-14 truncation
+        if c < 1.0:  # test_upper_tail_matches_high_precision_sum checks the tail above 1
             assert float(abs(ks_sup_tail(c) - (1 - ref)) / (1 - ref)) <= 1e-13, c
+
+
+def test_upper_tail_matches_high_precision_sum():
+    # full relative precision wherever the tail is a normal double: 2 exp(-2
+    # c^2) >= 2^-1022 up to c ~ 18.8
+    mpmath = pytest.importorskip("mpmath")
+    for c in [*np.linspace(1.0, 18.75, 143), 2.05, 4.1]:
+        c = float(c)
+        with mpmath.workdps(60):
+            ref = 2 * mpmath.nsum(lambda k: (-1) ** (k + 1) * mpmath.exp(-2 * k * k * mpmath.mpf(c) ** 2), [1, mpmath.inf])
+        assert float(abs(ks_sup_tail(c) - ref) / ref) <= 1e-13, c
+    # beyond c ~ 19.3 the tail is below the smallest subnormal double
+    assert ks_sup_tail(19.5) == 0.0 and ks_sup_tail(25.0) == 0.0
 
 
 def test_dual_form_agrees_with_series_near_crossover():
