@@ -216,6 +216,12 @@ def _check_alpha(alpha: float, upper: float = 1.0) -> float:
     return alpha
 
 
+def _check_reps(reps: int) -> int:
+    if reps < 1:
+        raise UsageError(f"--reps must be at least 1 (got {reps})")
+    return reps
+
+
 def _check_point_in_support(x: float, dist: KnownDistribution) -> None:
     a, b = dist.support
     if not (a < x < b):
@@ -383,7 +389,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate_table2(args) -> int:
     alpha = _check_alpha(args.alpha)
-    report = run_test_table(n=args.n, alpha=alpha, repetitions=args.reps, seed=args.seed)
+    report = run_test_table(n=args.n, alpha=alpha, repetitions=_check_reps(args.reps), seed=args.seed)
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.table.v1", rows[0], rows[1:], delimiter=args.delim)
     return 0
@@ -399,8 +405,12 @@ def _cmd_simulate_coverage(args) -> int:
         ma_decay=args.ma_decay,
     )
     xs = np.asarray([float(tok) for tok in args.x], dtype=float)
+    if args.method == "band" and np.unique(xs).size < 2:
+        raise UsageError("--method band needs at least two distinct --x points")
+    if args.method == "subsample" and args.block is not None and not (2 <= args.block < args.n):
+        raise UsageError(f"--block must satisfy 2 <= b < n = {args.n}")
     report = run_coverage_study(
-        config, xs, alpha, args.reps, method=args.method, block=args.block
+        config, xs, alpha, _check_reps(args.reps), method=args.method, block=args.block
     )
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.coverage.v1", rows[0], rows[1:], delimiter=args.delim)

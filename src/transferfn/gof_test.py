@@ -31,7 +31,7 @@ from .distributions import (
     stack_laws,
 )
 from .empirical import Sample, quantile_rank
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
 
 __all__ = [
@@ -40,15 +40,16 @@ __all__ = [
     "trimming_fraction",
     "test_statistic",
     "test_statistic_rows",
-    "rows_per_block",
+    "replication_rng",
+    "replicate_blocks",
     "test",
     "monte_carlo_p_value",
 ]
 
 _MIN_N = 16  # loglog n must be positive and the trim below 1/2
 _TRIM_CAP = 0.2
-# Elements in one (rows x evaluation points) temporary of a batched
-# statistic: a block of bootstrap replicates stays within a few MB.
+# Elements in one (rows x width) temporary of a block of replicates: a block
+# stays within a few MB (see replicate_blocks).
 _BLOCK_ELEMENTS = 1 << 15
 
 # A bootstrap statistic computed from a gamma shape table is re-scored with
@@ -124,15 +125,25 @@ def _evaluation_set(n: int, grid_points: int):
     return u, lo, hi
 
 
-def block_rows(width: int) -> int:
-    """Rows of a (rows, width) temporary that fit _BLOCK_ELEMENTS, at least one."""
-    return max(1, _BLOCK_ELEMENTS // width)
+def replication_rng(seed: int, index) -> np.random.Generator:
+    """Stream of replicate ``index`` (an int or a tuple key) of a seeded study; see ``replicate_blocks``."""
+    key = (index,) if np.ndim(index) == 0 else tuple(index)
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def rows_per_block(n: int, grid_points: int = 512) -> int:
-    """Rows of n-point samples whose statistic temporaries fit _BLOCK_ELEMENTS."""
-    u, _, _ = _evaluation_set(n, grid_points)
-    return block_rows(u.size)
+def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
+    """Replicates 0 .. replications-1 of a seeded study, a block of stacked rows at a time.
+
+    Yields (reps, rows): row i is ``draw(replication_rng(seed, (*key, reps[i])))``.
+    Replicate r thus draws from the seed sequence with entropy ``seed`` and
+    spawn key (*key, r), whatever the block size or scheduling.  A block holds
+    max(1, _BLOCK_ELEMENTS // width) rows, ``width`` being the row length of
+    the caller's widest per-block temporary; the last block holds the rest.
+    """
+    block = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, replications, block):
+        reps = range(start, min(start + block, replications))
+        yield reps, np.stack([draw(replication_rng(seed, (*key, rep))) for rep in reps])
 
 
 def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, x=None):
@@ -265,8 +276,8 @@ def monte_carlo_p_value(
     bias).  Returns (1 + #{simulated >= observed}) / (successful + 1).
 
     ``family`` is a name from distributions.FAMILIES or a fitter callable.
-    Replication r draws from SeedSequence(entropy=seed, spawn_key=(r,)).
-    Replications are refitted and tested a block of rows at a time.  For a
+    Replications are drawn, refitted and tested a block of rows at a time
+    by ``replicate_blocks`` (key ()), replication r from stream (r,).  For a
     non-gamma law each row's statistic equals the one-replicate
     ``test_statistic`` bit for bit.  For a gamma law the refits' quantiles
     come from one shape table per call (``distributions.gamma_quantile_table``,
@@ -280,33 +291,29 @@ def monte_carlo_p_value(
     """
     if replications < 99:
         raise DomainError("need at least 99 bootstrap replications")
-    fitter = FAMILIES[family] if isinstance(family, str) else family
-    return _bootstrap(data, family, fitter(data.values), hyp, replications, seed, grid_points)[0]
+    return _bootstrap(data, family, None, hyp, replications, seed, grid_points)[0]
 
 
-def _bootstrap(data: Sample, family, fitted: KnownDistribution, hyp, replications, seed, grid_points=512):
-    """(p-value, observed statistic) of ``monte_carlo_p_value`` given the family already fitted to the data.
+def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, replications, seed, grid_points=512):
+    """(p-value, observed statistic) of ``monte_carlo_p_value``.
 
-    The CLI calls this with the law it has fitted and printed, so the data
-    are fitted and the observed statistic computed once.
+    ``fitted`` is the family already fitted to the data, or None to fit it
+    here.  The CLI passes the law it has fitted and printed, so the data are
+    fitted and the observed statistic computed once.
     """
-    fitter = FAMILIES[family] if isinstance(family, str) else family
+    fitter = FAMILIES.get(family) if isinstance(family, str) else family
+    if fitter is None:
+        raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if fitted is None:
+        fitted = fitter(data.values)
     observed = test_statistic(data, fitted, hyp, grid_points=grid_points)
 
     n = data.n
     points = _evaluation_set(n, grid_points)
-    block = rows_per_block(n, grid_points)
     table = gamma_quantile_table(fitted.shape, n, points[0]) if isinstance(fitted, Gamma) else None
     exceed = 0
     failures = 0
-    for start in range(0, replications, block):
-        reps = range(start, min(start + block, replications))
-        draws = np.stack(
-            [
-                fitted.rvs(n, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
-                for rep in reps
-            ]
-        )
+    for reps, draws in replicate_blocks(seed, replications, points[0].size, lambda rng: fitted.rvs(n, rng)):
         refits, fitted_ok = _refit_rows(family, fitter, draws)
         if not np.any(fitted_ok):
             failures += len(reps)

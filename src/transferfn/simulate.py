@@ -3,8 +3,8 @@
 Covers the constructed-data experiments: i.i.d. and MA(q) inputs, the named
 transfer functions, coverage studies for intervals/bands/subsampling, and
 the correct-test-ratio tables.  Everything is deterministic given the root
-seed: replication r draws from SeedSequence(entropy=seed, spawn_key=(r,)),
-so results do not depend on how work is scheduled.
+seed: the studies draw their replicates through ``gof_test.replicate_blocks``,
+whose docstring states the stream keys and the block sizes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .distributions import KnownDistribution, Normal
 from .empirical import Sample
 from .errors import ConfigError, DomainError
 from .estimator import estimator_ranks
-from .gof_test import HypothesisFunction, block_rows, rows_per_block, test_statistic_rows
+from .gof_test import HypothesisFunction, _evaluation_set, replicate_blocks, replication_rng, test_statistic_rows
 from .ks_distribution import ks_sup_quantile
 from .subsampling import default_block_length, subsample_ci
 
@@ -116,12 +116,6 @@ def _check_increasing(g: HypothesisFunction, lo: float = -2.0, hi: float = 2.0) 
         raise ConfigError(f"transfer {g.name!r} is not strictly increasing on [{lo}, {hi}]")
 
 
-def replication_rng(seed: int, index) -> np.random.Generator:
-    """Deterministic stream for one replication of a seeded study."""
-    key = (index,) if np.ndim(index) == 0 else tuple(index)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 @dataclass(frozen=True)
 class DGPConfig:
     """One data-generating process: input law, dependence, transfer, size, seed.
@@ -145,6 +139,8 @@ class DGPConfig:
             raise ConfigError("n must be at least 1")
         if self.ma_order < 0:
             raise ConfigError("ma_order must be >= 0")
+        if not math.isfinite(self.ma_decay):
+            raise ConfigError(f"ma_decay must be finite (got {self.ma_decay})")
         if self.ma_order > 0 and not isinstance(self.law, Normal):
             raise ConfigError("MA generation supports normal innovations only")
         _check_increasing(get_transfer(self.transfer))
@@ -171,7 +167,7 @@ def generate(config: DGPConfig, rng: np.random.Generator | None = None):
     the same stream, so the output stays deterministic given the seed.
     """
     if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
+        rng = replication_rng(config.seed, ())
     g = get_transfer(config.transfer)
 
     def draw():
@@ -248,12 +244,13 @@ def run_coverage_study(
     intervals.  The statistical guidance is 50+ replications, but a single
     replication runs fine as a smoke test.
 
-    Replications run in blocks of up to 2^15 // n rows.  Replication r still
-    draws from its own ``replication_rng(seed, r)`` stream; for "ci" the
-    block is sorted once along the rows and every row's intervals are read
-    at the ranks ``estimator_ranks`` gives, so each row's coverage equals
-    that of ``estimate_with_ci`` on the replicate alone.  "band" and
-    "subsample" build each row's intervals on their own.
+    Replications are generated a block of rows at a time by
+    ``replicate_blocks`` (key (), width n).  For "ci" a block is sorted once
+    along the rows and every row's intervals are read at the ranks
+    ``estimator_ranks`` gives, so each row's coverage equals that of
+    ``estimate_with_ci`` on the replicate alone.  "band" and "subsample"
+    build each row's intervals on their own.  The report's ``block`` param
+    is the subsampling block length used, None for the other methods.
     """
     if replications < 1:
         raise DomainError("need at least one replication")
@@ -275,10 +272,7 @@ def run_coverage_study(
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
-    rows = block_rows(config.n)
-    for start in range(0, replications, rows):
-        reps = range(start, min(start + rows, replications))
-        ys = np.stack([generate(config, replication_rng(config.seed, rep))[1] for rep in reps])
+    for reps, ys in replicate_blocks(config.seed, replications, config.n, lambda rng: generate(config, rng)[1]):
         covered = np.empty((len(reps), xs.size), dtype=bool)
         if method == "ci":
             ys.sort(axis=1)
@@ -316,7 +310,7 @@ def run_coverage_study(
             "alpha": alpha,
             "method": method,
             "ma_order": config.ma_order,
-            "block": block,
+            "block": b if method == "subsample" else None,
         },
         extras=extras,
     )
@@ -334,9 +328,10 @@ def run_test_table(
     """Correct-test ratio per (h, perturbation) cell.
 
     A repetition is correct when the asymptotic test accepts under "none"
-    and rejects under either perturbation.  Cell (i, j), repetition r draws
-    from the (i*len+j, r) stream of the root seed; a cell's repetitions are
-    tested a block of rows at a time by ``test_statistic_rows``.
+    and rejects under either perturbation.  Cell (i, j)'s repetitions are
+    drawn by ``replicate_blocks`` with key (i * len(perturbations) + j,),
+    sized by the statistic's evaluation set, and tested a block of rows at a
+    time by ``test_statistic_rows``.
     """
     if repetitions < 1:
         raise DomainError("need at least one repetition")
@@ -346,21 +341,18 @@ def run_test_table(
         dist = Normal()
     t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)
-    block = rows_per_block(n)
+    width = _evaluation_set(n, 512)[0].size
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)
         for col, pert in enumerate(perturbations):
             g = perturbed(h, pert, n)
-            cell_key = row * len(perturbations) + col
-            stats = []
-            for start in range(0, repetitions, block):
-                ys = []
-                for rep in range(start, min(start + block, repetitions)):
-                    rng = replication_rng(seed, (cell_key, rep))
-                    ys.append(_finite_pair(lambda: dist.rvs(n, rng), g, f"{g.name!r} under {dist!r}")[1])
-                stats.append(test_statistic_rows(np.sort(ys, axis=1), dist, h))
-            reject = np.concatenate(stats) > critical
+
+            def draw(rng, g=g):
+                return _finite_pair(lambda: dist.rvs(n, rng), g, f"{g.name!r} under {dist!r}")[1]
+
+            blocks = replicate_blocks(seed, repetitions, width, draw, key=(row * len(perturbations) + col,))
+            reject = np.concatenate([test_statistic_rows(np.sort(ys, axis=1), dist, h) for _, ys in blocks]) > critical
             correct = int(np.count_nonzero(reject if pert != "none" else ~reject))
             cells[(h_name, pert)] = correct / repetitions
     return ExperimentReport(

@@ -430,6 +430,19 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     for dist in ("gamma:inf,1", "gamma:2,rate=inf"):
         code, _, err = run_cli(capsys, "estimate", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", dist)
         assert code == 2 and "finite" in err
+    coverage = ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "2", "--x")
+    for argv in (
+        ("simulate", "data", "--transfer", "identity", "--n", "10", "--ma-order", "2", "--ma-decay", "inf"),
+        (*coverage, "0", "--ma-order", "2", "--ma-decay", "nan"),
+        (*coverage, "0", "--method", "subsample", "--block", "1"),
+        (*coverage, "0", "--method", "subsample", "--block", "300"),
+        (*coverage, "0", "--method", "band"),
+        (*coverage, "0", "0", "--method", "band"),
+        ("simulate", "coverage", "--transfer", "(x+4)^2", "--reps", "0", "--x", "0"),
+        ("simulate", "table2", "--n", "200", "--reps", "0"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("usage error"), argv
     # data errors -> 3
     code, _, _ = run_cli(capsys, "estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1")
     assert code == 3

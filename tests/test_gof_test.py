@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from transferfn import (
+    ConfigError,
     ConvergenceError,
     DomainError,
     Gamma,
@@ -25,8 +26,7 @@ from transferfn import test_statistic as gof_statistic
 import transferfn.distributions as distributions_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
-from transferfn.distributions import TABLE_REL_ERROR, gamma_quantile_table, stack_laws
-from transferfn.gof_test import rows_per_block
+from transferfn.distributions import FAMILIES, TABLE_REL_ERROR, gamma_quantile_table, stack_laws
 from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
 
 
@@ -181,6 +181,8 @@ def test_monte_carlo_validation():
     data = Sample(rng.gamma(2.0, 1.0, size=50))
     with pytest.raises(DomainError):
         monte_carlo_p_value(data, "gamma", get_transfer("identity"), replications=50)
+    with pytest.raises(ConfigError, match="known: " + ", ".join(FAMILIES)):
+        monte_carlo_p_value(data, "Gamma", get_transfer("identity"), replications=99)
 
 
 def test_monte_carlo_accepts_callable_family():
@@ -319,7 +321,8 @@ def _check_against_reference(monkeypatch, data, family, fitter, replications, se
 def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
     rng = np.random.default_rng(89)
     data = Sample(rng.gamma(3.0, 2.0, size=300))
-    assert 99 % rows_per_block(300) != 0  # the last block is partial
+    width = gof_module._evaluation_set(300, 512)[0].size  # the bootstrap's block width at n = 300
+    assert 99 % (gof_module._BLOCK_ELEMENTS // width) != 0  # the last block is partial
     for seed in (0, 5, 17):
         for family in ("gamma", fit_gamma_mle):
             with monkeypatch.context() as patch:
@@ -327,7 +330,7 @@ def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
             assert failures == 0
             assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
-    assert rows_per_block(300) == 1
+    assert {len(reps) for reps, _ in gof_module.replicate_blocks(3, 101, width, lambda rng: rng.random(1))} == {1}
     _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 101, 3)
 
     from transferfn import fit_normal

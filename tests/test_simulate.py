@@ -4,20 +4,24 @@ import pytest
 from transferfn import (
     ConfigError,
     DGPConfig,
+    Normal,
     PERTURBATIONS,
     TRANSFERS,
     Sample,
     Uniform,
     confidence_band,
+    default_block_length,
     estimate_with_ci,
     generate,
     get_transfer,
+    ks_sup_quantile,
     perturbed,
     replication_rng,
     run_coverage_study,
     run_test_table,
     subsample_ci,
 )
+from transferfn import test_statistic as gof_statistic
 import transferfn.gof_test as gof_module
 
 
@@ -102,6 +106,10 @@ def test_config_validation():
         DGPConfig(transfer="identity", n=0, seed=0)
     with pytest.raises(ConfigError):
         DGPConfig(transfer="identity", n=100, seed=0, ma_order=3, law=Uniform(0.0, 1.0))
+    for decay in (float("inf"), float("-inf"), float("nan")):
+        for order in (0, 2):
+            with pytest.raises(ConfigError, match="ma_decay must be finite"):
+                DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
 
 
 def test_report_determinism():
@@ -129,6 +137,8 @@ def test_coverage_methods_and_rows():
     assert "simultaneous" in band.extras and "flagged_points" in band.extras
     sub = run_coverage_study(cfg, [0.0], 0.05, 5, method="subsample")
     assert list(sub.cells) == [0.0]
+    assert sub.params["block"] == default_block_length(400)  # the block used, also when defaulted
+    assert band.params["block"] is None
     rows = band.to_rows()
     assert rows[0] == ("x", "coverage")
     with pytest.raises(ConfigError):
@@ -219,3 +229,35 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     _check_study(ci_cfg, ci_xs, 0.01, 57, "ci")
     _check_study(band_cfg, band_xs, 0.01, 5, "band")
     _check_study(ma_cfg, [0.0], 0.05, 3, "subsample", block=55)
+
+
+def _reference_table(h_names, n, alpha, repetitions, seed):
+    """The correct-test ratios one repetition at a time, each from its own (cell, r) stream."""
+    dist = Normal()
+    critical = ks_sup_quantile(1.0 - alpha)
+    cells = {}
+    for row, h_name in enumerate(h_names):
+        h = get_transfer(h_name)
+        for col, pert in enumerate(PERTURBATIONS):
+            g = perturbed(h, pert, n)
+            correct = 0
+            for r in range(repetitions):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(row * len(PERTURBATIONS) + col, r)))
+                for _ in range(100):
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        y = np.asarray(g.fn(dist.rvs(n, rng)), dtype=float)
+                    if np.all(np.isfinite(y)):
+                        break
+                reject = gof_statistic(Sample(y), dist, h) > critical
+                correct += reject if pert != "none" else not reject
+            cells[(h_name, pert)] = correct / repetitions
+    return cells
+
+
+def test_test_table_matches_per_replicate_loop(monkeypatch):
+    h_names = ("(x+4)^2", "log(x+5)")
+    expected = _reference_table(h_names, 200, 0.15, 60, 31)
+    assert any(0.0 < c < 1.0 for c in expected.values())  # a misread repetition shows
+    assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected  # blocks of 51 and 9
+    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one repetition per block
+    assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected
