@@ -8,7 +8,7 @@ parametric-bootstrap p-values), and subsampling intervals for short-range
 dependent inputs, plus a seeded simulation harness.
 """
 
-from .density_band import BandResult, KernelSpec, confidence_band, kde, raised_cosine
+from .density_band import BandResult, confidence_band, kde, raised_cosine
 from .distributions import (
     FAMILIES,
     Gamma,
@@ -70,7 +70,6 @@ __all__ = [
     "FAMILIES",
     "Gamma",
     "HypothesisFunction",
-    "KernelSpec",
     "KnownDistribution",
     "Normal",
     "PERTURBATIONS",

@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .density_band import KernelSpec, confidence_band
+from .density_band import confidence_band
 from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform
 from .empirical import Sample
 from .errors import ConfigError, ConvergenceError, DomainError
-from .estimator import estimate_with_ci
-from .gof_test import _bootstrap, test
+from .estimator import default_grid, estimate_with_ci
+from .gof_test import _bootstrap, test, trimming_fraction
 from .ks_distribution import ks_sup_quantile
 from .simulate import (
     DGPConfig,
@@ -29,7 +30,7 @@ from .simulate import (
     run_coverage_study,
     run_test_table,
 )
-from .subsampling import subsample_ci
+from .subsampling import default_block_length, subsample_ci
 
 __all__ = ["main"]
 
@@ -222,6 +223,18 @@ def _check_reps(reps: int) -> int:
     return reps
 
 
+def _check_bandwidth(bandwidth: float | None) -> float | None:
+    if bandwidth is not None and not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+        raise UsageError(f"--bandwidth must be positive and finite (got {bandwidth})")
+    return bandwidth
+
+
+def _check_block(block: int, n: int) -> int:
+    if not (2 <= block < n):
+        raise UsageError(f"--block must satisfy 2 <= b < n = {n} (got b={block}; the default is ceil(n^(4/5)))")
+    return block
+
+
 def _check_point_in_support(x: float, dist: KnownDistribution) -> None:
     a, b = dist.support
     if not (a < x < b):
@@ -232,6 +245,26 @@ def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
     return open(path, "w", newline=""), True
+
+
+def _print_payload(payload: dict, as_json: bool, keys=None) -> None:
+    """``payload`` as one JSON line, or as ``key: value`` lines for ``keys`` (default all)."""
+    if as_json:
+        json.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        for key in payload if keys is None else keys:
+            print(f"{key}: {payload[key]}")
+
+
+def _dgp_config(args) -> DGPConfig:
+    return DGPConfig(
+        transfer=args.transfer,
+        n=args.n,
+        seed=args.seed,
+        ma_order=args.ma_order,
+        ma_decay=args.ma_decay,
+    )
 
 
 def _write_rows(path, schema: str, header, rows, delimiter: str = ","):
@@ -251,6 +284,7 @@ def _write_rows(path, schema: str, header, rows, delimiter: str = ","):
 
 def _cmd_estimate(args) -> int:
     alpha = _check_alpha(args.alpha, upper=0.5)
+    bandwidth = _check_bandwidth(args.bandwidth)
     dist = parse_dist(args.dist)
     y = read_column(args.data, args.y_col, delimiter=args.delim)
     sample = Sample(y)
@@ -260,7 +294,7 @@ def _cmd_estimate(args) -> int:
         xs = np.asarray([args.x], dtype=float)
     else:
         p_lo, p_hi, npts = parse_grid(args.grid)
-        xs = np.asarray(dist.quantile(np.linspace(p_lo, p_hi, npts)), dtype=float)
+        xs = default_grid(dist, npts, p_lo, p_hi)
 
     res = estimate_with_ci(sample, dist, xs, alpha)
     header = ["x", "ghat", "ci_lo", "ci_hi"]
@@ -268,14 +302,7 @@ def _cmd_estimate(args) -> int:
     if args.band:
         if xs.size < 2:
             raise UsageError("--band needs a grid (use --grid, not --x)")
-        band = confidence_band(
-            sample,
-            dist,
-            (float(xs[0]), float(xs[-1])),
-            alpha,
-            spec=KernelSpec(bandwidth=args.bandwidth),
-            xs=xs,
-        )
+        band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), alpha, bandwidth=bandwidth, xs=xs)
         header += ["band_lo", "band_hi", "flagged"]
         columns += [band.band_lo, band.band_hi, band.flagged.astype(int)]
     rows = list(zip(*[np.asarray(c) for c in columns]))
@@ -322,12 +349,7 @@ def _cmd_test(args) -> int:
             "level": result.level,
             "argmax_x": result.argmax_x,
         }
-    if args.json:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        for key in ("statistic", "critical", "p_value", "decision", "method"):
-            print(f"{key}: {payload[key]}")
+    _print_payload(payload, args.json, ("statistic", "critical", "p_value", "decision", "method"))
     return 0
 
 
@@ -337,10 +359,9 @@ def _cmd_subsample_ci(args) -> int:
     y = read_column(args.data, args.y_col, delimiter=args.delim)
     sample = Sample(y)
     _check_point_in_support(args.x, dist)
-    block = args.block
-    if block is not None and not (2 <= block < sample.n):
-        raise UsageError(f"--block must satisfy 2 <= b < n = {sample.n}")
-    res = subsample_ci(sample, dist, args.x, alpha, b=block)
+    if args.block is not None:
+        _check_block(args.block, sample.n)
+    res = subsample_ci(sample, dist, args.x, alpha, b=args.block)
     payload = {
         "x": res.x,
         "ghat": res.ghat,
@@ -351,12 +372,7 @@ def _cmd_subsample_ci(args) -> int:
         "n": res.n,
         "level": res.level,
     }
-    if args.json:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _print_payload(payload, args.json)
     return 0
 
 
@@ -372,12 +388,7 @@ def _cmd_fit(args) -> int:
         payload.update(mean=fitted.mean, sd=fitted.sd)
     else:
         payload.update(lo=fitted.lo, hi=fitted.hi)
-    if args.json:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _print_payload(payload, args.json)
     if args.qq_out is not None:
         sorted_y = np.sort(y)
         ps = (np.arange(1, y.size + 1) - 0.5) / y.size
@@ -389,6 +400,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate_table2(args) -> int:
     alpha = _check_alpha(args.alpha)
+    try:
+        trimming_fraction(args.n)
+    except DomainError as exc:
+        raise UsageError(f"--n: {exc}") from None
     report = run_test_table(n=args.n, alpha=alpha, repetitions=_check_reps(args.reps), seed=args.seed)
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.table.v1", rows[0], rows[1:], delimiter=args.delim)
@@ -397,21 +412,14 @@ def _cmd_simulate_table2(args) -> int:
 
 def _cmd_simulate_coverage(args) -> int:
     alpha = _check_alpha(args.alpha, upper=0.5 if args.method == "ci" else 1.0)
-    config = DGPConfig(
-        transfer=args.transfer,
-        n=args.n,
-        seed=args.seed,
-        ma_order=args.ma_order,
-        ma_decay=args.ma_decay,
-    )
+    config = _dgp_config(args)
     xs = np.asarray([float(tok) for tok in args.x], dtype=float)
     if args.method == "band" and np.unique(xs).size < 2:
         raise UsageError("--method band needs at least two distinct --x points")
-    if args.method == "subsample" and args.block is not None and not (2 <= args.block < args.n):
-        raise UsageError(f"--block must satisfy 2 <= b < n = {args.n}")
-    report = run_coverage_study(
-        config, xs, alpha, _check_reps(args.reps), method=args.method, block=args.block
-    )
+    block = args.block
+    if args.method == "subsample":
+        block = _check_block(default_block_length(args.n) if block is None else block, args.n)
+    report = run_coverage_study(config, xs, alpha, _check_reps(args.reps), method=args.method, block=block)
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.coverage.v1", rows[0], rows[1:], delimiter=args.delim)
     if args.method == "band":
@@ -420,14 +428,7 @@ def _cmd_simulate_coverage(args) -> int:
 
 
 def _cmd_simulate_data(args) -> int:
-    config = DGPConfig(
-        transfer=args.transfer,
-        n=args.n,
-        seed=args.seed,
-        ma_order=args.ma_order,
-        ma_decay=args.ma_decay,
-    )
-    z, y = generate(config)
+    z, y = generate(_dgp_config(args))
     _write_rows(args.out, "transferfn.dgp.v1", ["z", "y"], list(zip(z, y)), delimiter=args.delim)
     return 0
 
@@ -533,21 +534,15 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (DomainError, ConvergenceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .estimator import estimate
 from .ks_distribution import ks_sup_quantile
 
-__all__ = ["raised_cosine", "KernelSpec", "BandResult", "kde", "confidence_band"]
+__all__ = ["raised_cosine", "BandResult", "kde", "confidence_band"]
 
 
 def raised_cosine(u):
@@ -34,24 +34,17 @@ def raised_cosine(u):
     return out
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Bandwidth rule for the raised-cosine kernel.
+def _bandwidth(n: int, bandwidth: float | None = None) -> float:
+    """The KDE bandwidth for n observations: ``bandwidth`` if given, else h = n^(-1/6).
 
-    ``bandwidth=None`` selects h = n^(-1/6), which satisfies the admissibility
-    conditions (loglog n)^(1/2) h -> 0 and sqrt(n) h^2 / loglog n -> inf.
+    The default satisfies the admissibility conditions (loglog n)^(1/2) h -> 0
+    and sqrt(n) h^2 / loglog n -> inf.
     """
-
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.bandwidth is not None and not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise DomainError("explicit bandwidth must be positive and finite")
-
-    def bandwidth_for(self, n: int) -> float:
-        if self.bandwidth is not None:
-            return self.bandwidth
+    if bandwidth is None:
         return float(n) ** (-1.0 / 6.0)
+    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+        raise DomainError(f"bandwidth must be positive and finite (got {bandwidth})")
+    return float(bandwidth)
 
 
 @dataclass(frozen=True)
@@ -72,8 +65,10 @@ class BandResult:
         return 0.5 * (self.band_hi - self.band_lo)
 
 
-def kde(sample_y: Sample, spec: KernelSpec, y):
+def kde(sample_y: Sample, y, bandwidth: float | None = None):
     """f_n(y) = (1/(n h)) sum_i raised_cosine((y - Y_i)/h), in O((n + m) log n).
+
+    h is ``bandwidth``, or n^(-1/6) when it is None.
 
     The addition formula splits each term in the window |y - Y_i| <= pi h:
     1 + cos((y - a)/h - t_i) = 1 + cos(phi) cos(t_i) + sin(phi) sin(t_i) with
@@ -84,9 +79,7 @@ def kde(sample_y: Sample, spec: KernelSpec, y):
     |Y|/h is (a global anchor loses the phase to rounding as |Y|/h grows).
     A window of width 2 pi h overlaps at most two consecutive cells.
     """
-    h = spec.bandwidth_for(sample_y.n)
-    if not h > 0.0:
-        raise DomainError("bandwidth must be positive")
+    h = _bandwidth(sample_y.n, bandwidth)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     data = sample_y.sorted_values
     n = sample_y.n
@@ -122,20 +115,18 @@ def confidence_band(
     dist: KnownDistribution,
     interval: tuple[float, float],
     alpha: float,
-    spec: KernelSpec | None = None,
+    bandwidth: float | None = None,
     xs=None,
-    npoints: int = 201,
 ) -> BandResult:
     """Uniform level-(1-alpha) band for g on [c, d] strictly inside the support.
 
     Parameters
     ----------
     interval : (c, d) with a < c < d < b.
-    xs : optional explicit grid inside [c, d]; default is ``npoints``
-        equispaced points spanning the interval.
+    bandwidth : the KDE bandwidth; None selects h = n^(-1/6).
+    xs : optional explicit grid inside [c, d]; default is 201 equispaced
+        points spanning the interval.
     """
-    if spec is None:
-        spec = KernelSpec()
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     c, d = float(interval[0]), float(interval[1])
@@ -143,16 +134,16 @@ def confidence_band(
     if not (a < c < d < b):
         raise DomainError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
     if xs is None:
-        grid = np.linspace(c, d, npoints)
+        grid = np.linspace(c, d, 201)
     else:
         grid = np.atleast_1d(np.asarray(xs, dtype=float))
         if np.any(grid < c) or np.any(grid > d):
             raise DomainError("explicit grid must lie inside the band interval")
 
     n = sample_y.n
-    h = spec.bandwidth_for(n)
+    h = _bandwidth(n, bandwidth)
     ghat = estimate(sample_y, dist, grid)
-    fhat = kde(sample_y, spec, ghat)
+    fhat = kde(sample_y, ghat, bandwidth=h)
     critical = ks_sup_quantile(1.0 - alpha)
 
     floor = 1.0 / (n * h)

@@ -87,11 +87,6 @@ class KnownDistribution:
         """Draw n independent variates."""
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        a, b = self.support
-        arr = np.asarray(x, dtype=float)
-        return bool(np.all((arr > a) & (arr < b)))
-
     def _require_interior(self, x, op: str):
         a, b = self.support
         arr = _as_array(x, "x")
@@ -344,15 +339,17 @@ class Uniform(KnownDistribution):
 
 # fit_gamma_rows status of one row
 FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE = range(4)
+# A gamma fit has converged once the per-observation log-likelihood gradient norm is below this.
+_GRAD_TOL = 1e-8
 
 
-def fit_gamma_rows(data, max_iter: int = 200, grad_tol: float = 1e-8):
+def fit_gamma_rows(data, max_iter: int = 200):
     """Gamma MLE of every row of a (rows, n) array, by one Newton iteration over all rows.
 
     For fixed shape k the rate MLE is k / mean, which reduces the problem to
     log(k) - digamma(k) = log(mean) - mean(log data).  Initialisation is the
     method of moments.  A row leaves the iteration at the first iterate whose
-    per-observation log-likelihood gradient has norm below ``grad_tol``, so
+    per-observation log-likelihood gradient has norm below _GRAD_TOL, so
     its result does not depend on the other rows.
 
     Returns (shape, rate, status), each of length rows.  status is FIT_OK,
@@ -387,17 +384,17 @@ def fit_gamma_rows(data, max_iter: int = 200, grad_tol: float = 1e-8):
             rate = k_act / mean[active]
             grad_shape = np.log(rate) + mean_log[active] - digamma(k_act)
             grad_rate = k_act / rate - mean[active]
-            done = np.hypot(grad_shape, grad_rate) < grad_tol
+            done = np.hypot(grad_shape, grad_rate) < _GRAD_TOL
             status[active[done]] = FIT_OK
             active = active[~done]
         return k, k / mean, status
 
 
-def fit_gamma_mle(data, max_iter: int = 200, grad_tol: float = 1e-8) -> Gamma:
+def fit_gamma_mle(data, max_iter: int = 200) -> Gamma:
     """Maximum-likelihood gamma fit: the one-row call of ``fit_gamma_rows``.
 
     At the returned parameters the per-observation log-likelihood gradient
-    has norm below ``grad_tol``.
+    has norm below _GRAD_TOL (1e-8).
 
     Raises
     ------
@@ -411,7 +408,7 @@ def fit_gamma_mle(data, max_iter: int = 200, grad_tol: float = 1e-8) -> Gamma:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError("need at least two observations")
-    shape, rate, status = fit_gamma_rows(arr[None, :], max_iter=max_iter, grad_tol=grad_tol)
+    shape, rate, status = fit_gamma_rows(arr[None, :], max_iter=max_iter)
     k, rate, status = float(shape[0]), float(rate[0]), status[0]
     if status == FIT_BAD_DATA:
         raise DomainError("gamma fitting requires finite, strictly positive data")

@@ -48,6 +48,7 @@ __all__ = [
 
 _MIN_N = 16  # loglog n must be positive and the trim below 1/2
 _TRIM_CAP = 0.2
+_GRID_POINTS = 512  # grid points of the evaluation set, besides ghat's jumps
 # Elements in one (rows x width) temporary of a block of replicates: a block
 # stays within a few MB (see replicate_blocks).
 _BLOCK_ELEMENTS = 1 << 15
@@ -106,16 +107,16 @@ def trimming_fraction(n: int) -> float:
     return min(25.0 * math.log(math.log(n)) / n, _TRIM_CAP)
 
 
-def _evaluation_set(n: int, grid_points: int):
+def _evaluation_set(n: int):
     """Where the statistic is evaluated, and ghat's one-sided limits there.
 
-    Returns (u, lo, hi): u is the ``grid_points`` grid on [delta_n,
+    Returns (u, lo, hi): u is the _GRID_POINTS grid on [delta_n,
     1-delta_n] followed by every jump u = i/n inside it; lo and hi are the
     0-based indices into the sorted sample of ghat's left and right limits
     at u (equal on the grid).
     """
     delta = trimming_fraction(n)
-    u_grid = np.linspace(delta, 1.0 - delta, grid_points)
+    u_grid = np.linspace(delta, 1.0 - delta, _GRID_POINTS)
     grid_idx = quantile_rank(n, u_grid) - 1
     i = np.arange(1, n)
     i = i[(i / n >= delta) & (i / n <= 1.0 - delta)]
@@ -150,7 +151,7 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     """Statistic of every row of a (rows, n) array of sorted samples, with a status per row.
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
-    columns; ``points`` is _evaluation_set(n, grid_points).  ``x`` holds
+    columns; ``points`` is _evaluation_set(n).  ``x`` holds
     dist's quantiles at the points, computed here by ``dist.quantile`` when
     not given.  quantile, pdf, h and h' are evaluated once on the (1 or
     rows) x points array.  Status 0
@@ -189,7 +190,6 @@ def test_statistic_rows(
     sorted_rows: np.ndarray,
     dist: KnownDistribution,
     hyp: HypothesisFunction,
-    grid_points: int = 512,
 ) -> np.ndarray:
     """``test_statistic`` of every row of a (rows, n) array of sorted samples.
 
@@ -199,12 +199,11 @@ def test_statistic_rows(
     undefined.
     """
     sorted_rows = np.asarray(sorted_rows, dtype=float)
-    return _checked_rows(sorted_rows, dist, hyp, grid_points)[0]
+    return _checked_rows(sorted_rows, dist, hyp, _evaluation_set(sorted_rows.shape[1]))[0]
 
 
-def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, grid_points: int):
-    """(statistics, argmax_x) of every row; DomainError if any row's statistic is undefined."""
-    points = _evaluation_set(sorted_rows.shape[1], grid_points)
+def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points):
+    """(statistics, argmax_x) of every row at ``points``; DomainError if any row's statistic is undefined."""
     stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points)
     failed = np.flatnonzero(status)
     if failed.size:
@@ -216,19 +215,18 @@ def test_statistic(
     sample_y: Sample,
     dist: KnownDistribution,
     hyp: HypothesisFunction,
-    grid_points: int = 512,
 ) -> float:
     """Trimmed weighted sup statistic, deterministic for fixed inputs.
 
     ghat is a step function of F_Z(x), so the sup of the step-times-smooth
     integrand is attained either at a jump of ghat or at an extremum of the
-    smooth factor.  The evaluation set is therefore a ``grid_points`` grid of
+    smooth factor.  The evaluation set is therefore a 512-point grid of
     x = xi_Z(u) with u equispaced in [delta_n, 1-delta_n], augmented with
     both one-sided limits at every order-statistic boundary u = i/n inside
     the trimmed region; pure gridding would understate the sup.  This is
     the one-row call of ``test_statistic_rows``.
     """
-    return float(test_statistic_rows(sample_y.sorted_values[None, :], dist, hyp, grid_points)[0])
+    return float(test_statistic_rows(sample_y.sorted_values[None, :], dist, hyp)[0])
 
 
 def test(
@@ -236,16 +234,16 @@ def test(
     dist: KnownDistribution,
     hyp: HypothesisFunction,
     alpha: float,
-    grid_points: int = 512,
 ) -> TestResult:
     """Asymptotic test of H0: g = h at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    stats, argmax_x = _checked_rows(sample_y.sorted_values[None, :], dist, hyp, grid_points)
+    points = _evaluation_set(sample_y.n)
+    stats, argmax_x = _checked_rows(sample_y.sorted_values[None, :], dist, hyp, points)
     stat = float(stats[0])
     critical = ks_sup_quantile(1.0 - alpha)
     p_value = ks_sup_tail(stat) if stat > 0.0 else 1.0
-    _, lo, hi = _evaluation_set(sample_y.n, grid_points)
+    _, lo, hi = points
     return TestResult(
         statistic=stat,
         critical=critical,
@@ -265,7 +263,6 @@ def monte_carlo_p_value(
     hyp: HypothesisFunction,
     replications: int = 999,
     seed: int = 0,
-    grid_points: int = 512,
 ) -> float:
     """Parametric-bootstrap p-value with the input family refitted per draw.
 
@@ -291,10 +288,10 @@ def monte_carlo_p_value(
     """
     if replications < 99:
         raise DomainError("need at least 99 bootstrap replications")
-    return _bootstrap(data, family, None, hyp, replications, seed, grid_points)[0]
+    return _bootstrap(data, family, None, hyp, replications, seed)[0]
 
 
-def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, replications, seed, grid_points=512):
+def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, replications, seed):
     """(p-value, observed statistic) of ``monte_carlo_p_value``.
 
     ``fitted`` is the family already fitted to the data, or None to fit it
@@ -306,10 +303,10 @@ def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, repl
         raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if fitted is None:
         fitted = fitter(data.values)
-    observed = test_statistic(data, fitted, hyp, grid_points=grid_points)
+    observed = test_statistic(data, fitted, hyp)
 
     n = data.n
-    points = _evaluation_set(n, grid_points)
+    points = _evaluation_set(n)
     table = gamma_quantile_table(fitted.shape, n, points[0]) if isinstance(fitted, Gamma) else None
     exceed = 0
     failures = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_band import KernelSpec, confidence_band
+from .density_band import confidence_band
 from .distributions import KnownDistribution, Normal
 from .empirical import Sample
 from .errors import ConfigError, DomainError
@@ -232,17 +232,16 @@ def run_coverage_study(
     alpha: float,
     replications: int,
     method: str = "ci",
-    band_interval: tuple[float, float] | None = None,
     block: int | None = None,
-    spec: KernelSpec | None = None,
 ) -> ExperimentReport:
     """Per-point coverage of the chosen interval type over seeded replications.
 
     method "ci" uses the pointwise quantile intervals, "band" the uniform
-    band (the report's extras then carry the all-points simultaneous
-    coverage and flagged-point counts), "subsample" the block-resampling
-    intervals.  The statistical guidance is 50+ replications, but a single
-    replication runs fine as a smoke test.
+    band on [min xs, max xs] with the default bandwidth (the report's extras
+    then carry the all-points simultaneous coverage and flagged-point
+    counts), "subsample" the block-resampling intervals.  The statistical
+    guidance is 50+ replications, but a single replication runs fine as a
+    smoke test.
 
     Replications are generated a block of rows at a time by
     ``replicate_blocks`` (key (), width n).  For "ci" a block is sorted once
@@ -260,8 +259,7 @@ def run_coverage_study(
     g = get_transfer(config.transfer)
     g_true = np.asarray(g.fn(xs), dtype=float)
     marginal = config.marginal()
-    if band_interval is None:
-        band_interval = (float(np.min(xs)), float(np.max(xs)))
+    interval = (float(np.min(xs)), float(np.max(xs)))  # the band's [c, d]
 
     t0 = time.perf_counter()
     if method == "ci":
@@ -279,7 +277,7 @@ def run_coverage_study(
             covered[:] = (ys[:, ranks.lo] <= g_true) & (g_true <= ys[:, ranks.hi])
         elif method == "band":
             for r, y in enumerate(ys):
-                band = confidence_band(Sample(y), marginal, band_interval, alpha, spec=spec, xs=xs)
+                band = confidence_band(Sample(y), marginal, interval, alpha, xs=xs)
                 covered[r] = (band.band_lo <= g_true) & (g_true <= band.band_hi)
                 nflag = int(np.count_nonzero(band.flagged))
                 flagged_points += nflag
@@ -323,9 +321,8 @@ def run_test_table(
     alpha: float = 0.15,
     repetitions: int = 200,
     seed: int = 0,
-    dist: KnownDistribution | None = None,
 ) -> ExperimentReport:
-    """Correct-test ratio per (h, perturbation) cell.
+    """Correct-test ratio per (h, perturbation) cell, standard normal inputs.
 
     A repetition is correct when the asymptotic test accepts under "none"
     and rejects under either perturbation.  Cell (i, j)'s repetitions are
@@ -337,11 +334,10 @@ def run_test_table(
         raise DomainError("need at least one repetition")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    if dist is None:
-        dist = Normal()
+    dist = Normal()
     t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)
-    width = _evaluation_set(n, 512)[0].size
+    width = _evaluation_set(n)[0].size
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)

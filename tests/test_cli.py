@@ -440,6 +440,13 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         (*coverage, "0", "0", "--method", "band"),
         ("simulate", "coverage", "--transfer", "(x+4)^2", "--reps", "0", "--x", "0"),
         ("simulate", "table2", "--n", "200", "--reps", "0"),
+        ("simulate", "table2", "--n", "10"),
+        ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "4", "--method", "subsample", "--x", "0"),
+        *(
+            ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1",
+             "--band", "--bandwidth", bad)
+            for bad in ("-1", "inf")
+        ),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("usage error"), argv

@@ -5,7 +5,6 @@ import pytest
 
 from transferfn import (
     DomainError,
-    KernelSpec,
     Normal,
     Sample,
     confidence_band,
@@ -14,6 +13,8 @@ from transferfn import (
     pointwise_ci,
     raised_cosine,
 )
+
+from transferfn.density_band import _bandwidth
 
 from oracles import naive_kde
 
@@ -29,32 +30,38 @@ def test_raised_cosine_shape():
 
 def test_kde_single_observation_peak():
     s = Sample([0.0])
-    spec = KernelSpec(bandwidth=1.0)
-    assert kde(s, spec, 0.0) == pytest.approx(1.0 / math.pi)
+    assert kde(s, 0.0, bandwidth=1.0) == pytest.approx(1.0 / math.pi)
     # beyond the compact support the estimate is exactly zero
-    assert kde(s, spec, math.pi + 0.01) == 0.0
-    assert kde(s, spec, -4.0) == 0.0
+    assert kde(s, math.pi + 0.01, bandwidth=1.0) == 0.0
+    assert kde(s, -4.0, bandwidth=1.0) == 0.0
 
 
 def test_kde_consistency_standard_normal():
     rng = np.random.default_rng(12)
     s = Sample(rng.normal(size=10_000))
-    val = kde(s, KernelSpec(), 0.0)
+    val = kde(s, 0.0)
     assert abs(val - 1.0 / math.sqrt(2.0 * math.pi)) < 0.05
 
 
 def test_kde_default_bandwidth_rule():
-    assert KernelSpec().bandwidth_for(1000) == pytest.approx(1000.0 ** (-1 / 6))
-    assert KernelSpec(bandwidth=0.25).bandwidth_for(1000) == 0.25
-    with pytest.raises(DomainError):
-        KernelSpec(bandwidth=-1.0)
+    assert _bandwidth(1000) == pytest.approx(1000.0 ** (-1 / 6))
+    assert _bandwidth(1000, 0.25) == 0.25
+    # kde and the band apply the rule when no bandwidth is given
+    s = _squared_sample(1000, 24)
+    ys = np.linspace(s.sorted_values[0], s.sorted_values[-1], 101)
+    assert np.array_equal(kde(s, ys), kde(s, ys, bandwidth=_bandwidth(1000)))
+    assert confidence_band(s, Normal(), (-2.0, 2.0), 0.01, bandwidth=0.25).bandwidth == 0.25
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            kde(s, 0.0, bandwidth=bad)
+        with pytest.raises(DomainError):
+            confidence_band(s, Normal(), (-2.0, 2.0), 0.01, bandwidth=bad)
 
 
 def test_default_bandwidth_is_admissible():
     # sqrt(loglog n) h -> 0 and sqrt(n) h^2 / loglog n -> inf along the rule
-    spec = KernelSpec()
     ns = np.array([10**3, 10**4, 10**6, 10**9, 10**12], dtype=float)
-    hs = np.array([spec.bandwidth_for(n) for n in ns])
+    hs = np.array([_bandwidth(n) for n in ns])
     lll = np.log(np.log(ns))
     shrink = np.sqrt(lll) * hs
     grow = np.sqrt(ns) * hs**2 / lll
@@ -67,22 +74,21 @@ def test_kde_integrates_to_one():
     rng = np.random.default_rng(13)
     for n in (100, 2000):
         s = Sample(rng.normal(size=n))
-        spec = KernelSpec()
-        h = spec.bandwidth_for(n)
+        h = _bandwidth(n)
         pad = math.pi * h
         ys = np.linspace(s.sorted_values[0] - pad, s.sorted_values[-1] + pad, 8001)
-        mass = np.trapezoid(kde(s, spec, ys), ys)
+        mass = np.trapezoid(kde(s, ys), ys)
         assert mass == pytest.approx(1.0, abs=2e-3)
 
 
 def test_kde_derivative_continuous_at_observations():
     rng = np.random.default_rng(14)
     s = Sample(rng.normal(size=40))
-    spec = KernelSpec(bandwidth=0.05)
+    h = 0.05
     delta = 1e-7
     for y0 in s.sorted_values[:10]:
-        slope_left = (kde(s, spec, y0) - kde(s, spec, y0 - delta)) / delta
-        slope_right = (kde(s, spec, y0 + delta) - kde(s, spec, y0)) / delta
+        slope_left = (kde(s, y0, h) - kde(s, y0 - delta, h)) / delta
+        slope_right = (kde(s, y0 + delta, h) - kde(s, y0, h)) / delta
         assert abs(slope_right - slope_left) < 1e-3
 
 
@@ -110,7 +116,7 @@ def test_kde_matches_dense_oracle_at_any_offset():
                         rng.uniform(lo - edge, hi + edge, size=20),
                     ]
                 )
-                got = kde(s, KernelSpec(bandwidth=h), ys)
+                got = kde(s, ys, bandwidth=h)
                 ref = naive_kde(values, h, ys)
                 assert np.max(np.abs(got - ref)) <= 1e-9 / (n * h), (offset, rule, n, spread)
                 empty = np.min(np.abs(ys[:, None] - values[None, :]), axis=1) > edge * (1 + 1e-3)
@@ -164,7 +170,7 @@ def test_band_flags_low_density_for_cubic():
     for seed in range(20):
         rng = np.random.default_rng(400 + seed)
         s = Sample(rng.normal(size=1000) ** 3)
-        band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, npoints=401)
+        band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=np.linspace(-2.0, 2.0, 401))
         total_flagged += int(np.count_nonzero(band.flagged))
     assert total_flagged > 0
 

@@ -225,7 +225,7 @@ def test_fit_gamma_rows_match_one_row_fits():
 def test_gamma_quantile_table_meets_its_bound(n, shape):
     # the bootstrap's table: the evaluation set of an n-point statistic, a
     # shape band for refits of n points around the fitted shape
-    p = _evaluation_set(n, 512)[0]
+    p = _evaluation_set(n)[0]
     table = gamma_quantile_table(shape, n, p)
     assert table is not None
     if (n, shape) == (50, 2.7):

@@ -321,7 +321,7 @@ def _check_against_reference(monkeypatch, data, family, fitter, replications, se
 def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
     rng = np.random.default_rng(89)
     data = Sample(rng.gamma(3.0, 2.0, size=300))
-    width = gof_module._evaluation_set(300, 512)[0].size  # the bootstrap's block width at n = 300
+    width = gof_module._evaluation_set(300)[0].size  # the bootstrap's block width at n = 300
     assert 99 % (gof_module._BLOCK_ELEMENTS // width) != 0  # the last block is partial
     for seed in (0, 5, 17):
         for family in ("gamma", fit_gamma_mle):
@@ -344,7 +344,7 @@ def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
     # check here, and every statistic is the one-replicate one bit for bit
     data = Sample(np.random.default_rng(89).gamma(3.0, 2.0, size=300))
     monkeypatch.setattr(distributions_module, "_TABLE_MAX_INTERVALS", 8)
-    u = gof_module._evaluation_set(300, 512)[0]
+    u = gof_module._evaluation_set(300)[0]
     assert gamma_quantile_table(fit_gamma_mle(data.values).shape, 300, u) is None
     for family in ("gamma", fit_gamma_mle):
         with monkeypatch.context() as patch:
