@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
+import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,6 +39,7 @@ from .subsampling import default_block_length, subsample_ci
 __all__ = ["main"]
 
 MISSING_TOKENS = ("?", "", "NA", "nan")
+_NON_BLANK = re.compile(rb"\S")
 
 
 class UsageError(Exception):
@@ -78,9 +83,14 @@ def _locate_column(first_row, selector: str, path: str) -> tuple[int, bool]:
     return idx, has_header
 
 
-def _read_column_rows(fh, path: str, selector: str, delimiter: str) -> np.ndarray:
+def _text(data: bytes) -> io.TextIOWrapper:
+    """``data`` as the text stream ``open(path, newline="")`` gives: the same encoding and line ends."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="")
+
+
+def _read_column_rows(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray:
     """Row-by-row parse: the reference, and the only path that raises on bad data."""
-    reader = csv.reader(fh, delimiter=delimiter)
+    reader = csv.reader(_text(data), delimiter=delimiter)
     # (physical line on which the record ends, record)
     records = [(reader.line_num, row) for row in reader if _is_record(row)]
     if not records:
@@ -103,30 +113,37 @@ def _read_column_rows(fh, path: str, selector: str, delimiter: str) -> np.ndarra
     return np.asarray(out, dtype=float)
 
 
-def _read_column_fast(fh, path: str, selector: str, delimiter: str) -> np.ndarray | None:
+def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray | None:
     """numpy's C parser on the records after the header, or None to defer to the row parser.
 
-    It declines whatever the row parser treats specially: quotes, any '#'
-    after the header (a comment line may follow), tokens it cannot parse
-    (missing tokens included), non-finite values and fewer than 2 values.
+    It declines whatever the row parser treats specially: a quote anywhere,
+    any '#' after the header (a comment line may follow), a blank body,
+    tokens it cannot parse (missing tokens included), non-finite values and
+    fewer than 2 values.  '"' and '#' are one byte in the ASCII-compatible
+    encodings a locale uses, so ``data`` is searched for them undecoded.
     """
-    while True:
-        record_start = fh.tell()
-        line = fh.readline()
-        if not line or '"' in line:
-            return None
+    if b'"' in data:
+        return None
+    lines = _text(data)
+    head = ""  # the text before the body
+    for line in lines:
         first_row = next(csv.reader([line], delimiter=delimiter), [])
         if _is_record(first_row):
             break
-    idx, has_header = _locate_column(first_row, selector, path)
-    body_start = fh.tell() if has_header else record_start
-    fh.seek(body_start)
-    body = fh.read()
-    if '"' in body or "#" in body or not body.strip():
+        head += line
+    else:
         return None
-    fh.seek(body_start)
+    idx, has_header = _locate_column(first_row, selector, path)
+    if has_header:
+        head += line
+        body = lines
+    else:
+        body = itertools.chain([line], lines)
+    body_start = len(head.encode(lines.encoding))
+    if data.find(b"#", body_start) >= 0 or _NON_BLANK.search(data, body_start) is None:
+        return None
     try:
-        values = np.loadtxt(fh, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
+        values = np.loadtxt(body, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
     except ValueError:
         return None
     if values.size < 2 or not np.all(np.isfinite(values)):
@@ -135,28 +152,27 @@ def _read_column_fast(fh, path: str, selector: str, delimiter: str) -> np.ndarra
 
 
 def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
-    """One numeric column from a delimited file.
+    """One numeric column from a delimited file or pipe.
 
     ``selector`` is a 0-based index or a header name.  Rows whose selected
     field is a missing token ('?', empty, NA, nan) are dropped; any other
-    non-numeric field is a data error.  Clean files go through numpy's C
-    parser; anything it declines is parsed row by row, with identical values
-    and errors either way.
+    non-numeric field is a data error.  The input is read once; clean input
+    goes through numpy's C parser, and anything it declines is parsed row by
+    row, with identical values and errors either way.  Input that cannot be
+    read or decoded in the locale's encoding is a data error too.
     """
     try:
-        with open(path, newline="") as fh:
-            values = None
-            if fh.seekable():  # a pipe can be read only once, by the row parser
-                values = _read_column_fast(fh, path, selector, delimiter)
-                fh.seek(0)
-            if values is None:
-                values = _read_column_rows(fh, path, selector, delimiter)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        values = _read_column_fast(data, path, selector, delimiter)
+        return _read_column_rows(data, path, selector, delimiter) if values is None else values
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return values
 
 
 # ---------------------------------------------------------------- dist spec
+
+_DIST_FORMS = {"normal": "normal:MEAN,SD", "uniform": "uniform:LO,HI", "gamma": "gamma:SHAPE,RATE (or rate=R / scale=S)"}
 
 
 def parse_dist(spec: str) -> KnownDistribution:
@@ -168,29 +184,22 @@ def parse_dist(spec: str) -> KnownDistribution:
     """
     family, _, rest = spec.partition(":")
     family = family.strip().lower()
-    parts = [p.strip() for p in rest.split(",") if p.strip()] if rest else []
+    if family not in _DIST_FORMS:
+        raise UsageError(f"unknown distribution family {family!r}; known: normal, gamma, uniform")
+    parts = [p.strip() for p in rest.split(",") if p.strip()]
+    if len(parts) != 2:
+        raise UsageError(f"--dist {family} takes {_DIST_FORMS[family]}")
+    first, second = parts
     try:
         if family == "normal":
-            if len(parts) != 2:
-                raise UsageError("--dist normal takes normal:MEAN,SD")
-            return Normal(mean=float(parts[0]), sd=float(parts[1]))
+            return Normal(mean=float(first), sd=float(second))
         if family == "uniform":
-            if len(parts) != 2:
-                raise UsageError("--dist uniform takes uniform:LO,HI")
-            return Uniform(lo=float(parts[0]), hi=float(parts[1]))
-        if family == "gamma":
-            if len(parts) != 2:
-                raise UsageError("--dist gamma takes gamma:SHAPE,RATE (or rate=R / scale=S)")
-            shape = float(parts[0])
-            second = parts[1]
-            if second.startswith("scale="):
-                return Gamma.from_scale(shape, float(second[len("scale="):]))
-            if second.startswith("rate="):
-                return Gamma(shape=shape, rate=float(second[len("rate="):]))
-            return Gamma(shape=shape, rate=float(second))
+            return Uniform(lo=float(first), hi=float(second))
+        if second.startswith("scale="):
+            return Gamma.from_scale(float(first), float(second[len("scale="):]))
+        return Gamma(shape=float(first), rate=float(second.removeprefix("rate=")))
     except (ValueError, DomainError) as exc:
         raise UsageError(f"bad --dist value {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown distribution family {family!r}; known: normal, gamma, uniform")
 
 
 def parse_grid(spec: str) -> tuple[float, float, int]:
@@ -241,12 +250,6 @@ def _check_point_in_support(x: float, dist: KnownDistribution) -> None:
         raise UsageError(f"--x {x} is outside the input-law support ({a}, {b})")
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _print_payload(payload: dict, as_json: bool, keys=None) -> None:
     """``payload`` as one JSON line, or as ``key: value`` lines for ``keys`` (default all)."""
     if as_json:
@@ -268,14 +271,14 @@ def _dgp_config(args) -> DGPConfig:
 
 
 def _write_rows(path, schema: str, header, rows, delimiter: str = ","):
-    fh, close = _open_out(path)
+    fh = sys.stdout if path in (None, "-") else open(path, "w", newline="")
     try:
         fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 
@@ -323,10 +326,7 @@ def _cmd_test(args) -> int:
         if args.mc_reps < 99:
             raise UsageError("--mc-reps must be at least 99")
         family = args.dist.partition(":")[0].strip().lower()
-        if family not in FAMILIES:
-            raise UsageError(f"unknown family {family!r} in --dist; known: {', '.join(FAMILIES)}")
-        fitted = FAMILIES[family](sample.values)
-        p_value, statistic = _bootstrap(sample, family, fitted, hyp, args.mc_reps, args.seed)
+        p_value, statistic, fitted = _bootstrap(sample, family, hyp, args.mc_reps, args.seed)
         payload = {
             "statistic": statistic,
             "critical": ks_sup_quantile(1.0 - alpha),
@@ -359,9 +359,8 @@ def _cmd_subsample_ci(args) -> int:
     y = read_column(args.data, args.y_col, delimiter=args.delim)
     sample = Sample(y)
     _check_point_in_support(args.x, dist)
-    if args.block is not None:
-        _check_block(args.block, sample.n)
-    res = subsample_ci(sample, dist, args.x, alpha, b=args.block)
+    block = _check_block(default_block_length(sample.n) if args.block is None else args.block, sample.n)
+    res = subsample_ci(sample, dist, args.x, alpha, b=block)
     payload = {
         "x": res.x,
         "ghat": res.ghat,
@@ -381,13 +380,9 @@ def _cmd_fit(args) -> int:
         raise UsageError(f"unknown --family {args.family!r}; known: {', '.join(FAMILIES)}")
     y = read_column(args.data, args.y_col, delimiter=args.delim)
     fitted = FAMILIES[args.family](y)
-    payload = {"family": args.family, "n": int(y.size)}
+    payload = {"family": args.family, "n": int(y.size), **dataclasses.asdict(fitted)}
     if isinstance(fitted, Gamma):
-        payload.update(shape=fitted.shape, rate=fitted.rate, scale=fitted.scale)
-    elif isinstance(fitted, Normal):
-        payload.update(mean=fitted.mean, sd=fitted.sd)
-    else:
-        payload.update(lo=fitted.lo, hi=fitted.hi)
+        payload["scale"] = fitted.scale
     _print_payload(payload, args.json)
     if args.qq_out is not None:
         sorted_y = np.sort(y)

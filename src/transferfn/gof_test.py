@@ -288,21 +288,19 @@ def monte_carlo_p_value(
     """
     if replications < 99:
         raise DomainError("need at least 99 bootstrap replications")
-    return _bootstrap(data, family, None, hyp, replications, seed)[0]
+    return _bootstrap(data, family, hyp, replications, seed)[0]
 
 
-def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, replications, seed):
-    """(p-value, observed statistic) of ``monte_carlo_p_value``.
+def _bootstrap(data: Sample, family, hyp, replications, seed):
+    """(p-value, observed statistic, law fitted to the data) of ``monte_carlo_p_value``.
 
-    ``fitted`` is the family already fitted to the data, or None to fit it
-    here.  The CLI passes the law it has fitted and printed, so the data are
-    fitted and the observed statistic computed once.
+    The CLI prints all three, so the data are fitted and the observed
+    statistic computed once.
     """
     fitter = FAMILIES.get(family) if isinstance(family, str) else family
     if fitter is None:
         raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    if fitted is None:
-        fitted = fitter(data.values)
+    fitted = fitter(data.values)
     observed = test_statistic(data, fitted, hyp)
 
     n = data.n
@@ -334,7 +332,7 @@ def _bootstrap(data: Sample, family, fitted: KnownDistribution | None, hyp, repl
             last=fitted,
         )
     successful = replications - failures
-    return (1 + exceed) / (successful + 1), observed
+    return (1 + exceed) / (successful + 1), observed, fitted
 
 
 def _refit_rows(family, fitter, draws: np.ndarray):

@@ -52,8 +52,8 @@ def _dual_cdf(c: float) -> float:
     return _SQRT_2PI / c * total * (1.0 - a_lo)
 
 
-def _series(c: float, power: int) -> float:
-    """sum_{k>=1} (-1)^(k+1) k^power exp(-2 k^2 c^2), for c >= 1.
+def _series(c: float) -> float:
+    """sum_{k>=1} (-1)^(k+1) exp(-2 k^2 c^2), for c >= 1.
 
     The terms alternate and decrease, so stopping at the first term below
     2^-60 of the running total bounds the truncation error by that term:
@@ -63,7 +63,7 @@ def _series(c: float, power: int) -> float:
     total = 0.0
     k = 1
     while True:
-        term = k**power * math.exp(-2.0 * k * k * c * c)
+        term = math.exp(-2.0 * k * k * c * c)
         if term <= _TERM_REL_FLOOR * abs(total):
             break
         total += term if k % 2 == 1 else -term
@@ -80,7 +80,7 @@ def ks_sup_tail(c: float) -> float:
     _check_threshold(c)
     if c < _CROSSOVER:
         return 1.0 - _dual_cdf(c)
-    return min(max(2.0 * _series(c, 0), 0.0), 1.0)
+    return min(max(2.0 * _series(c), 0.0), 1.0)
 
 
 def ks_sup_cdf(c: float) -> float:
@@ -91,52 +91,25 @@ def ks_sup_cdf(c: float) -> float:
     return 1.0 - ks_sup_tail(c)
 
 
-def _tail_derivative(c: float) -> float:
-    return -8.0 * c * _series(c, 2)
-
-
 @functools.lru_cache(maxsize=64)
 def ks_sup_quantile(p: float) -> float:
     """c with ks_sup_tail(c) = 1 - p, i.e. the level-p critical value.
 
-    For p >= ks_sup_cdf(1): bisection on [1e-6, 10] (the tail is strictly
-    decreasing, and below 1e-80 at 10, so any such p is bracketed) followed
-    by a Newton polish to residual 1e-10.  For smaller p, where 1 - p would
-    lose p's relative precision: bisection of ks_sup_cdf(c) = p on
-    [1e-6, 1], whose 60 halvings narrow the bracket below the spacing of
-    doubles at the root.  Memoised: studies ask for the same few levels
-    thousands of times.
+    Bisection: below ks_sup_cdf(1), of ks_sup_cdf(c) = p on [1e-6, 1], since
+    1 - p would lose p's relative precision; above, of ks_sup_tail(c) = 1 - p
+    on [1e-6, 10] (the tail is strictly decreasing, and below 1e-80 at 10,
+    so any such p is bracketed).  60 halvings narrow either bracket below the
+    spacing of doubles at the root.  Memoised: studies ask for the same few
+    levels thousands of times.
     """
     if not (0.0 < p < 1.0):
         raise DomainError("quantile level must lie in (0, 1)")
-    if p < ks_sup_cdf(_CROSSOVER):
-        lo, hi = 1e-6, _CROSSOVER
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ks_sup_cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    target = 1.0 - p
-    lo, hi = 1e-6, 10.0
+    lower = p < ks_sup_cdf(_CROSSOVER)
+    lo, hi = 1e-6, _CROSSOVER if lower else 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if ks_sup_tail(mid) > target:
+        if (ks_sup_cdf(mid) < p) if lower else (ks_sup_tail(mid) > 1.0 - p):
             lo = mid
         else:
             hi = mid
-    c = 0.5 * (lo + hi)
-    for _ in range(20):
-        resid = ks_sup_tail(c) - target
-        if abs(resid) < 1e-10:
-            break
-        deriv = _tail_derivative(c)
-        if deriv == 0.0:
-            break
-        step = resid / deriv
-        c_new = c - step
-        if not (lo - 1e-3 <= c_new <= hi + 1e-3):
-            break
-        c = c_new
-    return c
+    return 0.5 * (lo + hi)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,9 +135,10 @@ def _ingestion_corpus():
 
 
 def _outcome(reader, path, selector, delimiter):
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="") as fh:
-            return reader(fh, path, selector, delimiter)
+        return reader(data, path, selector, delimiter)
     except DataError as exc:
         return str(exc)
 
@@ -158,6 +160,19 @@ def test_read_column_fast_path_matches_row_parser(tmp_path):
                 assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
             if fast:
                 assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+
+
+def test_read_column_fast_path_body_starts_after_the_header(tmp_path):
+    # a '#' before the body (comment lines, the header) leaves the fast path open
+    path = tmp_path / "hash_header.csv"
+    path.write_bytes(b"# note #1\nid#,y\n1,2\n3,4\n")
+    assert _outcome(_read_column_fast, str(path), "y", ",").tolist() == [2.0, 4.0]
+    # a header with no body is declined before numpy sees it, without a warning
+    path = tmp_path / "header_only.csv"
+    path.write_bytes(b"y,z\n \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_read_column_fast, str(path), "y", ",") is None
 
 
 def test_read_column_errors_name_the_physical_line(tmp_path):
@@ -188,9 +203,22 @@ def test_negative_column_selector(tmp_path, capsys):
     assert "out of range" in err and "Traceback" not in err
 
 
-def test_read_column_from_pipe():
-    # a pipe cannot be rewound, so only the row parser may read it
-    code = "import sys; from transferfn.cli import read_column; print(read_column('/dev/stdin', 'y').tolist())"
+def test_read_column_from_pipe(tmp_path):
+    # a pipe is read like a file: a clean one goes through numpy's parser, bit for bit
+    text = "z,y\n" + "".join(f"{v:.17g},{np.sqrt(v):.17g}\n" for v in np.linspace(0.1, 9.9, 50))
+    path = tmp_path / "clean.csv"
+    path.write_text(text)
+    code = (
+        "import sys; from transferfn import cli\n"
+        "def refuse(*args): raise AssertionError('row parser used')\n"
+        "cli._read_column_rows = refuse\n"
+        "print(cli.read_column('/dev/stdin', 'y').tobytes().hex())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == read_column(str(path), "y").tobytes().hex()
+    # one that needs the row parser gets it
+    code = "from transferfn.cli import read_column; print(read_column('/dev/stdin', 'y').tolist())"
     done = subprocess.run([sys.executable, "-c", code], input="y\n1.5\n?\n2\n", capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[1.5, 2.0]"
@@ -341,22 +369,32 @@ def test_subsample_ci_command(capsys, tmp_path):
 
 
 def test_fit_command_and_qq(tmp_path, capsys, gamma_file):
-    qq = tmp_path / "qq.csv"
-    code, out, _ = run_cli(
-        capsys,
-        "fit", "--data", str(gamma_file), "--y-col", "DQO-E",
-        "--family", "gamma", "--qq-out", str(qq), "--json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert abs(payload["shape"] - 10.97) < 2.0
-    assert payload["scale"] == pytest.approx(1.0 / payload["rate"])
-    schema, header, rows = read_table(qq)
-    assert schema == "# schema: transferfn.qq.v1"
-    assert header == ["p", "fitted_quantile", "observed"]
-    assert len(rows) == 518
-    observed = np.array([float(r[2]) for r in rows])
-    assert np.all(np.diff(observed) >= 0.0)
+    y = read_column(str(gamma_file), "DQO-E")
+    payloads = {}
+    for family, keys in (("gamma", {"shape", "rate", "scale"}), ("normal", {"mean", "sd"}), ("uniform", {"lo", "hi"})):
+        qq = tmp_path / f"qq_{family}.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "fit", "--data", str(gamma_file), "--y-col", "DQO-E",
+            "--family", family, "--qq-out", str(qq), "--json",
+        )
+        assert code == 0, family
+        payload = json.loads(out)
+        assert set(payload) == {"family", "n"} | keys, family
+        assert payload["family"] == family and payload["n"] == 518
+        schema, header, rows = read_table(qq)
+        assert schema == "# schema: transferfn.qq.v1"
+        assert header == ["p", "fitted_quantile", "observed"]
+        table = np.array(rows, dtype=float)
+        assert table.shape == (518, 3) and np.all(np.isfinite(table)), family
+        assert np.all(np.diff(table[:, 0]) > 0.0) and np.all(np.diff(table[:, 1]) >= 0.0), family
+        assert np.array_equal(table[:, 2], np.sort(y)), family
+        payloads[family] = payload
+    gamma, normal, uniform = payloads["gamma"], payloads["normal"], payloads["uniform"]
+    assert abs(gamma["shape"] - 10.97) < 2.0
+    assert gamma["scale"] == pytest.approx(1.0 / gamma["rate"])
+    assert (normal["mean"], normal["sd"]) == (np.mean(y), np.std(y))
+    assert (uniform["lo"], uniform["hi"]) == (y.min(), y.max())
 
 
 def test_simulate_table2_desk_scale(tmp_path, capsys):
@@ -431,7 +469,15 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         code, _, err = run_cli(capsys, "estimate", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", dist)
         assert code == 2 and "finite" in err
     coverage = ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "2", "--x")
+    tiny = tmp_path / "tiny.csv"  # too short for the default block ceil(n^(4/5)) = n
+    tiny.write_text("y\n0.5\n1.5\n2.5\n")
+    gamma_data = ("--data", str(gamma_file), "--y-col", "DQO-E")
     for argv in (
+        ("subsample-ci", "--data", str(tiny), "--y-col", "y", "--dist", "normal:0,1", "--x", "0"),
+        ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "50"),
+        ("test", *gamma_data, "--dist", "nope", "--h", "identity", "--mc-reps", "99"),
+        ("fit", *gamma_data, "--family", "nope"),
+        ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--x", "0", "--band"),
         ("simulate", "data", "--transfer", "identity", "--n", "10", "--ma-order", "2", "--ma-decay", "inf"),
         (*coverage, "0", "--ma-order", "2", "--ma-decay", "nan"),
         (*coverage, "0", "--method", "subsample", "--block", "1"),
@@ -457,6 +503,10 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     short.write_text("y\n1.0\n")
     code, _, _ = run_cli(capsys, "estimate", "--data", str(short), "--y-col", "y", "--dist", "normal:0,1")
     assert code == 3
+    undecodable = tmp_path / "latin1.csv"  # not valid in the locale encoding
+    undecodable.write_bytes(b"y\n1.5\n2.5\ncaf\xe9\n3\n")
+    code, out, err = run_cli(capsys, "estimate", "--data", str(undecodable), "--y-col", "y", "--dist", "normal:0,1")
+    assert code == 3 and out == "" and err.startswith(f"data error: cannot read {undecodable}") and "Traceback" not in err
     # a flag value conflicting with the input law is a usage error too
     code, _, _ = run_cli(
         capsys, "estimate", "--data", str(uniform_identity_file), "--y-col", "y",
