@@ -39,6 +39,7 @@ from .subsampling import default_block_length, subsample_ci
 __all__ = ["main"]
 
 MISSING_TOKENS = ("?", "", "NA", "nan")
+csv.field_size_limit(sys.maxsize)  # a field may be as long as the input (csv's default limit is 131 072)
 _NON_BLANK = re.compile(rb"\S")
 
 
@@ -220,6 +221,13 @@ def parse_grid(spec: str) -> tuple[float, float, int]:
     return p_lo, p_hi, npts
 
 
+def _delimiter(value: str) -> str:
+    """argparse type of --delim: one character that csv accepts as a delimiter."""
+    if len(value) != 1 or value in "\r\n":
+        raise argparse.ArgumentTypeError(f"must be one character other than a line end (got {value!r})")
+    return value
+
+
 def _check_alpha(alpha: float, upper: float = 1.0) -> float:
     if not (0.0 < alpha < upper):
         raise UsageError(f"--alpha must lie in (0, {upper}) (got {alpha})")
@@ -289,22 +297,21 @@ def _cmd_estimate(args) -> int:
     alpha = _check_alpha(args.alpha, upper=0.5)
     bandwidth = _check_bandwidth(args.bandwidth)
     dist = parse_dist(args.dist)
-    y = read_column(args.data, args.y_col, delimiter=args.delim)
-    sample = Sample(y)
-
     if args.x is not None:
         _check_point_in_support(args.x, dist)
         xs = np.asarray([args.x], dtype=float)
     else:
         p_lo, p_hi, npts = parse_grid(args.grid)
         xs = default_grid(dist, npts, p_lo, p_hi)
+    if args.band and np.unique(xs).size < 2:
+        given = "--x" if args.x is not None else f"--grid {args.grid}"
+        raise UsageError(f"--band needs a grid of at least two distinct points (got {given})")
+    sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
     res = estimate_with_ci(sample, dist, xs, alpha)
     header = ["x", "ghat", "ci_lo", "ci_hi"]
     columns = [res.xs, res.ghat, res.ci_lo, res.ci_hi]
     if args.band:
-        if xs.size < 2:
-            raise UsageError("--band needs a grid (use --grid, not --x)")
         band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), alpha, bandwidth=bandwidth, xs=xs)
         header += ["band_lo", "band_hi", "flagged"]
         columns += [band.band_lo, band.band_hi, band.flagged.astype(int)]
@@ -434,7 +441,7 @@ def _cmd_simulate_data(args) -> int:
 def _add_common_data_flags(p):
     p.add_argument("--data", required=True, help="delimited text file")
     p.add_argument("--y-col", default="0", help="column index or header name of the observations")
-    p.add_argument("--delim", default=",", help="field delimiter (default comma)")
+    p.add_argument("--delim", type=_delimiter, default=",", help="field delimiter (default comma)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=float, default=0.15)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default="-")
-    q.add_argument("--delim", default=",")
+    q.add_argument("--delim", type=_delimiter, default=",")
     q.set_defaults(func=_cmd_simulate_table2)
 
     q = ssub.add_parser("coverage", help="coverage study for ci/band/subsample intervals")
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--block", type=int, default=None)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default="-")
-    q.add_argument("--delim", default=",")
+    q.add_argument("--delim", type=_delimiter, default=",")
     q.set_defaults(func=_cmd_simulate_coverage)
 
     q = ssub.add_parser("data", help="write one generated (z, y) series")
@@ -515,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ma-decay", type=float, default=0.9)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default="-")
-    q.add_argument("--delim", default=",")
+    q.add_argument("--delim", type=_delimiter, default=",")
     q.set_defaults(func=_cmd_simulate_data)
 
     return parser

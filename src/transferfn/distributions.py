@@ -8,7 +8,6 @@ scalars or numpy arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "fit_normal",
     "fit_uniform",
     "FAMILIES",
-    "stack_laws",
 ]
 
 
@@ -58,9 +56,11 @@ class KnownDistribution:
     F is strictly increasing on (a, b) with F(a+) = 0 and F(b-) = 1; the
     density is positive on the interior for every shipped family.
 
-    Parameters may also be (rows, 1) columns, one law per row (see
-    ``stack_laws``); cdf, pdf and quantile then broadcast a (points,)
-    argument to (rows, points).
+    Parameters may also be (rows, 1) columns, one law per row; cdf, pdf and
+    quantile then broadcast a (points,) argument to (rows, points).  Each
+    family's classmethod ``fit_rows(data)`` fits every row of a (rows, n)
+    array at once and returns such a law for the fitted rows and the fitted
+    mask; a row fails exactly where the family's scalar fitter would raise.
     """
 
     @property
@@ -138,6 +138,16 @@ class Normal(KnownDistribution):
     def rvs(self, n, rng):
         return rng.normal(self.mean, self.sd, size=n)
 
+    @classmethod
+    def fit_rows(cls, data):
+        """Row-wise MLE (mean, population sd); see ``KnownDistribution``."""
+        arr = np.asarray(data, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, sd = np.mean(arr, axis=1), np.std(arr, axis=1)
+        # sd is inf where the mean overflows and nan where it is nan
+        ok = np.all(np.isfinite(arr), axis=1) & (sd > 0.0) & (sd < math.inf)
+        return cls(mean=mean[ok, None], sd=sd[ok, None]), ok
+
 
 @dataclass(frozen=True)
 class Gamma(KnownDistribution):
@@ -202,6 +212,13 @@ class Gamma(KnownDistribution):
 
     def rvs(self, n, rng):
         return rng.gamma(self.shape, 1.0 / self.rate, size=n)
+
+    @classmethod
+    def fit_rows(cls, data):
+        """Row-wise MLE by ``fit_gamma_rows``; see ``KnownDistribution``."""
+        shape, rate, status = fit_gamma_rows(data)
+        ok = (status == FIT_OK) & (rate < math.inf)  # the law rejects an infinite rate, as fit_gamma_mle does
+        return cls(shape=shape[ok, None], rate=rate[ok, None]), ok
 
 
 # A shape table's interpolant must match gammaincinv to this relative error
@@ -336,6 +353,14 @@ class Uniform(KnownDistribution):
     def rvs(self, n, rng):
         return rng.uniform(self.lo, self.hi, size=n)
 
+    @classmethod
+    def fit_rows(cls, data):
+        """Row-wise MLE (min, max); see ``KnownDistribution``."""
+        arr = np.asarray(data, dtype=float)
+        lo, hi = np.min(arr, axis=1), np.max(arr, axis=1)
+        ok = np.all(np.isfinite(arr), axis=1) & (lo < hi)
+        return cls(lo=lo[ok, None], hi=hi[ok, None]), ok
+
 
 # fit_gamma_rows status of one row
 FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE = range(4)
@@ -419,24 +444,32 @@ def fit_gamma_mle(data, max_iter: int = 200) -> Gamma:
     return Gamma(shape=k, rate=rate)
 
 
-def fit_normal(data) -> Normal:
+def _one_row(data) -> np.ndarray:
+    """All of ``data`` as one row; DomainError for fewer than two or non-finite observations."""
     arr = np.asarray(data, dtype=float)
     if arr.size < 2 or not np.all(np.isfinite(arr)):
         raise DomainError("need at least two finite observations")
-    sd = float(np.std(arr))
-    if not sd > 0.0:
-        raise ConvergenceError("data are constant; normal MLE is degenerate", last=None)
-    return Normal(mean=float(np.mean(arr)), sd=sd)
+    return arr.reshape(1, -1)
+
+
+def fit_normal(data) -> Normal:
+    """The one-row call of ``Normal.fit_rows``: DomainError also if a moment overflows, ConvergenceError if sd is 0."""
+    arr = _one_row(data)
+    law, ok = Normal.fit_rows(arr)
+    if ok[0]:
+        return Normal(mean=law.mean.item(), sd=law.sd.item())
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.std(arr) == math.inf:  # the row failed on an overflow, not on a zero sd
+            raise DomainError("normal requires finite mean and sd > 0")
+    raise ConvergenceError("data are constant; normal MLE is degenerate", last=None)
 
 
 def fit_uniform(data) -> Uniform:
-    arr = np.asarray(data, dtype=float)
-    if arr.size < 2 or not np.all(np.isfinite(arr)):
-        raise DomainError("need at least two finite observations")
-    lo, hi = float(np.min(arr)), float(np.max(arr))
-    if not lo < hi:
+    """The one-row call of ``Uniform.fit_rows``: ConvergenceError also for constant data."""
+    law, ok = Uniform.fit_rows(_one_row(data))
+    if not ok[0]:
         raise ConvergenceError("data are constant; uniform MLE is degenerate", last=None)
-    return Uniform(lo=lo, hi=hi)
+    return Uniform(lo=law.lo.item(), hi=law.hi.item())
 
 
 # Family name -> MLE fitter, used by the parametric-bootstrap test and the CLI.
@@ -445,20 +478,3 @@ FAMILIES = {
     "normal": fit_normal,
     "uniform": fit_uniform,
 }
-
-
-def stack_laws(laws) -> KnownDistribution:
-    """One law whose parameters are (rows, 1) columns, row r holding those of laws[r].
-
-    The laws must be instances of one dataclass family, as every fitter in
-    ``FAMILIES`` returns.
-    """
-    cls = type(laws[0])
-    if any(type(law) is not cls for law in laws):
-        raise DomainError("laws to stack must belong to one family")
-    return cls(
-        **{
-            f.name: np.array([getattr(law, f.name) for law in laws], dtype=float)[:, None]
-            for f in dataclasses.fields(cls)
-        }
-    )

@@ -20,16 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (
-    FAMILIES,
-    FIT_OK,
-    TABLE_REL_ERROR,
-    Gamma,
-    KnownDistribution,
-    fit_gamma_rows,
-    gamma_quantile_table,
-    stack_laws,
-)
+from .distributions import FAMILIES, TABLE_REL_ERROR, Gamma, KnownDistribution, gamma_quantile_table
 from .empirical import Sample, quantile_rank
 from .errors import ConfigError, ConvergenceError, DomainError
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
@@ -194,7 +185,7 @@ def test_statistic_rows(
     """``test_statistic`` of every row of a (rows, n) array of sorted samples.
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
-    columns (``distributions.stack_laws``).  Row r equals, bit for bit,
+    columns (as a family's ``fit_rows`` returns).  Row r equals, bit for bit,
     the statistic of that row alone.  Raises DomainError if any row's is
     undefined.
     """
@@ -272,13 +263,14 @@ def monte_carlo_p_value(
     statistic each time (which is what removes the estimated-parameter
     bias).  Returns (1 + #{simulated >= observed}) / (successful + 1).
 
-    ``family`` is a name from distributions.FAMILIES or a fitter callable.
-    Replications are drawn, refitted and tested a block of rows at a time
-    by ``replicate_blocks`` (key ()), replication r from stream (r,).  For a
-    non-gamma law each row's statistic equals the one-replicate
-    ``test_statistic`` bit for bit.  For a gamma law the refits' quantiles
-    come from one shape table per call (``distributions.gamma_quantile_table``,
-    checked to relative error 1e-13), so a row's statistic is within a
+    ``family`` is a name from distributions.FAMILIES.  Replications are
+    drawn, refitted (by the fitted law's ``fit_rows``) and tested a block of
+    rows at a time by ``replicate_blocks`` (key ()), replication r from
+    stream (r,).  For a non-gamma law each row's statistic equals the
+    one-replicate ``test_statistic`` bit for bit.  For a gamma law the
+    refits' quantiles come from one shape table per call
+    (``distributions.gamma_quantile_table``, checked to relative error
+    1e-13), so a row's statistic is within a
     bounded relative error of the one-replicate one; every row within
     relative 1e-7 of the observed statistic is recomputed with exact
     quantiles, so the exceedance count and the p-value are exact.  Without
@@ -297,10 +289,9 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     The CLI prints all three, so the data are fitted and the observed
     statistic computed once.
     """
-    fitter = FAMILIES.get(family) if isinstance(family, str) else family
-    if fitter is None:
+    if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    fitted = fitter(data.values)
+    fitted = FAMILIES[family](data.values)
     observed = test_statistic(data, fitted, hyp)
 
     n = data.n
@@ -309,12 +300,12 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     exceed = 0
     failures = 0
     for reps, draws in replicate_blocks(seed, replications, points[0].size, lambda rng: fitted.rvs(n, rng)):
-        refits, fitted_ok = _refit_rows(family, fitter, draws)
+        refits, fitted_ok = type(fitted).fit_rows(draws)
         if not np.any(fitted_ok):
             failures += len(reps)
             continue
         rows = np.sort(draws[fitted_ok], axis=1)
-        x = table.quantile(refits) if table is not None and isinstance(refits, Gamma) else None
+        x = None if table is None else table.quantile(refits)
         stats, status, _ = _statistic_rows(rows, refits, hyp, points, x)
         ok = status == 0
         if x is not None:
@@ -333,29 +324,3 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
         )
     successful = replications - failures
     return (1 + exceed) / (successful + 1), observed, fitted
-
-
-def _refit_rows(family, fitter, draws: np.ndarray):
-    """Refit the family to every row of ``draws``: (law with a parameter column per fitted row, fitted mask).
-
-    The gamma family is refitted by one Newton iteration over all rows; any
-    other family, a callable included, row by row, its laws then stacked.
-    A row fails where the scalar path would fail: a non-finite draw, or a
-    refit raising ConvergenceError or DomainError.
-    """
-    if family == "gamma":
-        shape, rate, status = fit_gamma_rows(draws)
-        ok = (status == FIT_OK) & (rate < math.inf)  # Gamma rejects an infinite rate, as fit_gamma_mle does
-        return Gamma(shape=shape[ok, None], rate=rate[ok, None]), ok
-    finite = np.all(np.isfinite(draws), axis=1)
-    ok = np.zeros(len(draws), dtype=bool)
-    laws = []
-    for r, row in enumerate(draws):
-        try:
-            law = fitter(row)
-        except (ConvergenceError, DomainError):
-            continue
-        if finite[r]:
-            ok[r] = True
-            laws.append(law)
-    return (stack_laws(laws) if laws else None), ok

@@ -30,3 +30,14 @@ def test_every_span_target_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(method)), (module_name, attr)
         else:
             assert callable(getattr(owner, attr, None)), (module_name, attr)
+
+
+def test_families_map_names_to_the_scalar_fitters():
+    # the tracer counts the bootstrap's one fit of the observed data by
+    # rebinding these entries, which it finds by identity
+    from transferfn import distributions
+
+    fitters = {"gamma": distributions.fit_gamma_mle, "normal": distributions.fit_normal, "uniform": distributions.fit_uniform}
+    assert distributions.FAMILIES.keys() == fitters.keys()
+    for name, fitter in fitters.items():
+        assert distributions.FAMILIES[name] is fitter, name

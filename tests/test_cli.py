@@ -66,7 +66,7 @@ def test_parse_dist_variants():
 def test_parse_grid():
     assert parse_grid("0.01..0.99x200") == (0.01, 0.99, 200)
     assert parse_grid("0.05..0.95:21") == (0.05, 0.95, 21)
-    for bad in ("0.5x10", "0..1x10", "0.2..0.1x5", "a..bx5"):
+    for bad in ("0.5x10", "0..1x10", "0.2..0.1x5", "a..bx5", "0.1..0.9"):
         with pytest.raises(UsageError):
             parse_grid(bad)
 
@@ -94,6 +94,7 @@ def _ingestion_corpus():
     a, b = rng.standard_normal(40) * 10.0 ** rng.uniform(-5, 5, 40), rng.gamma(2.0, 3.0, 40)
     g17 = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
     f6 = "".join(f"{x:.6f},{y:.6f}\n" for x, y in zip(a, b))
+    long = "w" * 200_000  # longer than csv's default field size limit
     return [
         ("g17 header", "y,z\n" + g17, ("y", "z", "0", "1", "-1", "-2"), True),
         ("g17 no header", g17, ("0", "1"), True),
@@ -131,6 +132,9 @@ def _ingestion_corpus():
         ("comments only", "# a\n\n# b\n", ("0",), False),
         ("numeric header", "1,2\n3,4\n", ("0",), True),
         ("missing token header", "?,z\n1,2\n3,4\n", ("0",), False),
+        ("long label", f"label,y\n{long},1\nb,2\nc,3\n", ("y", "1"), True),
+        ("long header field", f"y,{long}\n1,4\n2,5\n3,6\n", ("y", "0", "1"), True),
+        ("long junk field", f"y\n1\n2\n{long}\n", ("y",), False),
     ]
 
 
@@ -160,6 +164,15 @@ def test_read_column_fast_path_matches_row_parser(tmp_path):
                 assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
             if fast:
                 assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+
+
+def test_read_column_reads_fields_of_any_length(tmp_path):
+    long = "w" * 200_000
+    for k, text in enumerate((f"label,y\n{long},1\nb,2\nc,3\n", f"y,{long}\n1,4\n2,5\n3,6\n")):
+        path = tmp_path / f"long{k}.csv"
+        path.write_text(text)
+        assert read_column(str(path), "y").tolist() == [1.0, 2.0, 3.0]
+        assert _outcome(_read_column_rows, str(path), "y", ",").tolist() == [1.0, 2.0, 3.0]
 
 
 def test_read_column_fast_path_body_starts_after_the_header(tmp_path):
@@ -429,6 +442,15 @@ def test_simulate_coverage_command(tmp_path, capsys):
     assert schema == "# schema: transferfn.coverage.v1"
     assert header == ["x", "coverage"]
     assert len(rows) == 3
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "5",
+        "--method", "band", "--x", "-1", "0", "1", "--seed", "2", "--out", str(out),
+    )
+    assert code == 0
+    simultaneous = re.fullmatch(r"simultaneous: (\S+)\n", err)
+    assert simultaneous and 0.0 <= float(simultaneous.group(1)) <= 1.0
+    assert len(read_table(out)[2]) == 3
 
 
 def test_dgp_schema(tmp_path, capsys):
@@ -477,7 +499,9 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "50"),
         ("test", *gamma_data, "--dist", "nope", "--h", "identity", "--mc-reps", "99"),
         ("fit", *gamma_data, "--family", "nope"),
-        ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--x", "0", "--band"),
+        ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--x", "0.5", "--band"),
+        ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1",
+         "--grid", "0.5..0.5x5", "--band"),
         ("simulate", "data", "--transfer", "identity", "--n", "10", "--ma-order", "2", "--ma-decay", "inf"),
         (*coverage, "0", "--ma-order", "2", "--ma-decay", "nan"),
         (*coverage, "0", "--method", "subsample", "--block", "1"),
@@ -496,6 +520,17 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("usage error"), argv
+    # a --delim that is not one character exits 2 before any input is read or any study runs
+    for delim in (";;", "", "\\t", "\n"):
+        for argv in (
+            ("estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1"),
+            ("fit", "--data", str(tmp_path / "no.csv")),
+            ("simulate", "table2", "--n", "1000", "--reps", "1000"),
+            ("simulate", "data", "--transfer", "identity", "--n", "10"),
+            (*coverage, "0"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--delim", delim)
+            assert code == 2 and out == "" and "argument --delim: must be one character" in err, (argv, delim)
     # data errors -> 3
     code, _, _ = run_cli(capsys, "estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1")
     assert code == 3
@@ -507,6 +542,10 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     undecodable.write_bytes(b"y\n1.5\n2.5\ncaf\xe9\n3\n")
     code, out, err = run_cli(capsys, "estimate", "--data", str(undecodable), "--y-col", "y", "--dist", "normal:0,1")
     assert code == 3 and out == "" and err.startswith(f"data error: cannot read {undecodable}") and "Traceback" not in err
+    long_junk = tmp_path / "long_junk.csv"  # a field longer than csv's default limit
+    long_junk.write_text("y\n1\n2\n" + "w" * 200_000 + "\n")
+    code, out, err = run_cli(capsys, "estimate", "--data", str(long_junk), "--y-col", "y", "--dist", "normal:0,1")
+    assert code == 3 and out == "" and f"{long_junk}:4: cannot parse 'www" in err and "Traceback" not in err
     # a flag value conflicting with the input law is a usage error too
     code, _, _ = run_cli(
         capsys, "estimate", "--data", str(uniform_identity_file), "--y-col", "y",

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from transferfn import (
     Normal,
     Uniform,
     fit_gamma_mle,
+    fit_normal,
+    fit_uniform,
 )
 from transferfn.distributions import (
+    FAMILIES,
     FIT_BAD_DATA,
     FIT_DEGENERATE,
     FIT_NO_CONVERGENCE,
@@ -216,6 +221,58 @@ def test_fit_gamma_rows_match_one_row_fits():
             with pytest.raises(ConvergenceError) as info:
                 fit_gamma_mle(data[r], max_iter=2)
             assert _same_bits(info.value.last, (shape2[r], rate2[r]))
+
+
+@pytest.mark.parametrize("family, law", [("normal", Normal), ("uniform", Uniform), ("gamma", Gamma)])
+def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
+    rng = np.random.default_rng(12)
+    data = np.stack([rng.gamma(3.0, 2.0, 40), rng.uniform(-1.0, 3.0, 40), rng.normal(0.0, 1e-3, 40)] * 3)
+    data[3, 5] = np.nan
+    data[4, 7] = np.inf
+    data[5] = 3.7  # constant
+    data[6, :2] = 1e200, -1e200  # the sd overflows
+    data[7] = 1e308  # the mean overflows and the row is constant
+    data[8, :] = 0.0
+    data[8, 1] = 5e-324  # not constant, but the sd underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes the block fit
+        laws, ok = law.fit_rows(data)
+    names = [f.name for f in dataclasses.fields(law)]
+    fitted = 0
+    for r, row in enumerate(data):
+        try:
+            want = FAMILIES[family](row)
+        except (ConvergenceError, DomainError):
+            assert not ok[r], r
+            continue
+        assert ok[r], r
+        got = [getattr(laws, name)[fitted, 0] for name in names]
+        assert _same_bits(got, [getattr(want, name) for name in names]), r
+        fitted += 1
+    assert 0 < fitted < len(data)
+
+
+def test_fit_normal_and_uniform_errors():
+    few = (DomainError, "need at least two finite observations")
+    constant = {name: (ConvergenceError, f"data are constant; {name} MLE is degenerate") for name in ("normal", "uniform")}
+    cases = [  # data, then fit_normal's and fit_uniform's error (None: a fit)
+        ([1.0], few, few),
+        ([], few, few),
+        ([1.0, np.nan, 2.0], few, few),
+        ([1e200, np.inf], few, few),
+        ([3.7] * 5, constant["normal"], constant["uniform"]),
+        ([1e200, -1e200, 3.0], (DomainError, "normal requires finite mean and sd > 0"), None),  # the sd overflows
+        ([1e308] * 3, (DomainError, "normal requires finite mean and sd > 0"), constant["uniform"]),  # the mean overflows
+        ([0.0, 5e-324], constant["normal"], None),  # the sd underflows
+    ]
+    for data, *errors in cases:
+        for fitter, error in zip((fit_normal, fit_uniform), errors):
+            if error is None:
+                fitter(data)
+                continue
+            with pytest.raises(error[0]) as info:
+                fitter(data)
+            assert type(info.value) is error[0] and str(info.value) == error[1], (fitter.__name__, data)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from transferfn import test_statistic as gof_statistic
 import transferfn.distributions as distributions_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
-from transferfn.distributions import FAMILIES, TABLE_REL_ERROR, gamma_quantile_table, stack_laws
+from transferfn.distributions import FAMILIES, TABLE_REL_ERROR, gamma_quantile_table
 from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
 
 
@@ -185,13 +185,14 @@ def test_monte_carlo_validation():
         monte_carlo_p_value(data, "Gamma", get_transfer("identity"), replications=99)
 
 
-def test_monte_carlo_accepts_callable_family():
+def test_monte_carlo_rejects_callable_family():
+    # a family is a FAMILIES name: its fitted law refits a block of replicates itself
     rng = np.random.default_rng(85)
     data = Sample(rng.normal(5.0, 2.0, size=120))
     from transferfn import fit_normal
 
-    p = monte_carlo_p_value(data, fit_normal, get_transfer("identity"), replications=99, seed=2)
-    assert 0.0 < p <= 1.0
+    with pytest.raises(ConfigError, match="known: " + ", ".join(FAMILIES)):
+        monte_carlo_p_value(data, fit_normal, get_transfer("identity"), replications=99, seed=2)
 
 
 def test_eval_points_includes_jumps():
@@ -209,20 +210,22 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("h_name", ["identity", "(x+4)^2", "x^3"])
 @pytest.mark.parametrize(
-    "laws",
+    "family, params",
     [
-        [Normal(0.4, 1.0), Normal(0.3, 1.7), Normal(-0.2, 0.6), Normal(0.9, 2.5)],
-        [Gamma(10.97, 0.027), Gamma(2.0, 1.0), Gamma(0.7, 3.0), Gamma(40.0, 5.0)],
-        [Uniform(0.1, 1.0), Uniform(-1.0, 2.0), Uniform(0.5, 0.6), Uniform(-3.5, 4.0)],
+        (Normal, ([0.4, 0.3, -0.2, 0.9], [1.0, 1.7, 0.6, 2.5])),
+        (Gamma, ([10.97, 2.0, 0.7, 40.0], [0.027, 1.0, 3.0, 5.0])),
+        (Uniform, ([0.1, -1.0, 0.5, -3.5], [1.0, 2.0, 0.6, 4.0])),
     ],
     ids=["normal", "gamma", "uniform"],
 )
-def test_statistic_rows_bit_identical_to_one_row(laws, h_name):
+def test_statistic_rows_bit_identical_to_one_row(family, params, h_name):
     h = get_transfer(h_name)
+    laws = [family(*row) for row in zip(*params)]
+    columns = family(*(np.array(p)[:, None] for p in params))  # row r's parameters are laws[r]'s
     rng = np.random.default_rng(87)
     for n in (100, 517):
         rows = np.sort(np.stack([np.asarray(h.fn(law.rvs(n, rng))) + rng.normal(0.0, 0.01, n) for law in laws]), axis=1)
-        stacked = gof_statistic_rows(rows, stack_laws(laws), h)
+        stacked = gof_statistic_rows(rows, columns, h)
         shared = gof_statistic_rows(rows, laws[1], h)
         for r, law in enumerate(laws):
             assert _same_bits(stacked[r], gof_statistic(Sample(rows[r]), law, h)), (n, r)
@@ -250,13 +253,13 @@ def test_result_reports_where_the_sup_is_attained(law, h_name):
 
 def test_statistic_rows_rejects_any_bad_row():
     # h' < 0 beyond x = 2, which only the middle row's law reaches
-    laws = [Normal(0.0, 1.0), Normal(3.0, 1.0), Normal(0.0, 1.0)]
+    means = np.array([[0.0], [3.0], [0.0]])
     rows = np.sort(np.random.default_rng(88).normal(size=(3, 100)), axis=1)
     bent = HypothesisFunction(fn=lambda x: x, deriv=lambda x: np.where(np.asarray(x) > 2.0, -1.0, 1.0))
-    good = gof_statistic_rows(rows[[0, 2]], stack_laws(laws[::2]), bent)
+    good = gof_statistic_rows(rows[[0, 2]], Normal(means[[0, 2]], np.ones((2, 1))), bent)
     assert good.shape == (2,)
     with pytest.raises(DomainError, match="positive derivative"):
-        gof_statistic_rows(rows, stack_laws(laws), bent)
+        gof_statistic_rows(rows, Normal(means, np.ones((3, 1))), bent)
 
 
 def _reference_bootstrap(data, fitter, hyp, replications, seed):
@@ -324,19 +327,25 @@ def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
     width = gof_module._evaluation_set(300)[0].size  # the bootstrap's block width at n = 300
     assert 99 % (gof_module._BLOCK_ELEMENTS // width) != 0  # the last block is partial
     for seed in (0, 5, 17):
-        for family in ("gamma", fit_gamma_mle):
-            with monkeypatch.context() as patch:
-                exceed, failures = _check_against_reference(patch, data, family, fit_gamma_mle, 99, seed)
-            assert failures == 0
-            assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
+        with monkeypatch.context() as patch:
+            exceed, failures = _check_against_reference(patch, data, "gamma", fit_gamma_mle, 99, seed)
+        assert failures == 0
+        assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
     assert {len(reps) for reps, _ in gof_module.replicate_blocks(3, 101, width, lambda rng: rng.random(1))} == {1}
     _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 101, 3)
 
-    from transferfn import fit_normal
+    from transferfn import fit_normal, fit_uniform
 
-    normal = Sample(rng.normal(5.0, 2.0, size=120))
-    _check_against_reference(monkeypatch, normal, "normal", fit_normal, 99, 2)
+    # no shape table here: every statistic equals the scalar refit's bit for bit
+    for family, fitter, sample in (
+        ("normal", fit_normal, Sample(rng.normal(5.0, 2.0, size=120))),
+        ("uniform", fit_uniform, Sample(rng.uniform(1.0, 3.0, size=150))),
+    ):
+        with monkeypatch.context() as patch:
+            exceed, failures = _check_against_reference(patch, sample, family, fitter, 99, 2)
+        assert failures == 0
+        assert 0 < exceed < 99
 
 
 def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
@@ -346,11 +355,9 @@ def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
     monkeypatch.setattr(distributions_module, "_TABLE_MAX_INTERVALS", 8)
     u = gof_module._evaluation_set(300)[0]
     assert gamma_quantile_table(fit_gamma_mle(data.values).shape, 300, u) is None
-    for family in ("gamma", fit_gamma_mle):
-        with monkeypatch.context() as patch:
-            exceed, failures = _check_against_reference(patch, data, family, fit_gamma_mle, 99, 5)
-        assert failures == 0
-        assert 0 < exceed < 99
+    exceed, failures = _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 99, 5)
+    assert failures == 0
+    assert 0 < exceed < 99
 
 
 def test_monte_carlo_rescores_rows_near_the_observed_statistic(monkeypatch):
@@ -380,14 +387,33 @@ def _fitter_failing_on(reps):
     return fit
 
 
-def test_monte_carlo_drops_and_counts_failed_refits():
+def _refits_failing_on(monkeypatch, reps):
+    """Make Gamma.fit_rows fail the chosen replicates, counted across its calls from 0."""
+    fit_rows = Gamma.fit_rows
+    seen = itertools.count()
+
+    def failing(cls, draws):
+        law, ok = fit_rows(draws)
+        keep = ~np.isin([next(seen) for _ in draws], list(reps))
+        return cls(shape=law.shape[keep[ok]], rate=law.rate[keep[ok]]), ok & keep
+
+    monkeypatch.setattr(Gamma, "fit_rows", classmethod(failing))
+
+
+def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
     idn = get_transfer("identity")
     data = Sample(np.random.default_rng(90).gamma(3.0, 2.0, size=300))
     dropped = {3, 45, 98}
     observed, stats, failures = _reference_bootstrap(data, _fitter_failing_on(dropped), idn, 99, 4)
     assert failures == 3
     exceed = int(np.count_nonzero(stats >= observed))
-    p = monte_carlo_p_value(data, _fitter_failing_on(dropped), idn, replications=99, seed=4)
-    assert p == (1 + exceed) / (96 + 1)
+    # one replicate per block too, so that a block with no fitted row runs
+    for block_elements in (gof_module._BLOCK_ELEMENTS, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(gof_module, "_BLOCK_ELEMENTS", block_elements)
+            _refits_failing_on(patch, dropped)
+            p = monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
+        assert p == (1 + exceed) / (96 + 1), block_elements
+    _refits_failing_on(monkeypatch, {0, 1, 44, 45, 46, 98})
     with pytest.raises(ConvergenceError, match="6/99"):
-        monte_carlo_p_value(data, _fitter_failing_on({0, 1, 44, 45, 46, 98}), idn, replications=99, seed=4)
+        monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
