@@ -8,7 +8,7 @@ parametric-bootstrap p-values), and subsampling intervals for short-range
 dependent inputs, plus a seeded simulation harness.
 """
 
-from .density_band import BandResult, confidence_band, kde, raised_cosine
+from .density_band import BandResult, confidence_band, kde
 from .distributions import (
     FAMILIES,
     Gamma,
@@ -23,11 +23,9 @@ from .empirical import Sample, block_quantiles, ecdf, sample_quantile
 from .errors import ConfigError, ConvergenceError, DomainError
 from .estimator import (
     EstimateResult,
-    PointwiseCI,
     default_grid,
     estimate,
     estimate_with_ci,
-    pointwise_ci,
 )
 from .gof_test import (
     HypothesisFunction,
@@ -73,7 +71,6 @@ __all__ = [
     "KnownDistribution",
     "Normal",
     "PERTURBATIONS",
-    "PointwiseCI",
     "Sample",
     "SubsampleResult",
     "TRANSFERS",
@@ -97,8 +94,6 @@ __all__ = [
     "ks_sup_tail",
     "monte_carlo_p_value",
     "perturbed",
-    "pointwise_ci",
-    "raised_cosine",
     "replication_rng",
     "run_coverage_study",
     "run_test_table",

@@ -222,9 +222,15 @@ def parse_grid(spec: str) -> tuple[float, float, int]:
 
 
 def _delimiter(value: str) -> str:
-    """argparse type of --delim: one character that csv accepts as a delimiter."""
-    if len(value) != 1 or value in "\r\n":
-        raise argparse.ArgumentTypeError(f"must be one character other than a line end (got {value!r})")
+    """argparse type of --delim: one character that csv accepts and no number contains.
+
+    float() takes letters (inf, e), Unicode digits and each of ``. + - _``
+    inside a finite token, so such a delimiter would split numbers apart.
+    """
+    if len(value) != 1 or value in "\r\n.+-_" or value.isalnum():
+        raise argparse.ArgumentTypeError(
+            f"must be one character other than a line end, a letter, a digit or one of . + - _ (got {value!r})"
+        )
     return value
 
 

@@ -22,16 +22,7 @@ from .errors import DomainError
 from .estimator import estimate
 from .ks_distribution import ks_sup_quantile
 
-__all__ = ["raised_cosine", "BandResult", "kde", "confidence_band"]
-
-
-def raised_cosine(u):
-    """(1 + cos u) / (2 pi) on [-pi, pi], zero outside; C^1 and integrates to 1."""
-    arr = np.asarray(u, dtype=float)
-    out = np.where(np.abs(arr) <= math.pi, (1.0 + np.cos(arr)) / (2.0 * math.pi), 0.0)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+__all__ = ["BandResult", "kde", "confidence_band"]
 
 
 def _bandwidth(n: int, bandwidth: float | None = None) -> float:
@@ -66,9 +57,11 @@ class BandResult:
 
 
 def kde(sample_y: Sample, y, bandwidth: float | None = None):
-    """f_n(y) = (1/(n h)) sum_i raised_cosine((y - Y_i)/h), in O((n + m) log n).
+    """f_n(y) = (1/(n h)) sum_i K((y - Y_i)/h), in O((n + m) log n).
 
-    h is ``bandwidth``, or n^(-1/6) when it is None.
+    K is the raised cosine K(u) = (1 + cos u) / (2 pi) on [-pi, pi], zero
+    outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
+    when it is None.
 
     The addition formula splits each term in the window |y - Y_i| <= pi h:
     1 + cos((y - a)/h - t_i) = 1 + cos(phi) cos(t_i) + sin(phi) sin(t_i) with

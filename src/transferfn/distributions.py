@@ -1,8 +1,8 @@
 """Known input distributions: normal, gamma, and uniform.
 
 The observed model is Y = g(Z) with the law of Z fully specified, so every
-estimator in this package consumes one of these objects for F_Z, f_Z, f_Z'
-and the quantile function.  Instances are immutable and all evaluators accept
+estimator in this package consumes one of these objects for F_Z, f_Z and
+the quantile function.  Instances are immutable and all evaluators accept
 scalars or numpy arrays.
 """
 
@@ -75,10 +75,6 @@ class KnownDistribution:
         """f(x); zero outside the open support."""
         raise NotImplementedError
 
-    def pdf_derivative(self, x):
-        """f'(x); only defined strictly inside the support."""
-        raise NotImplementedError
-
     def quantile(self, p):
         """inf{x : F(x) >= p} for p in (0, 1)."""
         raise NotImplementedError
@@ -86,13 +82,6 @@ class KnownDistribution:
     def rvs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n independent variates."""
         raise NotImplementedError
-
-    def _require_interior(self, x, op: str):
-        a, b = self.support
-        arr = _as_array(x, "x")
-        if np.any(arr <= a) or np.any(arr >= b):
-            raise DomainError(f"{op} requires x strictly inside ({a}, {b})")
-        return arr
 
     @staticmethod
     def _require_prob(p):
@@ -123,12 +112,6 @@ class Normal(KnownDistribution):
         arr = _as_array(x, "x")
         z = (arr - self.mean) / self.sd
         out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-        return _maybe_scalar(out, x)
-
-    def pdf_derivative(self, x):
-        arr = self._require_interior(x, "pdf_derivative")
-        z = (arr - self.mean) / self.sd
-        out = -(z / self.sd) * np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         return _maybe_scalar(out, x)
 
     def quantile(self, p):
@@ -198,12 +181,6 @@ class Gamma(KnownDistribution):
         # the log density is taken at 1 where x <= 0, then discarded
         with np.errstate(over="ignore"):
             out = np.where(pos, np.exp(self._log_pdf(np.where(pos, arr, 1.0))), 0.0)
-        return _maybe_scalar(out, x)
-
-    def pdf_derivative(self, x):
-        # f'(x) = f(x) * ((shape-1)/x - rate)
-        arr = self._require_interior(x, "pdf_derivative")
-        out = np.exp(self._log_pdf(arr)) * ((self.shape - 1.0) / arr - self.rate)
         return _maybe_scalar(out, x)
 
     def quantile(self, p):
@@ -342,10 +319,6 @@ class Uniform(KnownDistribution):
         out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
         return _maybe_scalar(out, x)
 
-    def pdf_derivative(self, x):
-        arr = self._require_interior(x, "pdf_derivative")
-        return _maybe_scalar(np.zeros_like(arr), x)
-
     def quantile(self, p):
         arr = self._require_prob(p)
         return _maybe_scalar(self.lo + arr * (self.hi - self.lo), p)
@@ -364,11 +337,14 @@ class Uniform(KnownDistribution):
 
 # fit_gamma_rows status of one row
 FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE = range(4)
-# A gamma fit has converged once the per-observation log-likelihood gradient norm is below this.
+# A gamma fit has converged once the per-observation log-likelihood gradient
+# norm is below _GRAD_TOL, and has failed if it has not within _MAX_ITER
+# Newton steps.
 _GRAD_TOL = 1e-8
+_MAX_ITER = 200
 
 
-def fit_gamma_rows(data, max_iter: int = 200):
+def fit_gamma_rows(data):
     """Gamma MLE of every row of a (rows, n) array, by one Newton iteration over all rows.
 
     For fixed shape k the rate MLE is k / mean, which reduces the problem to
@@ -396,7 +372,7 @@ def fit_gamma_rows(data, max_iter: int = 200):
         k = np.minimum(np.maximum(k, 1e-8), 1e8)
 
         active = np.flatnonzero(status == FIT_NO_CONVERGENCE)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if active.size == 0:
                 break
             k_act = k[active]
@@ -415,7 +391,7 @@ def fit_gamma_rows(data, max_iter: int = 200):
         return k, k / mean, status
 
 
-def fit_gamma_mle(data, max_iter: int = 200) -> Gamma:
+def fit_gamma_mle(data) -> Gamma:
     """Maximum-likelihood gamma fit: the one-row call of ``fit_gamma_rows``.
 
     At the returned parameters the per-observation log-likelihood gradient
@@ -427,20 +403,20 @@ def fit_gamma_mle(data, max_iter: int = 200) -> Gamma:
         Nonpositive, non-finite or too-few observations.
     ConvergenceError
         Near-constant data (the profile equation degenerates) or no
-        convergence within ``max_iter`` iterations; ``last`` holds the final
+        convergence within _MAX_ITER (200) iterations; ``last`` holds the final
         (shape, rate) iterate.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError("need at least two observations")
-    shape, rate, status = fit_gamma_rows(arr[None, :], max_iter=max_iter)
+    shape, rate, status = fit_gamma_rows(arr[None, :])
     k, rate, status = float(shape[0]), float(rate[0]), status[0]
     if status == FIT_BAD_DATA:
         raise DomainError("gamma fitting requires finite, strictly positive data")
     if status == FIT_DEGENERATE:
         raise ConvergenceError("data are (numerically) constant; gamma MLE is degenerate", last=None)
     if status == FIT_NO_CONVERGENCE:
-        raise ConvergenceError(f"gamma MLE did not converge in {max_iter} iterations", last=(k, rate))
+        raise ConvergenceError(f"gamma MLE did not converge in {_MAX_ITER} iterations", last=(k, rate))
     return Gamma(shape=k, rate=rate)
 
 

@@ -38,13 +38,6 @@ class Sample:
         self.sorted_values.flags.writeable = False
         self.n = int(arr.size)
 
-    def __len__(self) -> int:
-        return self.n
-
-    def map(self, fn) -> "Sample":
-        """Sample of fn applied elementwise (original time order kept)."""
-        return Sample(fn(self.values))
-
 
 def ecdf(sample: Sample, x):
     """F_n(x) = (#{Y_i <= x}) / n, right-continuous, exact counting."""

@@ -20,29 +20,11 @@ from .errors import DomainError
 __all__ = [
     "EstimateResult",
     "EstimatorRanks",
-    "PointwiseCI",
     "estimator_ranks",
     "estimate",
-    "pointwise_ci",
     "estimate_with_ci",
     "default_grid",
 ]
-
-
-@dataclass(frozen=True)
-class PointwiseCI:
-    """One Theorem-style pointwise interval [lo, hi] at a single x.
-
-    c1/c2 are the probability levels whose sample quantiles bound g(x);
-    ``clamped`` records whether either level had to be pulled back into
-    (0, 1] before inverting.
-    """
-
-    lo: float
-    hi: float
-    c1: float
-    c2: float
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -90,7 +72,8 @@ def _ci_levels(p: np.ndarray, n: int, alpha: float):
 class EstimatorRanks(NamedTuple):
     """0-based indices into a sorted n-point sample for ghat and its pointwise CIs.
 
-    ``ghat[j]`` indexes the plug-in quantile at xs[j]; ``lo``/``hi`` index
+    ``p[j]`` is the plug-in level F_Z(xs[j]), clipped below at the smallest
+    normal float, and ``ghat[j]`` indexes its quantile; ``lo``/``hi`` index
     the CI bounds at levels ``c1``/``c2``, and ``clamped`` flags the points
     whose levels were pulled into [1/n, 1].  The CI fields are None when no
     alpha was given.  Indices depend only on (dist, xs, n, alpha), so one
@@ -98,6 +81,7 @@ class EstimatorRanks(NamedTuple):
     """
 
     xs: np.ndarray
+    p: np.ndarray
     ghat: np.ndarray
     lo: np.ndarray | None
     hi: np.ndarray | None
@@ -107,7 +91,7 @@ class EstimatorRanks(NamedTuple):
 
 
 def estimator_ranks(dist: KnownDistribution, xs, n: int, alpha: float | None = None) -> EstimatorRanks:
-    """The rank core behind ``estimate``, ``pointwise_ci`` and ``estimate_with_ci``.
+    """The rank core behind ``estimate``, ``estimate_with_ci`` and ``subsample_ci``.
 
     With ``alpha`` (in (0, 1/2)) it also returns the CI ranks: c1 = F(x) +
     z_{alpha/2} sqrt(F(1-F)/n) and c2 likewise with z_{1-alpha/2}, clamped
@@ -119,9 +103,9 @@ def estimator_ranks(dist: KnownDistribution, xs, n: int, alpha: float | None = N
     p = _plug_in_levels(dist, arr)
     ghat = quantile_rank(n, p) - 1
     if alpha is None:
-        return EstimatorRanks(arr, ghat, None, None, None, None, None)
+        return EstimatorRanks(arr, p, ghat, None, None, None, None, None)
     c1, c2, clamped = _ci_levels(p, n, alpha)
-    return EstimatorRanks(arr, ghat, quantile_rank(n, c1) - 1, quantile_rank(n, c2) - 1, c1, c2, clamped)
+    return EstimatorRanks(arr, p, ghat, quantile_rank(n, c1) - 1, quantile_rank(n, c2) - 1, c1, c2, clamped)
 
 
 def estimate(sample_y: Sample, dist: KnownDistribution, xs):
@@ -130,24 +114,6 @@ def estimate(sample_y: Sample, dist: KnownDistribution, xs):
     if np.ndim(xs) == 0:
         return float(out[0])
     return out
-
-
-def pointwise_ci(sample_y: Sample, dist: KnownDistribution, x: float, alpha: float) -> PointwiseCI:
-    """Asymptotic level-(1-alpha) interval for g(x) from sample quantiles.
-
-    c1 = F(x) + z_{alpha/2} sqrt(F(1-F)/n) and c2 likewise with z_{1-alpha/2};
-    both are clamped into [1/n, 1] before taking quantiles, with the clamp
-    recorded, so extreme F(x) degrades gracefully instead of erroring.
-    Requires alpha in (0, 1/2).
-    """
-    r = estimator_ranks(dist, x, sample_y.n, alpha)
-    return PointwiseCI(
-        lo=float(sample_y.sorted_values[r.lo[0]]),
-        hi=float(sample_y.sorted_values[r.hi[0]]),
-        c1=float(r.c1[0]),
-        c2=float(r.c2[0]),
-        clamped=bool(r.clamped[0]),
-    )
 
 
 def estimate_with_ci(sample_y: Sample, dist: KnownDistribution, xs, alpha: float) -> EstimateResult:

@@ -70,9 +70,6 @@ class HypothesisFunction:
     deriv: Callable
     name: str = ""
 
-    def __call__(self, x):
-        return self.fn(x)
-
 
 @dataclass(frozen=True)
 class TestResult:

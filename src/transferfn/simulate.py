@@ -210,21 +210,6 @@ class ExperimentReport:
         rows += [(x, cov) for x, cov in self.cells.items()]
         return rows
 
-    def to_json(self) -> dict:
-        cells = {
-            (k if isinstance(k, str) else "|".join(str(part) for part in k)): v
-            for k, v in self.cells.items()
-        }
-        return {
-            "kind": self.kind,
-            "cells": cells,
-            "replications": self.replications,
-            "runtime_seconds": self.runtime_seconds,
-            "seed": self.seed,
-            "params": self.params,
-            "extras": self.extras,
-        }
-
 
 def run_coverage_study(
     config: DGPConfig,

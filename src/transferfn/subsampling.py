@@ -25,7 +25,7 @@ import numpy as np
 from .distributions import KnownDistribution
 from .empirical import Sample, block_quantiles, sample_quantile
 from .errors import DomainError
-from .estimator import estimate
+from .estimator import estimator_ranks
 
 __all__ = ["SubsampleResult", "default_block_length", "subsample_distribution", "subsample_ci"]
 
@@ -51,23 +51,23 @@ def default_block_length(n: int) -> int:
     return int(math.ceil(n ** 0.8))
 
 
+def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, Sample]:
+    """ghat(x) and the ``subsample_distribution`` sample, from one plug-in level."""
+    if not (2 <= b < sample_y.n):
+        raise DomainError(f"block length must satisfy 2 <= b < n (got b={b}, n={sample_y.n})")
+    r = estimator_ranks(dist, float(x), sample_y.n)
+    ghat = float(sample_y.sorted_values[r.ghat[0]])
+    ghat_blocks = block_quantiles(sample_y, b, float(r.p[0]))
+    return ghat, Sample(math.sqrt(b) * np.abs(ghat_blocks - ghat))
+
+
 def subsample_distribution(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> Sample:
     """Sample carrying the n-b+1 scaled block deviations sqrt(b)|ghat_b,i - ghat|.
 
     Its ECDF (via empirical.ecdf) is the nondecreasing step function
     S_{n,b}(eta, x), and empirical.sample_quantile gives inf-quantiles of it.
     """
-    if not (2 <= b < sample_y.n):
-        raise DomainError(f"block length must satisfy 2 <= b < n (got b={b}, n={sample_y.n})")
-    a, bb = dist.support
-    xf = float(x)
-    if not (a < xf < bb):
-        raise DomainError(f"x={xf} is outside the open support ({a}, {bb})")
-    p = float(dist.cdf(xf))
-    p = min(max(p, np.finfo(float).tiny), 1.0)
-    ghat_full = float(estimate(sample_y, dist, xf))
-    ghat_blocks = block_quantiles(sample_y, b, p)
-    return Sample(math.sqrt(b) * np.abs(ghat_blocks - ghat_full))
+    return _ghat_and_deviations(sample_y, dist, x, b)[1]
 
 
 def subsample_ci(
@@ -82,9 +82,8 @@ def subsample_ci(
         raise DomainError("alpha must lie in (0, 1)")
     if b is None:
         b = default_block_length(sample_y.n)
-    deviations = subsample_distribution(sample_y, dist, x, b)
+    ghat, deviations = _ghat_and_deviations(sample_y, dist, x, b)
     d = float(sample_quantile(deviations, 1.0 - alpha))
-    ghat = float(estimate(sample_y, dist, float(x)))
     half = d / math.sqrt(sample_y.n)
     return SubsampleResult(
         x=float(x),

@@ -520,8 +520,9 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("usage error"), argv
-    # a --delim that is not one character exits 2 before any input is read or any study runs
-    for delim in (";;", "", "\\t", "\n"):
+    # a --delim that is not one character, or that can occur inside a number, exits 2
+    # before any input is read or any study runs
+    for delim in (";;", "", "\\t", "\n", "1", ".", "e"):
         for argv in (
             ("estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1"),
             ("fit", "--data", str(tmp_path / "no.csv")),
@@ -531,6 +532,16 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         ):
             code, out, err = run_cli(capsys, *argv, "--delim", delim)
             assert code == 2 and out == "" and "argument --delim: must be one character" in err, (argv, delim)
+    for delim in ("+", "-", "_", "E", "\u0663"):  # U+0663 is a digit to float()
+        code, out, err = run_cli(capsys, "fit", "--data", str(tmp_path / "no.csv"), "--delim", delim)
+        assert code == 2 and out == "" and "argument --delim: must be one character" in err, delim
+    # tab, ';' and space stay valid
+    for delim in ("\t", ";", " "):
+        spaced = tmp_path / "delim.csv"
+        spaced.write_text(f"z{delim}y\n" + "".join(f"{i}{delim}{i + 0.5}\n" for i in range(20)))
+        argv = ("estimate", "--data", str(spaced), "--y-col", "y", "--dist", "normal:0,1", "--x", "0", "--delim", delim)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1] == delim.join(["0.0", "9.5", "4.5", "15.5"]), delim
     # data errors -> 3
     code, _, _ = run_cli(capsys, "estimate", "--data", str(tmp_path / "no.csv"), "--dist", "normal:0,1")
     assert code == 3

@@ -77,7 +77,7 @@ def test_transport_identity_exact():
     rng = np.random.default_rng(3)
     values = rng.normal(size=83)
     s = Sample(values)
-    mapped = s.map(np.exp)
+    mapped = Sample(np.exp(s.values))
     for p in rng.uniform(0.001, 1.0, size=100):
         assert sample_quantile(mapped, float(p)) == np.exp(sample_quantile(s, float(p)))
 

@@ -13,7 +13,6 @@ from transferfn import (
     default_grid,
     estimate,
     estimate_with_ci,
-    pointwise_ci,
     run_coverage_study,
 )
 from transferfn.estimator import estimator_ranks
@@ -53,7 +52,7 @@ def test_estimate_equivariance_exact():
     rng = np.random.default_rng(8)
     z = rng.normal(size=257)
     s = Sample(z)
-    mapped = s.map(lambda v: np.exp(v))
+    mapped = Sample(np.exp(s.values))
     xs = np.linspace(-2.0, 2.0, 41)
     assert np.array_equal(estimate(mapped, Normal(), xs), np.exp(estimate(s, Normal(), xs)))
 
@@ -68,13 +67,15 @@ def test_pointwise_ci_levels_match_formula():
     # F(x)=0.5, alpha=0.05, n=100: c1 = 0.5 - 1.959964*0.05 = 0.402, c2 = 0.598
     rng = np.random.default_rng(3)
     s = Sample(rng.uniform(size=100))
-    res = pointwise_ci(s, Uniform(0.0, 1.0), 0.5, 0.05)
-    assert res.c1 == pytest.approx(0.5 + ndtri(0.025) * 0.05, abs=1e-12)
-    assert res.c2 == pytest.approx(0.5 - ndtri(0.025) * 0.05, abs=1e-12)
-    assert res.c1 == pytest.approx(0.402, abs=1e-3)
-    assert res.c2 == pytest.approx(0.598, abs=1e-3)
-    assert res.lo <= res.hi
-    assert not res.clamped
+    r = estimator_ranks(Uniform(0.0, 1.0), 0.5, s.n, 0.05)
+    assert r.c1[0] == pytest.approx(0.5 + ndtri(0.025) * 0.05, abs=1e-12)
+    assert r.c2[0] == pytest.approx(0.5 - ndtri(0.025) * 0.05, abs=1e-12)
+    assert r.c1[0] == pytest.approx(0.402, abs=1e-3)
+    assert r.c2[0] == pytest.approx(0.598, abs=1e-3)
+    assert not r.clamped[0]
+    res = estimate_with_ci(s, Uniform(0.0, 1.0), 0.5, 0.05)
+    assert res.ci_lo[0] <= res.ci_hi[0]
+    assert not res.clamped[0]
 
 
 def test_pointwise_ci_width_shrinks_like_root_n():
@@ -84,26 +85,28 @@ def test_pointwise_ci_width_shrinks_like_root_n():
         rng = np.random.default_rng(1000 + r)
         small = Sample(d.rvs(1000, rng))
         big = Sample(d.rvs(4000, rng))
-        ci_small = pointwise_ci(small, d, 0.5, 0.05)
-        ci_big = pointwise_ci(big, d, 0.5, 0.05)
-        ratios.append((ci_big.hi - ci_big.lo) / (ci_small.hi - ci_small.lo))
+        ci_small = estimate_with_ci(small, d, 0.5, 0.05)
+        ci_big = estimate_with_ci(big, d, 0.5, 0.05)
+        ratios.append((ci_big.ci_hi[0] - ci_big.ci_lo[0]) / (ci_small.ci_hi[0] - ci_small.ci_lo[0]))
     assert 0.3 < np.mean(ratios) < 0.7
 
 
 def test_pointwise_ci_clamps_at_probability_boundary():
     rng = np.random.default_rng(4)
     s = Sample(rng.normal(size=12))
-    res = pointwise_ci(s, Normal(), -2.8, 0.05)  # F(x) ~ 0.0026, c1 < 0
-    assert res.clamped
-    assert res.c1 == pytest.approx(1.0 / 12.0)
-    assert res.lo <= res.hi
+    r = estimator_ranks(Normal(), -2.8, s.n, 0.05)  # F(x) ~ 0.0026, c1 < 0
+    assert r.clamped[0]
+    assert r.c1[0] == pytest.approx(1.0 / 12.0)
+    res = estimate_with_ci(s, Normal(), -2.8, 0.05)
+    assert res.clamped[0]
+    assert res.ci_lo[0] <= res.ci_hi[0]
 
 
 def test_pointwise_ci_alpha_domain():
     s = Sample([1.0, 2.0, 3.0])
     for alpha in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(DomainError):
-            pointwise_ci(s, Normal(), 0.0, alpha)
+            estimate_with_ci(s, Normal(), 0.0, alpha)
 
 
 def test_estimate_with_ci_invariants():
@@ -166,12 +169,14 @@ def test_rank_core_matches_public_api(dist, lo, hi):
             assert np.array_equal(res.clamped, r.clamped)
             clamps += int(np.count_nonzero(r.clamped))
             for j, x in enumerate(xs):
-                ci = pointwise_ci(sample, dist, float(x), alpha)
-                assert _bits([ci.lo, ci.hi, ci.c1, ci.c2]).tolist() == _bits([srt[r.lo[j]], srt[r.hi[j]], r.c1[j], r.c2[j]]).tolist()
-                assert ci.clamped == r.clamped[j]
+                one = estimate_with_ci(sample, dist, float(x), alpha)
+                got = [one.ghat[0], one.ci_lo[0], one.ci_hi[0]]
+                assert _bits(got).tolist() == _bits([srt[r.ghat[j]], srt[r.lo[j]], srt[r.hi[j]]]).tolist()
+                assert one.clamped[0] == r.clamped[j]
                 assert estimate(sample, dist, float(x)) == srt[r.ghat[j]]
             # the referee: the inf-quantile scan at the levels written out here
             p = np.clip(dist.cdf(xs), tiny, 1.0)
+            assert np.array_equal(_bits(r.p), _bits(p))
             half = ndtri(alpha / 2.0) * np.sqrt(p * (1.0 - p) / n)
             c1 = np.clip(p + half, 1.0 / n, 1.0)
             c2 = np.maximum(np.clip(p - half, 1.0 / n, 1.0), c1)

@@ -122,7 +122,7 @@ def test_statistic_deterministic_and_affine_invariant():
     stat2 = gof_statistic(s, Normal(), h)
     assert stat1 == stat2
     # common rescaling of data axis by 2 (exact in floats) leaves it unchanged
-    doubled = s.map(lambda v: 2.0 * v)
+    doubled = Sample(2.0 * s.values)
     h2 = HypothesisFunction(fn=lambda x: 2.0 * h.fn(x), deriv=lambda x: 2.0 * h.deriv(x))
     assert gof_statistic(doubled, Normal(), h2) == stat1
 

@@ -12,8 +12,8 @@ from transferfn import (
     Uniform,
     default_block_length,
     ecdf,
+    estimate_with_ci,
     generate,
-    pointwise_ci,
     replication_rng,
     sample_quantile,
     subsample_ci,
@@ -81,8 +81,8 @@ def test_iid_width_within_factor_two_of_theorem1():
     _, y = generate(cfg, replication_rng(21, 0))
     s = Sample(y)
     sub = subsample_ci(s, d, 0.0, 0.05)
-    ci = pointwise_ci(s, d, 0.0, 0.05)
-    ratio = (sub.ci[1] - sub.ci[0]) / (ci.hi - ci.lo)
+    ci = estimate_with_ci(s, d, 0.0, 0.05)
+    ratio = (sub.ci[1] - sub.ci[0]) / (ci.ci_hi[0] - ci.ci_lo[0])
     assert 0.5 <= ratio <= 2.0
 
 
