@@ -20,7 +20,7 @@ from .distributions import (
     fit_uniform,
 )
 from .empirical import Sample, block_quantiles, ecdf, sample_quantile
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError
 from .estimator import (
     EstimateResult,
     default_grid,
@@ -58,6 +58,7 @@ from .subsampling import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "BandResult",
     "ConfigError",
     "ConvergenceError",

@@ -1,8 +1,11 @@
 """Command-line surface: data ingestion and drivers for every capability.
 
-Exit codes: 0 ok, 2 usage, 3 data, 4 numeric/convergence.  All delimited
-output starts with a ``# schema:`` comment so downstream readers can pin
-the column layout.
+Exit codes: 0 ok; 2 for a flag argparse rejects and for any argument the
+library rejects (ArgumentError, ConfigError); 3 for data that cannot be
+read; 4 for a numeric or convergence failure.  The library checks each
+argument where it uses it, so a bad flag value is reported after the input
+is read.  All delimited output starts with a ``# schema:`` comment so
+downstream readers can pin the column layout.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import dataclasses
 import io
 import itertools
 import json
-import math
 import re
 import sys
 
@@ -22,9 +24,9 @@ import numpy as np
 from .density_band import confidence_band
 from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform
 from .empirical import Sample
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
 from .estimator import default_grid, estimate_with_ci
-from .gof_test import _bootstrap, test, trimming_fraction
+from .gof_test import _bootstrap, test
 from .ks_distribution import ks_sup_quantile
 from .simulate import (
     DGPConfig,
@@ -34,17 +36,13 @@ from .simulate import (
     run_coverage_study,
     run_test_table,
 )
-from .subsampling import default_block_length, subsample_ci
+from .subsampling import subsample_ci
 
 __all__ = ["main"]
 
 MISSING_TOKENS = ("?", "", "NA", "nan")
 csv.field_size_limit(sys.maxsize)  # a field may be as long as the input (csv's default limit is 131 072)
 _NON_BLANK = re.compile(rb"\S")
-
-
-class UsageError(Exception):
-    """Bad flag value detected after parsing; exits 2."""
 
 
 class DataError(Exception):
@@ -186,10 +184,10 @@ def parse_dist(spec: str) -> KnownDistribution:
     family, _, rest = spec.partition(":")
     family = family.strip().lower()
     if family not in _DIST_FORMS:
-        raise UsageError(f"unknown distribution family {family!r}; known: normal, gamma, uniform")
+        raise ArgumentError(f"unknown distribution family {family!r}; known: normal, gamma, uniform")
     parts = [p.strip() for p in rest.split(",") if p.strip()]
     if len(parts) != 2:
-        raise UsageError(f"--dist {family} takes {_DIST_FORMS[family]}")
+        raise ArgumentError(f"--dist {family} takes {_DIST_FORMS[family]}")
     first, second = parts
     try:
         if family == "normal":
@@ -199,8 +197,8 @@ def parse_dist(spec: str) -> KnownDistribution:
         if second.startswith("scale="):
             return Gamma.from_scale(float(first), float(second[len("scale="):]))
         return Gamma(shape=float(first), rate=float(second.removeprefix("rate=")))
-    except (ValueError, DomainError) as exc:
-        raise UsageError(f"bad --dist value {spec!r}: {exc}") from exc
+    except ValueError as exc:  # DomainError included
+        raise ArgumentError(f"bad --dist value {spec!r}: {exc}") from exc
 
 
 def parse_grid(spec: str) -> tuple[float, float, int]:
@@ -210,14 +208,14 @@ def parse_grid(spec: str) -> tuple[float, float, int]:
     if not sep:
         lohi, sep, count = body.rpartition(":")
     if not sep:
-        raise UsageError(f"bad --grid value {spec!r}; expected P1..P2xN")
+        raise ArgumentError(f"bad --grid value {spec!r}; expected P1..P2xN")
     lo, sep2, hi = lohi.partition("..")
     try:
         p_lo, p_hi, npts = float(lo), float(hi), int(count)
     except ValueError:
-        raise UsageError(f"bad --grid value {spec!r}; expected P1..P2xN") from None
+        raise ArgumentError(f"bad --grid value {spec!r}; expected P1..P2xN") from None
     if not (sep2 and 0.0 < p_lo <= p_hi < 1.0 and npts >= 1):
-        raise UsageError(f"bad --grid value {spec!r}; need 0 < P1 <= P2 < 1 and N >= 1")
+        raise ArgumentError(f"bad --grid value {spec!r}; need 0 < P1 <= P2 < 1 and N >= 1")
     return p_lo, p_hi, npts
 
 
@@ -232,36 +230,6 @@ def _delimiter(value: str) -> str:
             f"must be one character other than a line end, a letter, a digit or one of . + - _ (got {value!r})"
         )
     return value
-
-
-def _check_alpha(alpha: float, upper: float = 1.0) -> float:
-    if not (0.0 < alpha < upper):
-        raise UsageError(f"--alpha must lie in (0, {upper}) (got {alpha})")
-    return alpha
-
-
-def _check_reps(reps: int) -> int:
-    if reps < 1:
-        raise UsageError(f"--reps must be at least 1 (got {reps})")
-    return reps
-
-
-def _check_bandwidth(bandwidth: float | None) -> float | None:
-    if bandwidth is not None and not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise UsageError(f"--bandwidth must be positive and finite (got {bandwidth})")
-    return bandwidth
-
-
-def _check_block(block: int, n: int) -> int:
-    if not (2 <= block < n):
-        raise UsageError(f"--block must satisfy 2 <= b < n = {n} (got b={block}; the default is ceil(n^(4/5)))")
-    return block
-
-
-def _check_point_in_support(x: float, dist: KnownDistribution) -> None:
-    a, b = dist.support
-    if not (a < x < b):
-        raise UsageError(f"--x {x} is outside the input-law support ({a}, {b})")
 
 
 def _print_payload(payload: dict, as_json: bool, keys=None) -> None:
@@ -300,25 +268,19 @@ def _write_rows(path, schema: str, header, rows, delimiter: str = ","):
 
 
 def _cmd_estimate(args) -> int:
-    alpha = _check_alpha(args.alpha, upper=0.5)
-    bandwidth = _check_bandwidth(args.bandwidth)
     dist = parse_dist(args.dist)
     if args.x is not None:
-        _check_point_in_support(args.x, dist)
         xs = np.asarray([args.x], dtype=float)
     else:
         p_lo, p_hi, npts = parse_grid(args.grid)
         xs = default_grid(dist, npts, p_lo, p_hi)
-    if args.band and np.unique(xs).size < 2:
-        given = "--x" if args.x is not None else f"--grid {args.grid}"
-        raise UsageError(f"--band needs a grid of at least two distinct points (got {given})")
     sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
-    res = estimate_with_ci(sample, dist, xs, alpha)
+    res = estimate_with_ci(sample, dist, xs, args.alpha)
     header = ["x", "ghat", "ci_lo", "ci_hi"]
     columns = [res.xs, res.ghat, res.ci_lo, res.ci_hi]
     if args.band:
-        band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), alpha, bandwidth=bandwidth, xs=xs)
+        band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), args.alpha, bandwidth=args.bandwidth, xs=xs)
         header += ["band_lo", "band_hi", "flagged"]
         columns += [band.band_lo, band.band_hi, band.flagged.astype(int)]
     rows = list(zip(*[np.asarray(c) for c in columns]))
@@ -327,17 +289,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    try:
-        hyp = get_transfer(args.h)
-    except ConfigError:
-        raise UsageError(f"unknown --h {args.h!r}; known: {', '.join(sorted(TRANSFERS))}") from None
-    y = read_column(args.data, args.y_col, delimiter=args.delim)
-    sample = Sample(y)
+    hyp = get_transfer(args.h)
+    sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
     if args.mc_reps is not None:
-        if args.mc_reps < 99:
-            raise UsageError("--mc-reps must be at least 99")
+        alpha = check_alpha(args.alpha)  # the decision below compares alpha here, not in the library
         family = args.dist.partition(":")[0].strip().lower()
         p_value, statistic, fitted = _bootstrap(sample, family, hyp, args.mc_reps, args.seed)
         payload = {
@@ -351,8 +307,7 @@ def _cmd_test(args) -> int:
             "fitted": repr(fitted),
         }
     else:
-        dist = parse_dist(args.dist)
-        result = test(sample, dist, hyp, alpha)
+        result = test(sample, parse_dist(args.dist), hyp, args.alpha)
         payload = {
             "statistic": result.statistic,
             "critical": result.critical,
@@ -367,13 +322,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_subsample_ci(args) -> int:
-    alpha = _check_alpha(args.alpha)
     dist = parse_dist(args.dist)
-    y = read_column(args.data, args.y_col, delimiter=args.delim)
-    sample = Sample(y)
-    _check_point_in_support(args.x, dist)
-    block = _check_block(default_block_length(sample.n) if args.block is None else args.block, sample.n)
-    res = subsample_ci(sample, dist, args.x, alpha, b=block)
+    sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
+    res = subsample_ci(sample, dist, args.x, args.alpha, b=args.block)
     payload = {
         "x": res.x,
         "ghat": res.ghat,
@@ -390,7 +341,7 @@ def _cmd_subsample_ci(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.family not in FAMILIES:
-        raise UsageError(f"unknown --family {args.family!r}; known: {', '.join(FAMILIES)}")
+        raise ConfigError(f"unknown --family {args.family!r}; known: {', '.join(FAMILIES)}")
     y = read_column(args.data, args.y_col, delimiter=args.delim)
     fitted = FAMILIES[args.family](y)
     payload = {"family": args.family, "n": int(y.size), **dataclasses.asdict(fitted)}
@@ -407,27 +358,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate_table2(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    try:
-        trimming_fraction(args.n)
-    except DomainError as exc:
-        raise UsageError(f"--n: {exc}") from None
-    report = run_test_table(n=args.n, alpha=alpha, repetitions=_check_reps(args.reps), seed=args.seed)
+    report = run_test_table(n=args.n, alpha=args.alpha, repetitions=args.reps, seed=args.seed)
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.table.v1", rows[0], rows[1:], delimiter=args.delim)
     return 0
 
 
 def _cmd_simulate_coverage(args) -> int:
-    alpha = _check_alpha(args.alpha, upper=0.5 if args.method == "ci" else 1.0)
-    config = _dgp_config(args)
-    xs = np.asarray([float(tok) for tok in args.x], dtype=float)
-    if args.method == "band" and np.unique(xs).size < 2:
-        raise UsageError("--method band needs at least two distinct --x points")
-    block = args.block
-    if args.method == "subsample":
-        block = _check_block(default_block_length(args.n) if block is None else block, args.n)
-    report = run_coverage_study(config, xs, alpha, _check_reps(args.reps), method=args.method, block=block)
+    report = run_coverage_study(_dgp_config(args), args.x, args.alpha, args.reps, method=args.method, block=args.block)
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.coverage.v1", rows[0], rows[1:], delimiter=args.delim)
     if args.method == "band":
@@ -512,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reps", type=int, default=200)
     q.add_argument("--alpha", type=float, default=0.01)
     q.add_argument("--method", choices=("ci", "band", "subsample"), default="ci")
-    q.add_argument("--x", nargs="+", required=True, help="evaluation points")
+    q.add_argument("--x", type=float, nargs="+", required=True, help="evaluation points")
     q.add_argument("--ma-order", type=int, default=0)
     q.add_argument("--ma-decay", type=float, default=0.9)
     q.add_argument("--block", type=int, default=None)
@@ -542,7 +480,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except (ArgumentError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

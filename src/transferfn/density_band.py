@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import KnownDistribution
 from .empirical import Sample
-from .errors import DomainError
+from .errors import ArgumentError, check_alpha
 from .estimator import estimate
 from .ks_distribution import ks_sup_quantile
 
@@ -34,7 +34,7 @@ def _bandwidth(n: int, bandwidth: float | None = None) -> float:
     if bandwidth is None:
         return float(n) ** (-1.0 / 6.0)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise DomainError(f"bandwidth must be positive and finite (got {bandwidth})")
+        raise ArgumentError(f"bandwidth must be positive and finite (got {bandwidth})")
     return float(bandwidth)
 
 
@@ -120,18 +120,17 @@ def confidence_band(
     xs : optional explicit grid inside [c, d]; default is 201 equispaced
         points spanning the interval.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     c, d = float(interval[0]), float(interval[1])
     a, b = dist.support
     if not (a < c < d < b):
-        raise DomainError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
+        raise ArgumentError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
     if xs is None:
         grid = np.linspace(c, d, 201)
     else:
         grid = np.atleast_1d(np.asarray(xs, dtype=float))
         if np.any(grid < c) or np.any(grid > d):
-            raise DomainError("explicit grid must lie inside the band interval")
+            raise ArgumentError("explicit grid must lie inside the band interval")
 
     n = sample_y.n
     h = _bandwidth(n, bandwidth)

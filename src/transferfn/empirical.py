@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import rank_filter
 
-from .errors import DomainError
+from .errors import ArgumentError, DomainError
 
 __all__ = ["Sample", "ecdf", "sample_quantile", "block_quantiles", "quantile_rank"]
 
@@ -85,7 +85,7 @@ def block_quantiles(sample: Sample, b: int, p: float) -> np.ndarray:
     windows would run past the end, is cut off.
     """
     if not (isinstance(b, (int, np.integer)) and 1 <= b <= sample.n):
-        raise DomainError(f"block length must satisfy 1 <= b <= n (got {b})")
+        raise ArgumentError(f"block length must satisfy 1 <= b <= n (got {b})")
     rank = int(quantile_rank(b, p))
     swept = rank_filter(sample.values, rank - 1, size=b, origin=-(b // 2))
     return swept[: sample.n - b + 1]

@@ -1,11 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the level check every procedure applies.
 
-The CLI maps these onto exit codes (usage 2, data 3, numeric 4).
+The CLI maps these onto exit codes: ArgumentError and ConfigError 2, other
+DomainError and ConvergenceError 4.
 """
 
 
 class DomainError(ValueError):
     """An argument fell outside the domain a contract requires."""
+
+
+class ArgumentError(DomainError):
+    """A caller-chosen argument (a level, bandwidth, block length, point or count) is malformed or out of its domain."""
 
 
 class ConvergenceError(RuntimeError):
@@ -21,3 +26,10 @@ class ConvergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """A simulation or CLI configuration names something unknown."""
+
+
+def check_alpha(alpha: float, upper: float = 1.0) -> float:
+    """``alpha``, if it lies in (0, upper); ArgumentError otherwise."""
+    if not (0.0 < alpha < upper):
+        raise ArgumentError(f"alpha must lie in (0, {upper:g}) (got {alpha})")
+    return alpha

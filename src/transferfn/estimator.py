@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 from .distributions import KnownDistribution
 from .empirical import Sample, quantile_rank
-from .errors import DomainError
+from .errors import ArgumentError, check_alpha
 
 __all__ = [
     "EstimateResult",
@@ -41,11 +41,11 @@ class EstimateResult:
 def _interior_grid(dist: KnownDistribution, xs) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(arr)):
-        raise DomainError("evaluation points must be finite")
+        raise ArgumentError("evaluation points must be finite")
     a, b = dist.support
     bad = (arr <= a) | (arr >= b)
     if np.any(bad):
-        raise DomainError(f"evaluation point {arr[bad][0]!r} is outside the open support ({a}, {b})")
+        raise ArgumentError(f"evaluation point {float(arr[bad][0])!r} is outside the open support ({a}, {b})")
     return arr
 
 
@@ -97,8 +97,8 @@ def estimator_ranks(dist: KnownDistribution, xs, n: int, alpha: float | None = N
     z_{alpha/2} sqrt(F(1-F)/n) and c2 likewise with z_{1-alpha/2}, clamped
     into [1/n, 1] with the clamp recorded.
     """
-    if alpha is not None and not (0.0 < alpha < 0.5):
-        raise DomainError("alpha must lie in (0, 1/2)")
+    if alpha is not None:
+        check_alpha(alpha, upper=0.5)
     arr = _interior_grid(dist, xs)
     p = _plug_in_levels(dist, arr)
     ghat = quantile_rank(n, p) - 1
@@ -134,8 +134,8 @@ def estimate_with_ci(sample_y: Sample, dist: KnownDistribution, xs, alpha: float
 def default_grid(dist: KnownDistribution, npoints: int = 201, p_lo: float = 0.01, p_hi: float = 0.99) -> np.ndarray:
     """Equispaced quantile-scale grid: xi_Z(p) for p linearly spaced in [p_lo, p_hi]."""
     if npoints < 1:
-        raise DomainError("grid needs at least one point")
+        raise ArgumentError("grid needs at least one point")
     if not (0.0 < p_lo <= p_hi < 1.0):
-        raise DomainError("grid quantile range must satisfy 0 < p_lo <= p_hi < 1")
+        raise ArgumentError("grid quantile range must satisfy 0 < p_lo <= p_hi < 1")
     ps = np.linspace(p_lo, p_hi, npoints)
     return np.asarray(dist.quantile(ps), dtype=float)

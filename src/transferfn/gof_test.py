@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import FAMILIES, TABLE_REL_ERROR, Gamma, KnownDistribution, gamma_quantile_table
 from .empirical import Sample, quantile_rank
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
 
 __all__ = [
@@ -91,7 +91,7 @@ class TestResult:
 def trimming_fraction(n: int) -> float:
     """delta_n = 25 loglog(n)/n, capped at 0.2 so the region is never empty."""
     if n < _MIN_N:
-        raise DomainError(f"the trimmed statistic needs n >= {_MIN_N} (got {n})")
+        raise ArgumentError(f"the trimmed statistic needs n >= {_MIN_N} (got {n})")
     return min(25.0 * math.log(math.log(n)) / n, _TRIM_CAP)
 
 
@@ -224,8 +224,7 @@ def test(
     alpha: float,
 ) -> TestResult:
     """Asymptotic test of H0: g = h at level alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     points = _evaluation_set(sample_y.n)
     stats, argmax_x = _checked_rows(sample_y.sorted_values[None, :], dist, hyp, points)
     stat = float(stats[0])
@@ -258,7 +257,8 @@ def monte_carlo_p_value(
     ``hyp`` under the fitted law, then simulates ``replications`` datasets of
     the same size from that law, refitting the family and recomputing the
     statistic each time (which is what removes the estimated-parameter
-    bias).  Returns (1 + #{simulated >= observed}) / (successful + 1).
+    bias).  Returns (1 + #{simulated >= observed}) / (successful + 1);
+    ``replications`` must be at least 99.
 
     ``family`` is a name from distributions.FAMILIES.  Replications are
     drawn, refitted (by the fitted law's ``fit_rows``) and tested a block of
@@ -275,8 +275,6 @@ def monte_carlo_p_value(
     Replications whose draw, refit or statistic fails are dropped; more than
     5% failures raises ConvergenceError.
     """
-    if replications < 99:
-        raise DomainError("need at least 99 bootstrap replications")
     return _bootstrap(data, family, hyp, replications, seed)[0]
 
 
@@ -286,6 +284,8 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     The CLI prints all three, so the data are fitted and the observed
     statistic computed once.
     """
+    if replications < 99:
+        raise ArgumentError(f"need at least 99 bootstrap replications (got {replications})")
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     fitted = FAMILIES[family](data.values)

@@ -18,8 +18,8 @@ import numpy as np
 from .density_band import confidence_band
 from .distributions import KnownDistribution, Normal
 from .empirical import Sample
-from .errors import ConfigError, DomainError
-from .estimator import estimator_ranks
+from .errors import ArgumentError, ConfigError, check_alpha
+from .estimator import _interior_grid, estimator_ranks
 from .gof_test import HypothesisFunction, _evaluation_set, replicate_blocks, replication_rng, test_statistic_rows
 from .ks_distribution import ks_sup_quantile
 from .subsampling import default_block_length, subsample_ci
@@ -226,7 +226,8 @@ def run_coverage_study(
     then carry the all-points simultaneous coverage and flagged-point
     counts), "subsample" the block-resampling intervals.  The statistical
     guidance is 50+ replications, but a single replication runs fine as a
-    smoke test.
+    smoke test.  The points must be distinct, inside the marginal's support
+    and where the transfer is finite; each is checked before any draw.
 
     Replications are generated a block of rows at a time by
     ``replicate_blocks`` (key (), width n).  For "ci" a block is sorted once
@@ -237,13 +238,18 @@ def run_coverage_study(
     is the subsampling block length used, None for the other methods.
     """
     if replications < 1:
-        raise DomainError("need at least one replication")
+        raise ArgumentError(f"need at least one replication (got {replications})")
     if method not in ("ci", "band", "subsample"):
         raise ConfigError(f"unknown coverage method {method!r}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    g = get_transfer(config.transfer)
-    g_true = np.asarray(g.fn(xs), dtype=float)
     marginal = config.marginal()
+    xs = _interior_grid(marginal, xs)
+    if np.unique(xs).size != xs.size:  # the report holds one cell per point; -0.0 and 0.0 are one point
+        raise ArgumentError(f"evaluation points must be distinct (got {xs.tolist()})")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g_true = np.asarray(get_transfer(config.transfer).fn(xs), dtype=float)
+    bad = ~np.isfinite(g_true)
+    if np.any(bad):
+        raise ArgumentError(f"transfer {config.transfer!r} is not finite at x = {float(xs[bad][0])!r}")
     interval = (float(np.min(xs)), float(np.max(xs)))  # the band's [c, d]
 
     t0 = time.perf_counter()
@@ -316,9 +322,8 @@ def run_test_table(
     time by ``test_statistic_rows``.
     """
     if repetitions < 1:
-        raise DomainError("need at least one repetition")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+        raise ArgumentError(f"need at least one repetition (got {repetitions})")
+    check_alpha(alpha)
     dist = Normal()
     t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)

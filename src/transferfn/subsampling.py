@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import KnownDistribution
 from .empirical import Sample, block_quantiles, sample_quantile
-from .errors import DomainError
+from .errors import ArgumentError, check_alpha
 from .estimator import estimator_ranks
 
 __all__ = ["SubsampleResult", "default_block_length", "subsample_distribution", "subsample_ci"]
@@ -54,7 +54,7 @@ def default_block_length(n: int) -> int:
 def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, Sample]:
     """ghat(x) and the ``subsample_distribution`` sample, from one plug-in level."""
     if not (2 <= b < sample_y.n):
-        raise DomainError(f"block length must satisfy 2 <= b < n (got b={b}, n={sample_y.n})")
+        raise ArgumentError(f"block length must satisfy 2 <= b < n (got b={b}, n={sample_y.n})")
     r = estimator_ranks(dist, float(x), sample_y.n)
     ghat = float(sample_y.sorted_values[r.ghat[0]])
     ghat_blocks = block_quantiles(sample_y, b, float(r.p[0]))
@@ -78,8 +78,7 @@ def subsample_ci(
     b: int | None = None,
 ) -> SubsampleResult:
     """Level-(1-alpha) subsampling interval for g(x); b defaults to ceil(n^(4/5))."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if b is None:
         b = default_block_length(sample_y.n)
     ghat, deviations = _ghat_and_deviations(sample_y, dist, x, b)

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from transferfn.cli import main, parse_dist, parse_grid, read_column, UsageError, DataError
+from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
 from transferfn.cli import _read_column_fast, _read_column_rows
 from transferfn import Gamma, Normal, Uniform
+from transferfn.errors import ArgumentError
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +60,7 @@ def test_parse_dist_variants():
     assert g2.rate == pytest.approx(1.0 / 37.10)
     assert parse_dist("gamma:2,1") == Gamma(2.0, 1.0)
     for bad in ("nope:1,2", "normal:1", "gamma:1,rate=-2", "gamma:-3,1", "gamma:inf,1", "gamma:2,rate=inf"):
-        with pytest.raises(UsageError):
+        with pytest.raises(ArgumentError):
             parse_dist(bad)
 
 
@@ -67,7 +68,7 @@ def test_parse_grid():
     assert parse_grid("0.01..0.99x200") == (0.01, 0.99, 200)
     assert parse_grid("0.05..0.95:21") == (0.05, 0.95, 21)
     for bad in ("0.5x10", "0..1x10", "0.2..0.1x5", "a..bx5", "0.1..0.9"):
-        with pytest.raises(UsageError):
+        with pytest.raises(ArgumentError):
             parse_grid(bad)
 
 
@@ -493,10 +494,14 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     coverage = ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "2", "--x")
     tiny = tmp_path / "tiny.csv"  # too short for the default block ceil(n^(4/5)) = n
     tiny.write_text("y\n0.5\n1.5\n2.5\n")
+    ten = tmp_path / "ten.csv"  # too short for the trimmed statistic, which needs n >= 16
+    ten.write_text("y\n" + "".join(f"{i}.5\n" for i in range(10)))
     gamma_data = ("--data", str(gamma_file), "--y-col", "DQO-E")
     for argv in (
         ("subsample-ci", "--data", str(tiny), "--y-col", "y", "--dist", "normal:0,1", "--x", "0"),
         ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "50"),
+        ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "99", "--alpha", "1.5"),
+        ("test", "--data", str(ten), "--y-col", "y", "--dist", "normal:0,1", "--h", "identity"),
         ("test", *gamma_data, "--dist", "nope", "--h", "identity", "--mc-reps", "99"),
         ("fit", *gamma_data, "--family", "nope"),
         ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--x", "0.5", "--band"),
@@ -508,6 +513,10 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         (*coverage, "0", "--method", "subsample", "--block", "300"),
         (*coverage, "0", "--method", "band"),
         (*coverage, "0", "0", "--method", "band"),
+        (*coverage, "nan"),
+        (*coverage, "0", "0", "1"),  # one report cell per point: a repeated point would drop a row
+        (*coverage, "-0.0", "0.0"),
+        ("simulate", "coverage", "--transfer", "log(x+5)", "--n", "300", "--reps", "2", "--x", "-6"),  # g(-6) is NaN
         ("simulate", "coverage", "--transfer", "(x+4)^2", "--reps", "0", "--x", "0"),
         ("simulate", "table2", "--n", "200", "--reps", "0"),
         ("simulate", "table2", "--n", "10"),
@@ -570,4 +579,5 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     assert code == 4
     # argparse usage -> 2, help -> 0
     assert main(["estimate"]) == 2
+    assert main([*coverage, "abc"]) == 2
     assert main(["simulate", "--help"]) == 0

@@ -1,0 +1,90 @@
+"""Every check on a caller-chosen argument raises ArgumentError, a DomainError.
+
+The CLI maps ArgumentError to exit 2 and any other DomainError to exit 4, so
+a check on a level, bandwidth, interval, point, block length or count that
+raised a plain DomainError would report a usage mistake as a numeric failure.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from transferfn import (
+    DGPConfig,
+    Normal,
+    Sample,
+    Uniform,
+    block_quantiles,
+    confidence_band,
+    default_grid,
+    estimate,
+    get_transfer,
+    kde,
+    monte_carlo_p_value,
+    run_coverage_study,
+    run_test_table,
+    subsample_ci,
+    trimming_fraction,
+)
+from transferfn import gof_test, simulate
+from transferfn.errors import ArgumentError, DomainError
+from transferfn.estimator import estimator_ranks
+
+_SAMPLE = Sample(np.random.default_rng(12).normal(size=200))
+_SHORT = Sample(np.arange(1.0, 11.0))
+_IDENTITY = get_transfer("identity")
+_CONFIG = DGPConfig("(x+4)^2", n=50)
+
+CASES = {
+    "estimator_ranks alpha": lambda: estimator_ranks(Normal(), [0.0], 100, alpha=0.5),
+    "non-finite point": lambda: estimate(_SAMPLE, Normal(), [math.nan]),
+    "point outside support": lambda: estimate(_SAMPLE, Uniform(0.0, 1.0), [2.0]),
+    "default_grid points": lambda: default_grid(Normal(), 0),
+    "default_grid range": lambda: default_grid(Normal(), 5, 0.0, 0.5),
+    "confidence_band alpha": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 1.0),
+    "confidence_band bandwidth": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 0.05, bandwidth=-1.0),
+    "band interval c = d": lambda: confidence_band(_SAMPLE, Normal(), (0.0, 0.0), 0.05),
+    "band grid outside interval": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 0.05, xs=[2.0]),
+    "kde bandwidth": lambda: kde(_SAMPLE, 0.0, bandwidth=math.inf),
+    "test alpha": lambda: gof_test.test(_SAMPLE, Normal(), _IDENTITY, 0.0),
+    "trimming_fraction n": lambda: trimming_fraction(15),
+    "statistic n": lambda: gof_test.test_statistic(_SHORT, Normal(), _IDENTITY),
+    "bootstrap replications": lambda: monte_carlo_p_value(_SAMPLE, "normal", _IDENTITY, replications=98),
+    "subsample_ci alpha": lambda: subsample_ci(_SAMPLE, Normal(), 0.0, 1.0),
+    "subsample_ci block": lambda: subsample_ci(_SAMPLE, Normal(), 0.0, 0.05, b=1),
+    "subsample_ci default block": lambda: subsample_ci(Sample([0.5, 1.5, 2.5]), Normal(), 0.0, 0.05),
+    "block_quantiles block": lambda: block_quantiles(_SAMPLE, 0, 0.5),
+    "table repetitions": lambda: run_test_table(n=50, repetitions=0),
+    "table alpha": lambda: run_test_table(n=50, alpha=1.0, repetitions=1),
+    "table n": lambda: run_test_table(n=10, repetitions=1),
+    "coverage replications": lambda: run_coverage_study(_CONFIG, [0.0], 0.05, 0),
+    "coverage alpha": lambda: run_coverage_study(_CONFIG, [0.0], 0.5, 1),
+    "coverage non-finite point": lambda: run_coverage_study(_CONFIG, [math.nan], 0.05, 1),
+    "coverage repeated point": lambda: run_coverage_study(_CONFIG, [0.0, 1.0, 0.0], 0.05, 1),
+    "coverage signed zeros": lambda: run_coverage_study(_CONFIG, [-0.0, 0.0], 0.05, 1),
+    "coverage transfer not finite": lambda: run_coverage_study(DGPConfig("log(x+5)", n=50), [0.0, -6.0], 0.05, 1),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_parameter_checks_raise_argument_error(call):
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert isinstance(info.value, DomainError)
+
+
+def test_coverage_points_are_checked_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(simulate, "replicate_blocks", refuse)
+    for transfer, xs, message in (
+        ("log(x+5)", [1.0, -6.0, -7.0], "not finite at x = -6.0"),
+        ("log(x+5)", [-5.0], "not finite at x = -5.0"),
+        ("(x+4)^2", [0.0, 0.0, 1.0], "distinct"),
+        ("(x+4)^2", [0.0, math.nan], "evaluation points must be finite"),
+        ("(x+4)^2", [math.inf], "evaluation points must be finite"),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            run_coverage_study(DGPConfig(transfer, n=50), xs, 0.05, 1)
