@@ -34,7 +34,10 @@ class Sample:
             raise DomainError("sample values must be finite")
         self.values = arr.copy()
         self.values.flags.writeable = False
-        self.sorted_values = np.sort(arr, kind="stable")
+        # the stable sort, bit for bit: equal finite floats differ only as -0.0 and 0.0, so put the zeros in input order
+        self.sorted_values = np.sort(arr)
+        lo, hi = self.sorted_values.searchsorted(0.0, "left"), self.sorted_values.searchsorted(0.0, "right")
+        self.sorted_values[lo:hi] = arr[arr == 0.0]
         self.sorted_values.flags.writeable = False
         self.n = int(arr.size)
 

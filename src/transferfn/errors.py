@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 
 def check_alpha(alpha: float, upper: float = 1.0) -> float:
-    """``alpha``, if it lies in (0, upper); ArgumentError otherwise."""
-    if not (0.0 < alpha < upper):
-        raise ArgumentError(f"alpha must lie in (0, {upper:g}) (got {alpha})")
+    """``alpha``, if it lies in (0, upper) and 1 - alpha is below 1 in floating point; ArgumentError otherwise."""
+    if not (0.0 < alpha < upper) or 1.0 - alpha == 1.0:
+        raise ArgumentError(f"alpha must lie in (0, {upper:g}) with 1 - alpha < 1 (got {alpha})")
     return alpha

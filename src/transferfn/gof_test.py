@@ -114,10 +114,68 @@ def _evaluation_set(n: int):
     return u, lo, hi
 
 
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError(f"seeds and stream keys must be non-negative integers (got {seed!r})")
+    return int(seed)
+
+
 def replication_rng(seed: int, index) -> np.random.Generator:
     """Stream of replicate ``index`` (an int or a tuple key) of a seeded study; see ``replicate_blocks``."""
-    key = (index,) if np.ndim(index) == 0 else tuple(index)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    key = tuple(map(_check_seed, (index,) if np.ndim(index) == 0 else index))
+    return np.random.default_rng(np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=key))
+
+
+# NumPy's SeedSequence hash (O'Neill's seed_seq) and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT, _MASK32 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16), 0xFFFFFFFF
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _words(value: int) -> list:
+    """``value`` as little-endian uint32 words, at least one, as SeedSequence splits an int."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, with its running hash constant."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _SHIFT)
+
+    return hashmix
+
+
+def _pcg64_seed_words(seed: int, key: tuple, replications: int):
+    """Uint64 columns (s_hi, s_lo, i_hi, i_lo) of PCG64(SeedSequence(seed, (*key, r))) seed words, r < replications.
+
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run once on uint32 columns: a
+    word shared by every key is a length-1 array, and the last, r, is one word for r < 2^32.
+    """
+    head = _words(_check_seed(seed))  # a spawned sequence pads the seed's words to the pool size, 4
+    words = head + [0] * (4 - len(head)) + [w for k in key for w in _words(_check_seed(k))]
+    entropy = [np.array([w], dtype=np.uint32) for w in words] + [np.arange(replications, dtype=np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> _SHIFT)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [state[i + 1] << np.uint64(32) | state[i] for i in range(0, 8, 2)]
 
 
 def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
@@ -128,11 +186,25 @@ def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
     spawn key (*key, r), whatever the block size or scheduling.  A block holds
     max(1, _BLOCK_ELEMENTS // width) rows, ``width`` being the row length of
     the caller's widest per-block temporary; the last block holds the rest.
+
+    The streams' PCG64 states are computed in one array pass over the whole
+    range (``_pcg64_seed_words``), and each replicate sets them on one reused
+    ``Generator``; so ``draw`` must consume its ``rng`` at once and never keep
+    it.  ``seed`` and ``key`` must hold non-negative integers (ArgumentError otherwise).
     """
+    columns = _pcg64_seed_words(seed, tuple(key), replications)
+    rng = np.random.Generator(np.random.PCG64(0))
     block = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, replications, block):
         reps = range(start, min(start + block, replications))
-        yield reps, np.stack([draw(replication_rng(seed, (*key, rep))) for rep in reps])
+        rows = []
+        for s_hi, s_lo, i_hi, i_lo in zip(*(c[reps.start : reps.stop].tolist() for c in columns)):
+            # PCG64's srandom: inc = 2 i + 1, then two LCG steps with s added between them
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            rows.append(draw(rng))
+        yield reps, np.stack(rows)
 
 
 def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, x=None):
@@ -190,9 +262,9 @@ def test_statistic_rows(
     return _checked_rows(sorted_rows, dist, hyp, _evaluation_set(sorted_rows.shape[1]))[0]
 
 
-def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points):
+def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, x=None):
     """(statistics, argmax_x) of every row at ``points``; DomainError if any row's statistic is undefined."""
-    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points)
+    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, x)
     failed = np.flatnonzero(status)
     if failed.size:
         raise DomainError(_ROW_ERRORS[int(status[failed[0]])])

@@ -20,7 +20,7 @@ from .distributions import KnownDistribution, Normal
 from .empirical import Sample
 from .errors import ArgumentError, ConfigError, check_alpha
 from .estimator import _interior_grid, estimator_ranks
-from .gof_test import HypothesisFunction, _evaluation_set, replicate_blocks, replication_rng, test_statistic_rows
+from .gof_test import HypothesisFunction, _checked_rows, _evaluation_set, replicate_blocks, replication_rng
 from .ks_distribution import ks_sup_quantile
 from .subsampling import default_block_length, subsample_ci
 
@@ -168,25 +168,38 @@ def generate(config: DGPConfig, rng: np.random.Generator | None = None):
     """
     if rng is None:
         rng = replication_rng(config.seed, ())
-    g = get_transfer(config.transfer)
-
-    def draw():
-        if config.ma_order == 0:
-            return config.law.rvs(config.n, rng)
-        eps = config.law.rvs(config.n + config.ma_order, rng)
-        return np.convolve(eps, config.coefficients(), mode="valid")
-
-    return _finite_pair(draw, g, f"{config.transfer!r} under {config.law!r}")
+    return _finite_pair(lambda rng: _draw_z(config, rng), rng, get_transfer(config.transfer), config.law)
 
 
-def _finite_pair(draw, g: HypothesisFunction, what: str):
+def _draw_z(config: DGPConfig, rng: np.random.Generator) -> np.ndarray:
+    if config.ma_order == 0:
+        return config.law.rvs(config.n, rng)
+    eps = config.law.rvs(config.n + config.ma_order, rng)
+    return np.convolve(eps, config.coefficients(), mode="valid")
+
+
+def _finite_pair(draw, rng, g: HypothesisFunction, law):
     for _ in range(100):
-        z = draw()
+        z = draw(rng)
         with np.errstate(invalid="ignore", divide="ignore"):
             y = np.asarray(g.fn(z), dtype=float)
         if np.all(np.isfinite(y)):
             return z, y
-    raise ConfigError(f"transfer kept leaving its domain: {what}")
+    raise ConfigError(f"transfer kept leaving its domain: {g.name!r} under {law!r}")
+
+
+def _finite_blocks(seed: int, replications: int, width: int, draw, g: HypothesisFunction, law, key=()):
+    """``replicate_blocks`` of the rows g(draw(rng)), g (elementwise) applied to a whole block at once.
+
+    A row that leaves g's domain is rebuilt by ``_finite_pair`` on a fresh copy
+    of its stream, which redraws exactly as the one-replicate ``generate`` does.
+    """
+    for reps, zs in replicate_blocks(seed, replications, width, draw, key):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ys = np.asarray(g.fn(zs), dtype=float)
+        for i in np.flatnonzero(~np.all(np.isfinite(ys), axis=1)):
+            ys[i] = _finite_pair(draw, replication_rng(seed, (*key, reps[i])), g, law)[1]
+        yield reps, ys
 
 
 @dataclass
@@ -245,8 +258,9 @@ def run_coverage_study(
     xs = _interior_grid(marginal, xs)
     if np.unique(xs).size != xs.size:  # the report holds one cell per point; -0.0 and 0.0 are one point
         raise ArgumentError(f"evaluation points must be distinct (got {xs.tolist()})")
+    g = get_transfer(config.transfer)
     with np.errstate(invalid="ignore", divide="ignore"):
-        g_true = np.asarray(get_transfer(config.transfer).fn(xs), dtype=float)
+        g_true = np.asarray(g.fn(xs), dtype=float)
     bad = ~np.isfinite(g_true)
     if np.any(bad):
         raise ArgumentError(f"transfer {config.transfer!r} is not finite at x = {float(xs[bad][0])!r}")
@@ -261,7 +275,7 @@ def run_coverage_study(
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
-    for reps, ys in replicate_blocks(config.seed, replications, config.n, lambda rng: generate(config, rng)[1]):
+    for reps, ys in _finite_blocks(config.seed, replications, config.n, lambda rng: _draw_z(config, rng), g, config.law):
         covered = np.empty((len(reps), xs.size), dtype=bool)
         if method == "ci":
             ys.sort(axis=1)
@@ -319,7 +333,7 @@ def run_test_table(
     and rejects under either perturbation.  Cell (i, j)'s repetitions are
     drawn by ``replicate_blocks`` with key (i * len(perturbations) + j,),
     sized by the statistic's evaluation set, and tested a block of rows at a
-    time by ``test_statistic_rows``.
+    time against the one evaluation set and input-law quantiles of the table.
     """
     if repetitions < 1:
         raise ArgumentError(f"need at least one repetition (got {repetitions})")
@@ -327,18 +341,19 @@ def run_test_table(
     dist = Normal()
     t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)
-    width = _evaluation_set(n)[0].size
+    points = _evaluation_set(n)
+    x = np.atleast_2d(np.asarray(dist.quantile(points[0]), dtype=float))
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)
         for col, pert in enumerate(perturbations):
             g = perturbed(h, pert, n)
-
-            def draw(rng, g=g):
-                return _finite_pair(lambda: dist.rvs(n, rng), g, f"{g.name!r} under {dist!r}")[1]
-
-            blocks = replicate_blocks(seed, repetitions, width, draw, key=(row * len(perturbations) + col,))
-            reject = np.concatenate([test_statistic_rows(np.sort(ys, axis=1), dist, h) for _, ys in blocks]) > critical
+            key = (row * len(perturbations) + col,)
+            stats = []
+            for _, ys in _finite_blocks(seed, repetitions, x.size, lambda rng: dist.rvs(n, rng), g, dist, key):
+                ys.sort(axis=1)
+                stats.append(_checked_rows(ys, dist, h, points, x)[0])
+            reject = np.concatenate(stats) > critical
             correct = int(np.count_nonzero(reject if pert != "none" else ~reject))
             cells[(h_name, pert)] = correct / repetitions
     return ExperimentReport(

@@ -520,6 +520,14 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         ("simulate", "coverage", "--transfer", "(x+4)^2", "--reps", "0", "--x", "0"),
         ("simulate", "table2", "--n", "200", "--reps", "0"),
         ("simulate", "table2", "--n", "10"),
+        # a negative seed; 1 - alpha rounding to 1
+        ("simulate", "data", "--transfer", "identity", "--n", "10", "--seed", "-1"),
+        (*coverage, "0", "--seed", "-1"),
+        ("simulate", "table2", "--n", "200", "--reps", "1", "--seed", "-1"),
+        ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "99", "--seed", "-1"),
+        ("test", *gamma_data, "--dist", "gamma:10.97,rate=0.0270", "--h", "identity", "--alpha", "1e-17"),
+        ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--band",
+         "--alpha", "1e-17"),
         ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "4", "--method", "subsample", "--x", "0"),
         *(
             ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1",

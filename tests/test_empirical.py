@@ -155,3 +155,17 @@ def test_sample_is_immutable_view():
     assert s.sorted_values.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
         s.sorted_values[0] = 0.0
+
+
+def test_sorted_values_are_the_stable_sort_bit_for_bit():
+    # the default sort may order -0.0 and 0.0 either way; Sample restores their input order
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 64, 1000, 20_000):
+        for zeros in {0, 1, min(2, n), n // 3, n}:
+            arr = rng.normal(size=n)
+            arr[rng.choice(n, size=zeros, replace=False)] = rng.choice([-0.0, 0.0], size=zeros)
+            expected = np.sort(arr, kind="stable")
+            assert np.array_equal(Sample(arr).sorted_values.view(np.int64), expected.view(np.int64)), (n, zeros)
+    signed = np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 0.0, -0.0])
+    # -1.0, then the zeros in input order, then 1.0
+    assert np.signbit(Sample(signed).sorted_values).tolist() == [True, False, True, True, False, False, True, False]

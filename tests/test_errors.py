@@ -19,6 +19,7 @@ from transferfn import (
     confidence_band,
     default_grid,
     estimate,
+    generate,
     get_transfer,
     kde,
     monte_carlo_p_value,
@@ -28,7 +29,7 @@ from transferfn import (
     trimming_fraction,
 )
 from transferfn import gof_test, simulate
-from transferfn.errors import ArgumentError, DomainError
+from transferfn.errors import ArgumentError, DomainError, check_alpha
 from transferfn.estimator import estimator_ranks
 
 _SAMPLE = Sample(np.random.default_rng(12).normal(size=200))
@@ -64,6 +65,17 @@ CASES = {
     "coverage repeated point": lambda: run_coverage_study(_CONFIG, [0.0, 1.0, 0.0], 0.05, 1),
     "coverage signed zeros": lambda: run_coverage_study(_CONFIG, [-0.0, 0.0], 0.05, 1),
     "coverage transfer not finite": lambda: run_coverage_study(DGPConfig("log(x+5)", n=50), [0.0, -6.0], 0.05, 1),
+    # 1 - alpha rounds to 1, so the level would be 1
+    "tiny alpha": lambda: check_alpha(1e-17),
+    "test tiny alpha": lambda: gof_test.test(_SAMPLE, Normal(), _IDENTITY, 1e-17),
+    "confidence_band tiny alpha": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 1e-17),
+    "estimator_ranks tiny alpha": lambda: estimator_ranks(Normal(), [0.0], 100, alpha=5e-17),
+    # seeds are checked where the streams are made
+    "generate seed": lambda: generate(DGPConfig("(x+4)^2", n=50, seed=-1)),
+    "coverage seed": lambda: run_coverage_study(DGPConfig("(x+4)^2", n=50, seed=-1), [0.0], 0.05, 1),
+    "table seed": lambda: run_test_table(n=50, repetitions=1, seed=-1),
+    "bootstrap seed": lambda: monte_carlo_p_value(_SAMPLE, "normal", _IDENTITY, replications=99, seed=-1),
+    "non-integer seed": lambda: run_test_table(n=50, repetitions=1, seed=0.5),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from transferfn import (
+    ArgumentError,
     ConfigError,
     ConvergenceError,
     DomainError,
@@ -417,3 +418,54 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
     _refits_failing_on(monkeypatch, {0, 1, 44, 45, 46, 98})
     with pytest.raises(ConvergenceError, match="6/99"):
         monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
+
+
+def _recorded_streams(seed, replications, width, key):
+    """(the PCG64 state each replicate's ``draw`` saw, the stacked rows) of one ``replicate_blocks`` call."""
+    states = []
+
+    def draw(rng):
+        states.append(rng.bit_generator.state)
+        return rng.random(4)
+
+    blocks = list(gof_module.replicate_blocks(seed, replications, width, draw, key=key))
+    assert [rep for reps, _ in blocks for rep in reps] == list(range(replications))
+    return states, np.concatenate([rows for _, rows in blocks])
+
+
+def test_replicate_blocks_streams_match_seed_sequence(monkeypatch):
+    # replicate_blocks seeds its streams by its own copy of numpy's SeedSequence
+    # hash and PCG64 seeding; every replicate's state must be numpy's, whole
+    # blocks at a time, over one- to five-word seeds and one-word and
+    # multi-word keys
+    pick = np.random.default_rng(2718)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 7]
+    seeds += [int(pick.integers(0, 2**62)) >> int(pick.integers(0, 62)) for _ in range(10)]
+    seeds += [int.from_bytes(pick.bytes(int(pick.integers(5, 24))), "little") for _ in range(10)]
+    width = 1000  # blocks of 32 rows: 32 and a partial 13
+    for elements in (gof_module._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", elements)
+        for seed in seeds:
+            for key in ((), (7,), (2**33 + 5, 0)):
+                states, rows = _recorded_streams(seed, 45, width, key)
+                for rep in range(45):
+                    reference = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(*key, rep)))
+                    assert states[rep] == reference.state, (seed, key, rep)
+                    assert _same_bits(rows[rep], np.random.Generator(reference).random(4)), (seed, key, rep)
+                    assert _same_bits(rows[rep], gof_module.replication_rng(seed, (*key, rep)).random(4))
+
+
+def test_seeds_and_keys_must_be_non_negative_integers():
+    for seed in (-1, -(2**64), 1.5, 2.0, "3", None, np.float64(4.0)):
+        with pytest.raises(ArgumentError, match="non-negative integers"):
+            gof_module.replication_rng(seed, 0)
+        with pytest.raises(ArgumentError, match="non-negative integers"):
+            next(gof_module.replicate_blocks(seed, 3, 10, lambda rng: rng.random(1)))
+        # and so must a stream key's elements
+        with pytest.raises(ArgumentError, match="non-negative integers"):
+            gof_module.replication_rng(0, (3, seed))
+        with pytest.raises(ArgumentError, match="non-negative integers"):
+            next(gof_module.replicate_blocks(0, 3, 10, lambda rng: rng.random(1), key=(seed,)))
+    # numpy integers are integers
+    states, _ = _recorded_streams(np.uint64(5), 3, 10, ())
+    assert states[2] == np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(2,))).state

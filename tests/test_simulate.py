@@ -4,6 +4,7 @@ import pytest
 from transferfn import (
     ConfigError,
     DGPConfig,
+    HypothesisFunction,
     Normal,
     PERTURBATIONS,
     TRANSFERS,
@@ -23,6 +24,7 @@ from transferfn import (
 )
 from transferfn import test_statistic as gof_statistic
 import transferfn.gof_test as gof_module
+import transferfn.simulate as simulate
 
 
 def test_registry_contents():
@@ -230,6 +232,16 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     _check_study(ma_cfg, [0.0], 0.05, 3, "subsample", block=55)
 
 
+def _reference_table_draw(g, n, seed, key):
+    """A Table 2 repetition's outputs, redrawn from its own stream until g is finite."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    for _ in range(100):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            y = np.asarray(g.fn(Normal().rvs(n, rng)), dtype=float)
+        if np.all(np.isfinite(y)):
+            return y
+
+
 def _reference_table(h_names, n, alpha, repetitions, seed):
     """The correct-test ratios one repetition at a time, each from its own (cell, r) stream."""
     dist = Normal()
@@ -241,12 +253,7 @@ def _reference_table(h_names, n, alpha, repetitions, seed):
             g = perturbed(h, pert, n)
             correct = 0
             for r in range(repetitions):
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(row * len(PERTURBATIONS) + col, r)))
-                for _ in range(100):
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        y = np.asarray(g.fn(dist.rvs(n, rng)), dtype=float)
-                    if np.all(np.isfinite(y)):
-                        break
+                y = _reference_table_draw(g, n, seed, (row * len(PERTURBATIONS) + col, r))
                 reject = gof_statistic(Sample(y), dist, h) > critical
                 correct += reject if pert != "none" else not reject
             cells[(h_name, pert)] = correct / repetitions
@@ -260,3 +267,50 @@ def test_test_table_matches_per_replicate_loop(monkeypatch):
     assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected  # blocks of 51 and 9
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one repetition per block
     assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected
+
+
+def _first_draw_escapes(seed, key, n, law, floor, replications):
+    """How many replicates' first draw leaves a transfer's domain x > floor, read from numpy's streams."""
+    return sum(
+        bool(np.min(law.rvs(n, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, r))))) <= floor)
+        for r in range(replications)
+    )
+
+
+def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
+    # about a third of these datasets leave log(x+5)'s domain on their first
+    # draw; the block transfer must rebuild exactly those rows as the
+    # one-replicate generate does, from the same stream
+    cfg = DGPConfig(transfer="log(x+5)", n=20, seed=41, law=Normal(-3.0, 1.0))
+    assert 0.2 * 150 < _first_draw_escapes(41, (), 20, Normal(-3.0, 1.0), -5.0, 150) < 0.5 * 150
+    _check_study(cfg, [-4.0, -3.0, -2.5, -1.0], 0.05, 150, "ci")
+    _check_study(cfg, [-4.0, -3.0, -2.0], 0.05, 40, "band")
+
+    # a Table 2 cell on a transfer whose domain x > -2.2 a standard normal
+    # sample of 30 leaves about a third of the time
+    shifted = HypothesisFunction(fn=lambda x: np.log(x + 2.2), deriv=lambda x: 1.0 / (x + 2.2), name="log(x+2.2)")
+    monkeypatch.setitem(TRANSFERS, shifted.name, shifted)
+    for cell in range(3):
+        assert 0.2 * 80 < _first_draw_escapes(43, (cell,), 30, Normal(), -2.2, 80) < 0.5 * 80
+    expected = _reference_table((shifted.name,), 30, 0.15, 80, 43)
+    recorded = []
+    checked = simulate._checked_rows
+
+    def spy(*args):
+        stats, argmax_x = checked(*args)
+        recorded.append(stats)
+        return stats, argmax_x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_checked_rows", spy)
+        assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
+    # and each repetition's statistic is the one-repetition statistic, bit for bit
+    stats = [
+        gof_statistic(Sample(_reference_table_draw(perturbed(shifted, pert, 30), 30, 43, (cell, r))), Normal(), shifted)
+        for cell, pert in enumerate(PERTURBATIONS)
+        for r in range(80)
+    ]
+    assert np.array_equal(np.concatenate(recorded).view(np.int64), np.array(stats).view(np.int64))
+    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    _check_study(cfg, [-4.0, -3.0, -1.0], 0.05, 30, "ci")
+    assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
