@@ -19,7 +19,7 @@ from scipy.special import (
     gammaln,
     ndtr,
     ndtri,
-    polygamma,
+    zeta,
 )
 
 from .errors import ConvergenceError, DomainError
@@ -202,9 +202,23 @@ class Gamma(KnownDistribution):
 # at its check points; it spans this many asymptotic SDs of log(shape MLE)
 # either side of the fitted shape, in at most this many Chebyshev intervals.
 TABLE_REL_ERROR = 1e-13
-_TABLE_HALF_WIDTH_SDS = 8.0
-_TABLE_FIRST_INTERVALS = 8
+_TABLE_HALF_WIDTH_SDS = 4.0
 _TABLE_MAX_INTERVALS = 64
+
+
+def _trigamma(k):
+    # scipy's polygamma(1, k) is zeta(2, k) times (-1)^2 Gamma(2) = 1: the same bits, without its wrapper
+    return zeta(2.0, k)
+
+
+def quantile_density(law: KnownDistribution, p) -> tuple[np.ndarray, np.ndarray]:
+    """(x, density): law's quantiles at p and its density there, each (1 or rows, p.size).
+
+    The density is taken at 0 where a quantile is not finite (pdf rejects
+    such x); a row with a non-finite x is the caller's to reject.
+    """
+    x = np.atleast_2d(np.asarray(law.quantile(p), dtype=float))
+    return x, np.asarray(law.pdf(np.where(np.isfinite(x), x, 0.0)), dtype=float)
 
 
 def _chebyshev_points(intervals: int) -> np.ndarray:
@@ -233,11 +247,12 @@ def _barycentric(t: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to every import
-    """gammaincinv(a, p) for a fixed probability set p and every shape a in a band, by interpolation.
+    """Gamma quantiles and density at a fixed probability set p, for every shape a in a band, by interpolation.
 
     log gammaincinv(a, p_j) is tabulated at Chebyshev points in log a and
     interpolated barycentrically; ``gamma_quantile_table`` builds one and
-    checks it to TABLE_REL_ERROR.  Shapes outside the band get gammaincinv.
+    checks it to TABLE_REL_ERROR.  The density at a quantile follows from
+    the same interpolant, so nothing else is tabulated or checked.
     """
 
     def __init__(self, center: float, half_width: float, p: np.ndarray, log_q: np.ndarray):
@@ -246,31 +261,44 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
         self.p = p
         self.log_q = log_q  # (intervals + 1, p.size)
 
-    def quantile(self, law: Gamma) -> np.ndarray:
-        """(rows, p.size) quantiles of a law with (rows, 1) parameter columns, row r those of row r's law."""
-        shape, rate = law.shape[:, 0], law.rate
+    def quantile_density(self, law: Gamma) -> tuple[np.ndarray, np.ndarray]:
+        """``quantile_density(law, p)`` for a law with (rows, 1) parameter columns, from the table.
+
+        With L = log gammaincinv(a, p) interpolated, x = e^L / rate and
+        log f(x) = log rate + (a - 1) L - e^L - lgamma(a).  A row whose
+        shape is outside the band gets ``quantile_density`` itself.
+        """
+        shape, rate = law.shape[:, 0], law.rate[:, 0]
         t = (np.log(shape) - self.center) / self.half_width
         inside = np.abs(t) <= 1.0
-        out = np.empty((shape.size, self.p.size))
-        out[inside] = np.exp(_barycentric(t[inside], self.log_q))
-        out[~inside] = gammaincinv(shape[~inside, None], self.p)
-        out /= rate
-        return out
+        log_q = _barycentric(np.where(inside, t, 0.0), self.log_q)  # a row outside is overwritten below
+        x = np.exp(log_q)
+        log_q *= (shape - 1.0)[:, None]
+        log_q += (np.log(rate) - gammaln(shape))[:, None]
+        log_q -= x
+        with np.errstate(over="ignore"):  # as in pdf: an overflow is an infinite density, which the caller rejects
+            density = np.exp(log_q, out=log_q)
+        x /= law.rate
+        if not np.all(inside):
+            outside = Gamma(shape=law.shape[~inside], rate=law.rate[~inside])
+            x[~inside], density[~inside] = quantile_density(outside, self.p)
+        return x, density
 
 
 def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     """A shape table centred on ``shape`` for refits of n-point samples, or None if none passes its check.
 
-    The band is log(shape) -+ 8 asymptotic SDs of the log shape MLE at n
+    The band is log(shape) -+ 4 asymptotic SDs of the log shape MLE at n
     points, var = 1 / (n a (a trigamma(a) - 1)) from the Fisher information.
-    Starting from 8 Chebyshev intervals, the table is compared with
+    Starting from one Chebyshev interval, the table is compared with
     gammaincinv at every interval's midpoint (in angle); while the largest
     relative error exceeds TABLE_REL_ERROR the intervals double, the
-    midpoints becoming the new nodes, up to 64.
+    midpoints becoming the new nodes, up to 64.  The points are nested, so a
+    table of m intervals costs 2m + 1 gammaincinv rows from any start.
     """
     p = np.asarray(p, dtype=float)
     center = math.log(shape)
-    info = n * shape * (shape * float(polygamma(1, shape)) - 1.0)  # 1 / var(log shape MLE)
+    info = n * shape * (shape * float(_trigamma(shape)) - 1.0)  # 1 / var(log shape MLE)
     if not 0.0 < info < math.inf:  # a trigamma(a) rounds to 1 for a beyond ~1e15
         return None
     half_width = _TABLE_HALF_WIDTH_SDS / math.sqrt(info)
@@ -279,7 +307,7 @@ def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
         with np.errstate(divide="ignore"):
             return np.log(gammaincinv(np.exp(center + half_width * t)[:, None], p))
 
-    intervals = _TABLE_FIRST_INTERVALS
+    intervals = 1
     log_q = log_quantiles(_chebyshev_points(intervals))
     while np.all(np.isfinite(log_q)):
         mid_t = _chebyshev_points(2 * intervals)[1::2]
@@ -377,7 +405,7 @@ def fit_gamma_rows(data):
                 break
             k_act = k[active]
             f = np.log(k_act) - digamma(k_act) - s[active]
-            fprime = 1.0 / k_act - polygamma(1, k_act)
+            fprime = 1.0 / k_act - _trigamma(k_act)
             k_new = k_act - f / fprime
             k_new = np.where(k_new <= 0.0, k_act / 2.0, k_new)
             k_act = np.minimum(np.maximum(k_new, 1e-10), 1e10)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FAMILIES, TABLE_REL_ERROR, Gamma, KnownDistribution, gamma_quantile_table
+from .distributions import FAMILIES, TABLE_REL_ERROR, Gamma, KnownDistribution, gamma_quantile_table, quantile_density
 from .empirical import Sample, quantile_rank
 from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
@@ -45,10 +45,10 @@ _GRID_POINTS = 512  # grid points of the evaluation set, besides ghat's jumps
 _BLOCK_ELEMENTS = 1 << 15
 
 # A bootstrap statistic computed from a gamma shape table is re-scored with
-# exact quantiles when it lies within this relative distance of the observed
-# statistic.  The table's quantiles are within TABLE_REL_ERROR; the
-# statistic's error was measured at up to ~60 times theirs (n = 16 to 1e5,
-# shapes 0.3 to 60), so the window is 1e4 times a 100-fold bound.
+# exact quantiles and density when it lies within this relative distance of
+# the observed statistic.  The table's quantiles are within TABLE_REL_ERROR;
+# the statistic's error was measured at up to ~17 times theirs (n = 16 to
+# 1e5, shapes 0.3 to 60), so the window is 1e4 times a 100-fold bound.
 _RESCORE_REL = 1e6 * TABLE_REL_ERROR
 
 _BAD_LAW, _BAD_DERIVATIVE = 1, 2
@@ -114,9 +114,9 @@ def _evaluation_set(n: int):
     return u, lo, hi
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, what: str = "seeds and stream keys") -> int:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ArgumentError(f"seeds and stream keys must be non-negative integers (got {seed!r})")
+        raise ArgumentError(f"{what} must be non-negative integers (got {seed!r})")
     return int(seed)
 
 
@@ -190,8 +190,9 @@ def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
     The streams' PCG64 states are computed in one array pass over the whole
     range (``_pcg64_seed_words``), and each replicate sets them on one reused
     ``Generator``; so ``draw`` must consume its ``rng`` at once and never keep
-    it.  ``seed`` and ``key`` must hold non-negative integers (ArgumentError otherwise).
+    it.  ``seed``, ``key`` and ``replications`` must hold non-negative integers (ArgumentError otherwise).
     """
+    replications = _check_seed(replications, "replication counts")
     columns = _pcg64_seed_words(seed, tuple(key), replications)
     rng = np.random.Generator(np.random.PCG64(0))
     block = max(1, _BLOCK_ELEMENTS // width)
@@ -207,30 +208,26 @@ def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
         yield reps, np.stack(rows)
 
 
-def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, x=None):
+def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None):
     """Statistic of every row of a (rows, n) array of sorted samples, with a status per row.
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
-    columns; ``points`` is _evaluation_set(n).  ``x`` holds
-    dist's quantiles at the points, computed here by ``dist.quantile`` when
-    not given.  quantile, pdf, h and h' are evaluated once on the (1 or
-    rows) x points array.  Status 0
+    columns; ``points`` is _evaluation_set(n).  ``law_values`` is dist's
+    (quantiles, density) at the points, computed here by
+    ``distributions.quantile_density`` when not given.  h and h' are
+    evaluated once on the (1 or rows) x points array.  Status 0
     marks a defined statistic; any other status is a key of _ROW_ERRORS,
     and that row's statistic is meaningless.  ``argmax_x`` is the x at which
     each row's sup is attained (the first such point).
     """
     n = sorted_rows.shape[1]
     u, lo, hi = points
-    if x is None:
-        x = np.atleast_2d(np.asarray(dist.quantile(u), dtype=float))
-    bad_law = ~np.all(np.isfinite(x), axis=1)
+    x, density = quantile_density(dist, u) if law_values is None else law_values
+    bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
     if np.any(bad_law):
-        # pdf rejects non-finite x outright, which would fail every row
         x = np.where(bad_law[:, None], 0.0, x)
     hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
     hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
-    density = np.asarray(dist.pdf(x), dtype=float)
-    bad_law |= ~np.all(np.isfinite(density), axis=1)
     status = np.where(bad_law, _BAD_LAW, 0)
     status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
 
@@ -262,9 +259,9 @@ def test_statistic_rows(
     return _checked_rows(sorted_rows, dist, hyp, _evaluation_set(sorted_rows.shape[1]))[0]
 
 
-def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, x=None):
+def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None):
     """(statistics, argmax_x) of every row at ``points``; DomainError if any row's statistic is undefined."""
-    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, x)
+    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, law_values)
     failed = np.flatnonzero(status)
     if failed.size:
         raise DomainError(_ROW_ERRORS[int(status[failed[0]])])
@@ -337,13 +334,14 @@ def monte_carlo_p_value(
     rows at a time by ``replicate_blocks`` (key ()), replication r from
     stream (r,).  For a non-gamma law each row's statistic equals the
     one-replicate ``test_statistic`` bit for bit.  For a gamma law the
-    refits' quantiles come from one shape table per call
-    (``distributions.gamma_quantile_table``, checked to relative error
-    1e-13), so a row's statistic is within a
-    bounded relative error of the one-replicate one; every row within
-    relative 1e-7 of the observed statistic is recomputed with exact
-    quantiles, so the exceedance count and the p-value are exact.  Without
-    a table that passes its check, every row uses exact quantiles.
+    refits' quantiles and density come from one shape table per call
+    (``distributions.gamma_quantile_table``: 4 asymptotic SDs of the log
+    shape MLE, grown from one Chebyshev interval and checked to relative
+    error 1e-13; a refit outside it is scored exactly), so a row's statistic
+    is within a bounded relative error of the one-replicate one; every row
+    within relative 1e-7 of the observed statistic is recomputed with exact
+    quantiles and density, so the exceedance count and the p-value are
+    exact.  Without a table that passes its check, every row is exact.
     Replications whose draw, refit or statistic fails are dropped; more than
     5% failures raises ConvergenceError.
     """
@@ -374,10 +372,10 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
             failures += len(reps)
             continue
         rows = np.sort(draws[fitted_ok], axis=1)
-        x = None if table is None else table.quantile(refits)
-        stats, status, _ = _statistic_rows(rows, refits, hyp, points, x)
+        law_values = None if table is None else table.quantile_density(refits)
+        stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values)
         ok = status == 0
-        if x is not None:
+        if table is not None:
             # a statistic from the table could lie on the wrong side of the observed one only within the window
             near = np.flatnonzero(ok & (np.abs(stats - observed) <= _RESCORE_REL * observed))
             if near.size:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density_band import confidence_band
-from .distributions import KnownDistribution, Normal
+from .distributions import KnownDistribution, Normal, quantile_density
 from .empirical import Sample
 from .errors import ArgumentError, ConfigError, check_alpha
 from .estimator import _interior_grid, estimator_ranks
@@ -342,7 +342,7 @@ def run_test_table(
     t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)
     points = _evaluation_set(n)
-    x = np.atleast_2d(np.asarray(dist.quantile(points[0]), dtype=float))
+    law_values = quantile_density(dist, points[0])
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)
@@ -350,9 +350,9 @@ def run_test_table(
             g = perturbed(h, pert, n)
             key = (row * len(perturbations) + col,)
             stats = []
-            for _, ys in _finite_blocks(seed, repetitions, x.size, lambda rng: dist.rvs(n, rng), g, dist, key):
+            for _, ys in _finite_blocks(seed, repetitions, points[0].size, lambda rng: dist.rvs(n, rng), g, dist, key):
                 ys.sort(axis=1)
-                stats.append(_checked_rows(ys, dist, h, points, x)[0])
+                stats.append(_checked_rows(ys, dist, h, points, law_values)[0])
             reject = np.concatenate(stats) > critical
             correct = int(np.count_nonzero(reject if pert != "none" else ~reject))
             cells[(h_name, pert)] = correct / repetitions

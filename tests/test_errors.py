@@ -76,6 +76,10 @@ CASES = {
     "table seed": lambda: run_test_table(n=50, repetitions=1, seed=-1),
     "bootstrap seed": lambda: monte_carlo_p_value(_SAMPLE, "normal", _IDENTITY, replications=99, seed=-1),
     "non-integer seed": lambda: run_test_table(n=50, repetitions=1, seed=0.5),
+    # and so are replication counts
+    "bootstrap float replications": lambda: monte_carlo_p_value(_SAMPLE, "normal", _IDENTITY, replications=999.0),
+    "coverage float replications": lambda: run_coverage_study(_CONFIG, [0.0], 0.05, 5.0),
+    "table float repetitions": lambda: run_test_table(n=50, repetitions=3.0),
 }
 
 

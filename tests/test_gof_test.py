@@ -136,6 +136,9 @@ def test_statistic_domain_errors():
         gof_statistic(s, Normal(), decreasing)
     with pytest.raises(DomainError):
         gof_statistic(Sample(rng.normal(size=15)), Normal(), get_transfer("identity"))
+    # finite quantiles (~1e-310 at rate 1e308) where the density overflows
+    with pytest.raises(DomainError, match="density is not finite"):
+        gof_statistic(Sample(rng.gamma(0.5, 1e-308, size=100)), Gamma(0.5, 1e308), get_transfer("identity"))
 
 
 def test_result_contract(monkeypatch):
@@ -295,9 +298,54 @@ def _recording_kernel(monkeypatch):
 
 # A gamma bootstrap statistic scored from a shape table may differ from the
 # one-replicate statistic by this relative error.  The table's quantiles are
-# within TABLE_REL_ERROR; the statistic's error was measured at up to ~60
-# times theirs, from n = 16 to 1e5 and shapes 0.3 to 60.
+# within TABLE_REL_ERROR; the statistic's error, with the density read from
+# the same table, was measured at up to ~17 times theirs, from n = 16 to 1e5,
+# shapes 0.3 to 60 and the identity, log(x+5) and (x+4)^2 transfers.
 _TABLE_STAT_REL = 100 * TABLE_REL_ERROR
+
+
+def test_shape_table_block_with_rows_outside_the_band_matches_exact():
+    # one block of laws inside and outside the band: each row's statistic is
+    # within _TABLE_STAT_REL of the exact one, and bit for bit outside
+    n = 50
+    points = gof_module._evaluation_set(n)
+    table = gamma_quantile_table(2.0, n, points[0])
+    t = np.array([-1.5, -1.0, -0.7, -0.2, 0.0, 0.4, 0.9, 1.0, 1.2, 3.0])
+    rng = np.random.default_rng(31)
+    shape = np.exp(table.center + table.half_width * t)
+    law = Gamma(shape=shape[:, None], rate=rng.uniform(0.1, 5.0, t.size)[:, None])
+    rows = np.sort(rng.gamma(law.shape, 1.0 / law.rate, size=(t.size, n)), axis=1)
+    outside = np.abs(t) > 1.0
+    for h_name in ("identity", "log(x+5)", "(x+4)^2"):
+        hyp = get_transfer(h_name)
+        stats, status, argmax_x = gof_module._statistic_rows(rows, law, hyp, points, table.quantile_density(law))
+        exact, exact_status, exact_argmax = gof_module._statistic_rows(rows, law, hyp, points)
+        assert not np.any(status) and not np.any(exact_status)
+        assert stats == pytest.approx(exact, rel=_TABLE_STAT_REL, abs=0.0), h_name
+        assert _same_bits(stats[outside], exact[outside]) and _same_bits(argmax_x[outside], exact_argmax[outside])
+
+
+def test_monte_carlo_p_value_with_a_shape_table_is_the_exact_one(monkeypatch):
+    # the p-value with the table equals the one with exact quantiles and pdf on
+    # every row, also at n = 50, where a few refits leave the band
+    idn = get_transfer("identity")
+    quantile_density = distributions_module.GammaQuantileTable.quantile_density
+    left_band = []
+
+    def spy(table, law):
+        left_band.append(int(np.count_nonzero(np.abs(np.log(law.shape) - table.center) > table.half_width)))
+        return quantile_density(table, law)
+
+    for n, shape, seed, replications in ((50, 2.0, 1, 999), (50, 8.0, 1, 999), (300, 3.0, 0, 199)):
+        data = Sample(np.random.default_rng(seed + 40).gamma(shape, 1.5, size=n))
+        left_band.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(distributions_module.GammaQuantileTable, "quantile_density", spy)
+            p = monte_carlo_p_value(data, "gamma", idn, replications=replications, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(gof_module, "gamma_quantile_table", lambda *args: None)
+            assert p == monte_carlo_p_value(data, "gamma", idn, replications=replications, seed=seed), (n, shape)
+        assert sum(left_band) > 0 or n > 50, "no refit left the band at n = 50"
 
 
 def _check_against_reference(monkeypatch, data, family, fitter, replications, seed):
@@ -469,3 +517,8 @@ def test_seeds_and_keys_must_be_non_negative_integers():
     # numpy integers are integers
     states, _ = _recorded_streams(np.uint64(5), 3, 10, ())
     assert states[2] == np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(2,))).state
+    # and a replication count is one too
+    for count in (3.0, -1, "3", None, np.float64(3.0)):
+        with pytest.raises(ArgumentError, match="replication counts must be non-negative integers"):
+            next(gof_module.replicate_blocks(0, count, 10, lambda rng: rng.random(1)))
+    assert len(next(gof_module.replicate_blocks(0, np.int64(3), 10, lambda rng: rng.random(1)))[0]) == 3
