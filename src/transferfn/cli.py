@@ -290,12 +290,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_test(args) -> int:
     hyp = get_transfer(args.h)
+    family, _, params = args.dist.partition(":")
+    if args.mc_reps is not None and params.strip():
+        raise ArgumentError(f"--dist {args.dist!r}: with --mc-reps give the family alone; the bootstrap fits it")
     sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
     if args.mc_reps is not None:
         alpha = check_alpha(args.alpha)  # the decision below compares alpha here, not in the library
-        family = args.dist.partition(":")[0].strip().lower()
-        p_value, statistic, fitted = _bootstrap(sample, family, hyp, args.mc_reps, args.seed)
+        p_value, statistic, fitted = _bootstrap(sample, family.strip().lower(), hyp, args.mc_reps, args.seed)
         payload = {
             "statistic": statistic,
             "critical": ks_sup_quantile(1.0 - alpha),
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="goodness-of-fit test of g = h")
     _add_common_data_flags(p)
-    p.add_argument("--dist", required=True, help="input law; with --mc-reps only the family name is used")
+    p.add_argument("--dist", required=True, help="input law; with --mc-reps the family alone (the bootstrap fits it)")
     p.add_argument("--h", required=True, help=f"hypothesis name, one of: {', '.join(sorted(TRANSFERS))}")
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--mc-reps", type=int, default=None, help="parametric-bootstrap p-value with this many refits")

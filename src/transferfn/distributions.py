@@ -204,6 +204,11 @@ class Gamma(KnownDistribution):
 TABLE_REL_ERROR = 1e-13
 _TABLE_HALF_WIDTH_SDS = 4.0
 _TABLE_MAX_INTERVALS = 64
+# No table above this fitted shape: the table's log density cancels terms
+# of size ~a log a, so a table-scored statistic's relative error grows to
+# ~3.5e-15 a.  At n = 16 the band reaches ~4.1 times the fitted shape, so a
+# refit scored from a table has shape below ~2060: error at most 5.5e-12.
+_TABLE_MAX_SHAPE = 500.0
 
 
 def _trigamma(k):
@@ -288,6 +293,8 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
 def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     """A shape table centred on ``shape`` for refits of n-point samples, or None if none passes its check.
 
+    None too above _TABLE_MAX_SHAPE, where the refits are scored exactly.
+
     The band is log(shape) -+ 4 asymptotic SDs of the log shape MLE at n
     points, var = 1 / (n a (a trigamma(a) - 1)) from the Fisher information.
     Starting from one Chebyshev interval, the table is compared with
@@ -296,11 +303,11 @@ def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     midpoints becoming the new nodes, up to 64.  The points are nested, so a
     table of m intervals costs 2m + 1 gammaincinv rows from any start.
     """
+    if shape > _TABLE_MAX_SHAPE:
+        return None
     p = np.asarray(p, dtype=float)
     center = math.log(shape)
     info = n * shape * (shape * float(_trigamma(shape)) - 1.0)  # 1 / var(log shape MLE)
-    if not 0.0 < info < math.inf:  # a trigamma(a) rounds to 1 for a beyond ~1e15
-        return None
     half_width = _TABLE_HALF_WIDTH_SDS / math.sqrt(info)
 
     def log_quantiles(t):

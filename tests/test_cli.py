@@ -503,6 +503,7 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         ("test", *gamma_data, "--dist", "gamma", "--h", "identity", "--mc-reps", "99", "--alpha", "1.5"),
         ("test", "--data", str(ten), "--y-col", "y", "--dist", "normal:0,1", "--h", "identity"),
         ("test", *gamma_data, "--dist", "nope", "--h", "identity", "--mc-reps", "99"),
+        ("test", *gamma_data, "--dist", "gamma:10,0.02", "--h", "identity", "--mc-reps", "99"),  # the bootstrap fits them
         ("fit", *gamma_data, "--family", "nope"),
         ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1", "--x", "0.5", "--band"),
         ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1",

@@ -325,6 +325,30 @@ def test_shape_table_block_with_rows_outside_the_band_matches_exact():
         assert _same_bits(stats[outside], exact[outside]) and _same_bits(argmax_x[outside], exact_argmax[outside])
 
 
+def test_no_shape_table_above_the_shape_cap():
+    # above _TABLE_MAX_SHAPE every refit is scored exactly; just below it, at
+    # n = 16, where the band is widest, the table-scored statistics stay
+    # within _TABLE_STAT_REL up to the band's upper edge
+    cap = distributions_module._TABLE_MAX_SHAPE
+    n = 16
+    points = gof_module._evaluation_set(n)
+    for shape in (np.nextafter(cap, math.inf), 1e3, 1e8):
+        assert gamma_quantile_table(shape, n, points[0]) is None
+    table = gamma_quantile_table(cap, n, points[0])
+    rng = np.random.default_rng(17)
+    t = np.concatenate([np.linspace(-1.0, 0.999, 21), rng.uniform(0.8, 0.999, 300)])
+    shape = np.exp(table.center + table.half_width * t)
+    assert shape.max() > 4.0 * cap
+    law = Gamma(shape=shape[:, None], rate=rng.uniform(0.1, 5.0, t.size)[:, None])
+    rows = np.sort(rng.gamma(law.shape, 1.0 / law.rate, size=(t.size, n)), axis=1)
+    for h_name in ("identity", "log(x+5)", "(x+4)^2"):
+        hyp = get_transfer(h_name)
+        stats, status, _ = gof_module._statistic_rows(rows, law, hyp, points, table.quantile_density(law))
+        exact, exact_status, _ = gof_module._statistic_rows(rows, law, hyp, points)
+        assert not np.any(status) and not np.any(exact_status)
+        assert stats == pytest.approx(exact, rel=_TABLE_STAT_REL, abs=0.0), h_name
+
+
 def test_monte_carlo_p_value_with_a_shape_table_is_the_exact_one(monkeypatch):
     # the p-value with the table equals the one with exact quantiles and pdf on
     # every row, also at n = 50, where a few refits leave the band

@@ -73,15 +73,15 @@ def test_quantile_monotone():
     assert np.all(np.diff(cs) > 0.0)
 
 
-def _mp_cdf(mpmath, c):
-    """P(sup |B| <= c) from the alternating series at 400 digits, which absorb its cancellation."""
-    with mpmath.workdps(400):
+def _mp_cdf(mpmath, c, digits=400):
+    """P(sup |B| <= c) from the alternating series at `digits` digits; 400 absorb its cancellation."""
+    with mpmath.workdps(digits):
         c = mpmath.mpf(c)
         total = mpmath.mpf(0)
         k = 1
         while True:
             term = mpmath.exp(-2 * k * k * c * c)
-            if term < mpmath.mpf(10) ** -390:
+            if term < mpmath.mpf(10) ** (10 - digits):
                 break
             total += term if k % 2 else -term
             k += 1
@@ -111,12 +111,12 @@ def test_upper_tail_matches_high_precision_sum():
     assert ks_sup_tail(19.5) == 0.0 and ks_sup_tail(25.0) == 0.0
 
 
-def test_dual_form_agrees_with_series_near_crossover():
-    from transferfn.ks_distribution import _dual_cdf
-
+def test_no_step_at_one_and_tails_sum_to_one():
+    # the upper tail and the CDF are separate scipy routines; across c = 1
+    # neither has a step, and they add up to 1 within 2 ulp
     for c in np.linspace(0.9, 1.1, 41):
-        assert abs((1.0 - _dual_cdf(float(c))) - series_oracle(float(c))) <= 1e-15, c
-    # the switch at c = 1 leaves no step in either function
+        c = float(c)
+        assert abs(ks_sup_cdf(c) + ks_sup_tail(c) - 1.0) <= 2.0 * math.ulp(1.0), c
     below = np.nextafter(1.0, 0.0)
     assert abs(ks_sup_tail(below) - ks_sup_tail(1.0)) <= 1e-15
     assert abs(ks_sup_cdf(below) - ks_sup_cdf(1.0)) <= 1e-15
@@ -130,6 +130,29 @@ def test_lower_tail_quantile_round_trip():
 
 
 def test_critical_values_unchanged():
-    # the upper-tail solver and series are untouched by the lower-tail form
+    # each equals the correctly rounded 60-digit root (test_quantile_matches_high_precision_root)
     assert ks_sup_quantile(0.85) == 1.1379465424937751
-    assert ks_sup_quantile(0.99) == 1.6276236115189504
+    assert ks_sup_quantile(0.95) == 1.3580986393225505
+    assert ks_sup_quantile(0.99) == 1.6276236115189502
+
+
+def _mp_root(mpmath, p):
+    """c with P(sup |B| <= c) = p: 180 halvings of [0.3, 8] at 60 digits."""
+    with mpmath.workdps(60):
+        lo, hi = mpmath.mpf("0.3"), mpmath.mpf(8)
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            if _mp_cdf(mpmath, mid, digits=60) < mpmath.mpf(p):
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def test_quantile_matches_high_precision_root():
+    mpmath = pytest.importorskip("mpmath")
+    for p in (0.01, 0.15, 0.3, 0.5, 0.7, 0.85, 0.9, 0.95, 0.99, 0.995, 0.999, 1 - 1e-6, 1 - 1e-12):
+        ref = _mp_root(mpmath, p)
+        assert abs(ks_sup_quantile(p) - ref) <= 1e-14 * ref, p
+        if p in (0.85, 0.95, 0.99):
+            assert ks_sup_quantile(p) == ref, p
