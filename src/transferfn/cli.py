@@ -4,7 +4,8 @@ Exit codes: 0 ok; 2 for a flag argparse rejects and for any argument the
 library rejects (ArgumentError, ConfigError); 3 for data that cannot be
 read; 4 for a numeric or convergence failure.  The library checks each
 argument where it uses it, so a bad flag value is reported after the input
-is read.  All delimited output starts with a ``# schema:`` comment so
+is read; the CLI checks only its own specs and that ``--band`` gets at
+least two grid points.  All delimited output starts with a ``# schema:`` comment so
 downstream readers can pin the column layout.
 """
 
@@ -274,6 +275,11 @@ def _cmd_estimate(args) -> int:
     else:
         p_lo, p_hi, npts = parse_grid(args.grid)
         xs = default_grid(dist, npts, p_lo, p_hi)
+    if args.band and not xs[0] < xs[-1]:
+        raise ArgumentError(
+            f"--band needs at least two distinct grid points (got x = {float(xs[0])!r} only); "
+            "give them with --grid P1..P2xN, P1 < P2 and N >= 2"
+        )
     sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
     res = estimate_with_ci(sample, dist, xs, args.alpha)
@@ -336,8 +342,10 @@ def _cmd_subsample_ci(args) -> int:
         "block": res.b,
         "n": res.n,
         "level": res.level,
+        "windows": res.n - res.b + 1,
+        "block_default": args.block is None,
     }
-    _print_payload(payload, args.json)
+    _print_payload(payload, args.json, ("x", "ghat", "d_quantile", "ci_lo", "ci_hi", "block", "n", "level"))
     return 0
 
 
@@ -371,7 +379,12 @@ def _cmd_simulate_coverage(args) -> int:
     rows = report.to_rows()
     _write_rows(args.out, "transferfn.coverage.v1", rows[0], rows[1:], delimiter=args.delim)
     if args.method == "band":
-        print(f"simultaneous: {report.extras['simultaneous']}", file=sys.stderr)
+        extras = report.extras
+        print(
+            f"simultaneous: {extras['simultaneous']}, flagged_points: {extras['flagged_points']}, "
+            f"flagged_reps: {extras['flagged_reps']}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -61,46 +61,78 @@ def kde(sample_y: Sample, y, bandwidth: float | None = None):
 
     K is the raised cosine K(u) = (1 + cos u) / (2 pi) on [-pi, pi], zero
     outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
-    when it is None.
-
-    The addition formula splits each term in the window |y - Y_i| <= pi h:
-    1 + cos((y - a)/h - t_i) = 1 + cos(phi) cos(t_i) + sin(phi) sin(t_i) with
-    t_i = (Y_i - a)/h, so prefix sums of cos(t_i) and sin(t_i) over the sorted
-    sample give every window sum.  The anchor a is not global: the sorted
-    sample is cut into cells of width 4 pi h, each anchored at its own first
-    value, so both phases stay within a few multiples of 2 pi however large
-    |Y|/h is (a global anchor loses the phase to rounding as |Y|/h grows).
-    A window of width 2 pi h overlaps at most two consecutive cells.
+    when it is None.  This is the one-row call of ``_kde_rows``.
     """
     h = _bandwidth(sample_y.n, bandwidth)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    data = sample_y.sorted_values
-    n = sample_y.n
-
-    cell_key = np.floor((data - data[0]) / (4.0 * math.pi * h))
-    opens = np.concatenate(([True], cell_key[1:] != cell_key[:-1]))
-    starts = np.flatnonzero(opens)
-    cell = np.cumsum(opens) - 1
-    anchors = data[starts]
-    cell_end = np.append(starts[1:], n)
-    theta = (data - anchors[cell]) / h
-    csum = np.concatenate(([0.0], np.cumsum(np.cos(theta))))
-    ssum = np.concatenate(([0.0], np.cumsum(np.sin(theta))))
-
-    lo = np.searchsorted(data, ys - math.pi * h, side="left")
-    hi = np.searchsorted(data, ys + math.pi * h, side="right")
-    first = cell[np.minimum(lo, n - 1)]
-    last = cell[np.maximum(hi - 1, 0)]
-    split = np.minimum(hi, cell_end[first])
-    total = (hi - lo).astype(float)
-    for c, i, j in ((first, lo, split), (last, split, hi)):
-        phi = (ys - anchors[c]) / h
-        total += np.cos(phi) * (csum[j] - csum[i]) + np.sin(phi) * (ssum[j] - ssum[i])
-    # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
-    out = np.where(hi > lo, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
+    out = _kde_rows(sample_y.sorted_values[None, :], ys[None, :], h)[0]
     if np.ndim(y) == 0:
         return float(out[0])
     return out
+
+
+def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarray:
+    """``kde`` with bandwidth h of every row of a (rows, n) block of sorted samples, at that row of y_rows.
+
+    The addition formula splits each term in the window |y - Y_i| <= pi h:
+    1 + cos((y - a)/h - t_i) = 1 + cos(phi) cos(t_i) + sin(phi) sin(t_i) with
+    t_i = (Y_i - a)/h, so prefix sums of cos(t_i) and sin(t_i) over a sorted
+    row give every window sum.  The anchor a is not global: each row is cut
+    into cells of width 4 pi h, each anchored at its own first value, so both
+    phases stay within a few multiples of 2 pi however large |Y|/h is (a
+    global anchor loses the phase to rounding as |Y|/h grows).  A window of
+    width 2 pi h overlaps at most two consecutive cells of its row.  The cells
+    are numbered over the flattened block and the prefix sums restart at each
+    row, so row r equals the one-row result bit for bit.
+    """
+    rows, n = sorted_rows.shape
+    data = sorted_rows.ravel()
+    opens = np.ones((rows, n), dtype=bool)
+    cell_key = np.floor((sorted_rows - sorted_rows[:, :1]) / (4.0 * math.pi * h))
+    np.not_equal(cell_key[:, 1:], cell_key[:, :-1], out=opens[:, 1:])
+    opens = opens.ravel()
+    starts = np.flatnonzero(opens)
+    cell = np.cumsum(opens) - 1
+    anchors = data[starts]
+    cell_end = np.append(starts[1:], data.size)
+    theta = ((data - anchors[cell]) / h).reshape(rows, n)
+    csum = np.zeros((rows, n + 1))
+    ssum = np.zeros((rows, n + 1))
+    np.cumsum(np.cos(theta), axis=1, out=csum[:, 1:])
+    np.cumsum(np.sin(theta), axis=1, out=ssum[:, 1:])
+
+    lo = np.empty(y_rows.shape, dtype=np.intp)
+    hi = np.empty(y_rows.shape, dtype=np.intp)
+    for r in range(rows):
+        lo[r] = np.searchsorted(sorted_rows[r], y_rows[r] - math.pi * h, side="left")
+        hi[r] = np.searchsorted(sorted_rows[r], y_rows[r] + math.pi * h, side="right")
+    row = np.arange(rows)[:, None]
+    offset = row * n  # flat index of each row's first value
+    first = cell[np.minimum(lo, n - 1) + offset]
+    last = cell[np.maximum(hi - 1, 0) + offset]
+    split = np.minimum(hi + offset, cell_end[first]) - offset
+    total = (hi - lo).astype(float)
+    for c, i, j in ((first, lo, split), (last, split, hi)):
+        phi = (y_rows - anchors[c]) / h
+        total += np.cos(phi) * (csum[row, j] - csum[row, i]) + np.sin(phi) * (ssum[row, j] - ssum[row, i])
+    # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
+    return np.where(hi > lo, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
+
+
+def _band_interval(dist: KnownDistribution, interval) -> tuple[float, float]:
+    """The band's [c, d] as floats; ArgumentError unless a < c < d < b on dist's support (a, b)."""
+    c, d = float(interval[0]), float(interval[1])
+    a, b = dist.support
+    if not (a < c < d < b):
+        raise ArgumentError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
+    return c, d
+
+
+def _band_edges(ghat: np.ndarray, fhat: np.ndarray, critical: float, n: int, h: float):
+    """(band_lo, band_hi, flagged): ghat -+ critical / (sqrt(n) fhat), and fhat below the 1/(n h) floor."""
+    with np.errstate(divide="ignore"):
+        half = critical / (math.sqrt(n) * fhat)
+    return ghat - half, ghat + half, fhat < 1.0 / (n * h)
 
 
 def confidence_band(
@@ -121,10 +153,7 @@ def confidence_band(
         points spanning the interval.
     """
     check_alpha(alpha)
-    c, d = float(interval[0]), float(interval[1])
-    a, b = dist.support
-    if not (a < c < d < b):
-        raise ArgumentError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
+    c, d = _band_interval(dist, interval)
     if xs is None:
         grid = np.linspace(c, d, 201)
     else:
@@ -137,16 +166,12 @@ def confidence_band(
     ghat = estimate(sample_y, dist, grid)
     fhat = kde(sample_y, ghat, bandwidth=h)
     critical = ks_sup_quantile(1.0 - alpha)
-
-    floor = 1.0 / (n * h)
-    flagged = fhat < floor
-    with np.errstate(divide="ignore"):
-        half = critical / (math.sqrt(n) * fhat)
+    band_lo, band_hi, flagged = _band_edges(ghat, fhat, critical, n, h)
     return BandResult(
         xs=grid,
         ghat=np.asarray(ghat, dtype=float),
-        band_lo=ghat - half,
-        band_hi=ghat + half,
+        band_lo=band_lo,
+        band_hi=band_hi,
         fhat_at_ghat=fhat,
         critical=critical,
         level=1.0 - alpha,

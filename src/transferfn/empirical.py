@@ -83,12 +83,23 @@ def sample_quantile(sample: Sample, p):
 def block_quantiles(sample: Sample, b: int, p: float) -> np.ndarray:
     """Inf-quantile of every length-b window of the sample, in start order.
 
-    One order-statistic filter sweeps all windows in C.  The origin shift
-    aligns output i with the window values[i : i + b]; the tail, whose
-    windows would run past the end, is cut off.
+    The one-row call of ``_block_quantile_rows``: one order-statistic filter
+    sweeps all n - b + 1 windows in C.
     """
-    if not (isinstance(b, (int, np.integer)) and 1 <= b <= sample.n):
+    return _block_quantile_rows(sample.values[None, :], b, p)[0]
+
+
+def _block_quantile_rows(rows: np.ndarray, b: int, p: float) -> np.ndarray:
+    """``block_quantiles`` of every row of a (rows, n) block of series in time order.
+
+    One rank filter sweeps the flattened block.  The origin shift aligns
+    output i with the window flat[i : i + b]; each row keeps its first
+    n - b + 1 outputs, and drops the windows that run into the next row (or,
+    on the last row, past the end), so row r equals its own sweep bit for bit.
+    """
+    n = rows.shape[1]
+    if not (isinstance(b, (int, np.integer)) and 1 <= b <= n):
         raise ArgumentError(f"block length must satisfy 1 <= b <= n (got {b})")
     rank = int(quantile_rank(b, p))
-    swept = rank_filter(sample.values, rank - 1, size=b, origin=-(b // 2))
-    return swept[: sample.n - b + 1]
+    swept = rank_filter(rows.ravel(), rank - 1, size=b, origin=-(b // 2))
+    return swept.reshape(rows.shape)[:, : n - b + 1]

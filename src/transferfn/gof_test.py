@@ -96,22 +96,21 @@ def trimming_fraction(n: int) -> float:
 
 
 def _evaluation_set(n: int):
-    """Where the statistic is evaluated, and ghat's one-sided limits there.
+    """Where the statistic is evaluated, and where ghat's one-sided limits there sit.
 
-    Returns (u, lo, hi): u is the _GRID_POINTS grid on [delta_n,
-    1-delta_n] followed by every jump u = i/n inside it; lo and hi are the
-    0-based indices into the sorted sample of ghat's left and right limits
-    at u (equal on the grid).
+    Returns (u, grid, jumps): u is the _GRID_POINTS grid on [delta_n,
+    1-delta_n] followed by every jump u = i/n inside it, for i in the range
+    ``jumps``; ``grid`` holds the 0-based indices into the sorted sample of
+    ghat at the grid points.  At the jump i/n ghat's left limit is the order
+    statistic at index i - 1 and its right limit the one at index i, so the
+    limits at all jumps are two contiguous slices of the sorted sample.
     """
     delta = trimming_fraction(n)
     u_grid = np.linspace(delta, 1.0 - delta, _GRID_POINTS)
-    grid_idx = quantile_rank(n, u_grid) - 1
-    i = np.arange(1, n)
-    i = i[(i / n >= delta) & (i / n <= 1.0 - delta)]
-    u = np.concatenate([u_grid, i / n])
-    lo = np.concatenate([grid_idx, i - 1])
-    hi = np.concatenate([grid_idx, i])
-    return u, lo, hi
+    levels = np.arange(1, n) / n  # i/n for i = 1 .. n-1, increasing
+    jumps = range(1 + int(levels.searchsorted(delta, "left")), 1 + int(levels.searchsorted(1.0 - delta, "right")))
+    u = np.concatenate([u_grid, levels[jumps.start - 1 : jumps.stop - 1]])
+    return u, quantile_rank(n, u_grid) - 1, jumps
 
 
 def _check_seed(seed, what: str = "seeds and stream keys") -> int:
@@ -221,7 +220,7 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     each row's sup is attained (the first such point).
     """
     n = sorted_rows.shape[1]
-    u, lo, hi = points
+    u, grid, jumps = points
     x, density = quantile_density(dist, u) if law_values is None else law_values
     bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
     if np.any(bad_law):
@@ -232,8 +231,15 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
 
     # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h)
-    gap = sorted_rows[:, hi] - hvals
-    np.maximum(gap, hvals - sorted_rows[:, lo], out=gap)
+    grid_values = sorted_rows[:, grid]
+    g, j0, j1 = grid.size, jumps.start, jumps.stop
+    gap = np.empty((sorted_rows.shape[0], u.size))
+    below = np.empty_like(gap)
+    np.subtract(grid_values, hvals[:, :g], out=gap[:, :g])
+    np.subtract(sorted_rows[:, j0:j1], hvals[:, g:], out=gap[:, g:])
+    np.subtract(hvals[:, :g], grid_values, out=below[:, :g])
+    np.subtract(hvals[:, g:], sorted_rows[:, j0 - 1 : j1 - 1], out=below[:, g:])
+    np.maximum(gap, below, out=gap)
     with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
         gap *= density / hprime
     where = np.argmax(gap, axis=1)
@@ -299,14 +305,14 @@ def test(
     stat = float(stats[0])
     critical = ks_sup_quantile(1.0 - alpha)
     p_value = ks_sup_tail(stat) if stat > 0.0 else 1.0
-    _, lo, hi = points
+    _, grid, jumps = points
     return TestResult(
         statistic=stat,
         critical=critical,
         p_value=p_value,
         reject=stat > critical,
         trim=trimming_fraction(sample_y.n),
-        eval_points=lo.size + int(np.count_nonzero(lo != hi)),  # a jump counts both limits
+        eval_points=grid.size + 2 * len(jumps),  # a jump counts both limits
         method="asymptotic",
         level=1.0 - alpha,
         argmax_x=float(argmax_x[0]),

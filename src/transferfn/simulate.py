@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_band import confidence_band
+from .density_band import _band_edges, _band_interval, _bandwidth, _kde_rows
 from .distributions import KnownDistribution, Normal, quantile_density
-from .empirical import Sample
 from .errors import ArgumentError, ConfigError, check_alpha
 from .estimator import _interior_grid, estimator_ranks
 from .gof_test import HypothesisFunction, _checked_rows, _evaluation_set, replicate_blocks, replication_rng
 from .ks_distribution import ks_sup_quantile
-from .subsampling import default_block_length, subsample_ci
+from .subsampling import _check_block, _subsample_half_widths, default_block_length
 
 __all__ = [
     "TRANSFERS",
@@ -243,12 +242,18 @@ def run_coverage_study(
     and where the transfer is finite; each is checked before any draw.
 
     Replications are generated a block of rows at a time by
-    ``replicate_blocks`` (key (), width n).  For "ci" a block is sorted once
-    along the rows and every row's intervals are read at the ranks
-    ``estimator_ranks`` gives, so each row's coverage equals that of
-    ``estimate_with_ci`` on the replicate alone.  "band" and "subsample"
-    build each row's intervals on their own.  The report's ``block`` param
-    is the subsampling block length used, None for the other methods.
+    ``replicate_blocks`` (key (), width n), and each block is scored as one
+    array; ghat and the CI bounds are read at ranks ``estimator_ranks``
+    gives once per study.  For "ci" and "band" the block is sorted once
+    along the rows; the band's density estimates come from one KDE over the
+    block.  For "subsample" the block in time order is swept once per
+    distinct block rank among the points.  Every row's intervals equal, bit
+    for bit, those of ``estimate_with_ci``, ``confidence_band`` or
+    ``subsample_ci`` on the replicate alone.  The alpha, the band's interval
+    (at least two points) and the block length (an integer with 2 <= b < n,
+    default ceil(n^(4/5))) are checked before any draw too.  The report's
+    ``block`` param is the subsampling block length used, as an int; None
+    for the other methods.
     """
     if replications < 1:
         raise ArgumentError(f"need at least one replication (got {replications})")
@@ -264,35 +269,36 @@ def run_coverage_study(
     bad = ~np.isfinite(g_true)
     if np.any(bad):
         raise ArgumentError(f"transfer {config.transfer!r} is not finite at x = {float(xs[bad][0])!r}")
-    interval = (float(np.min(xs)), float(np.max(xs)))  # the band's [c, d]
+    check_alpha(alpha)
+    if method == "band":
+        _band_interval(marginal, (float(np.min(xs)), float(np.max(xs))))
+        h = _bandwidth(config.n)
+        critical = ks_sup_quantile(1.0 - alpha)
+    b = _check_block(default_block_length(config.n) if block is None else block, config.n) if method == "subsample" else None
 
     t0 = time.perf_counter()
-    if method == "ci":
-        # the CI ranks depend only on (marginal, xs, n, alpha): one set serves every replicate
-        ranks = estimator_ranks(marginal, xs, config.n, alpha)
-    b = block if block is not None else default_block_length(config.n)
+    # the ranks depend only on (marginal, xs, n, alpha): one set serves every replicate
+    ranks = estimator_ranks(marginal, xs, config.n, alpha if method == "ci" else None)
     hits = np.zeros(xs.size, dtype=np.int64)
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
     for reps, ys in _finite_blocks(config.seed, replications, config.n, lambda rng: _draw_z(config, rng), g, config.law):
-        covered = np.empty((len(reps), xs.size), dtype=bool)
-        if method == "ci":
-            ys.sort(axis=1)
-            covered[:] = (ys[:, ranks.lo] <= g_true) & (g_true <= ys[:, ranks.hi])
-        elif method == "band":
-            for r, y in enumerate(ys):
-                band = confidence_band(Sample(y), marginal, interval, alpha, xs=xs)
-                covered[r] = (band.band_lo <= g_true) & (g_true <= band.band_hi)
-                nflag = int(np.count_nonzero(band.flagged))
-                flagged_points += nflag
-                flagged_reps += 1 if nflag else 0
+        if method == "subsample":
+            ghat = np.sort(ys, axis=1)[:, ranks.ghat]
+            half = _subsample_half_widths(ys, ghat, ranks.p, b, alpha)
+            lo, hi = ghat - half, ghat + half
         else:
-            for r, y in enumerate(ys):
-                sample = Sample(y)
-                for j, x in enumerate(xs):
-                    res = subsample_ci(sample, marginal, float(x), alpha, b=b)
-                    covered[r, j] = res.ci[0] <= g_true[j] <= res.ci[1]
+            ys.sort(axis=1)
+            if method == "ci":
+                lo, hi = ys[:, ranks.lo], ys[:, ranks.hi]
+            else:
+                ghat = ys[:, ranks.ghat]
+                lo, hi, flagged = _band_edges(ghat, _kde_rows(ys, ghat, h), critical, config.n, h)
+                nflag = np.count_nonzero(flagged, axis=1)
+                flagged_points += int(np.sum(nflag))
+                flagged_reps += int(np.count_nonzero(nflag))
+        covered = (lo <= g_true) & (g_true <= hi)
         hits += np.count_nonzero(covered, axis=0)
         simultaneous += int(np.count_nonzero(np.all(covered, axis=1)))
 
@@ -313,7 +319,7 @@ def run_coverage_study(
             "alpha": alpha,
             "method": method,
             "ma_order": config.ma_order,
-            "block": b if method == "subsample" else None,
+            "block": b,
         },
         extras=extras,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import KnownDistribution
-from .empirical import Sample, block_quantiles, sample_quantile
+from .empirical import Sample, _block_quantile_rows, block_quantiles, quantile_rank
 from .errors import ArgumentError, check_alpha
 from .estimator import estimator_ranks
 
@@ -51,14 +51,51 @@ def default_block_length(n: int) -> int:
     return int(math.ceil(n ** 0.8))
 
 
-def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, Sample]:
-    """ghat(x) and the ``subsample_distribution`` sample, from one plug-in level."""
-    if not (2 <= b < sample_y.n):
-        raise ArgumentError(f"block length must satisfy 2 <= b < n (got b={b}, n={sample_y.n})")
+def _check_block(b, n: int) -> int:
+    """``b`` as a Python int; ArgumentError unless it has an integral type and 2 <= b < n."""
+    if not isinstance(b, (int, np.integer)):
+        raise ArgumentError(f"block length must be an integer (got {b!r})")
+    if not 2 <= b < n:
+        raise ArgumentError(f"block length must satisfy 2 <= b < n (got b={b}, n={n})")
+    return int(b)
+
+
+def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, np.ndarray]:
+    """ghat(x) and the n-b+1 scaled block deviations sqrt(b)|ghat_b,i - ghat|, from one plug-in level."""
+    b = _check_block(b, sample_y.n)
     r = estimator_ranks(dist, float(x), sample_y.n)
     ghat = float(sample_y.sorted_values[r.ghat[0]])
     ghat_blocks = block_quantiles(sample_y, b, float(r.p[0]))
-    return ghat, Sample(math.sqrt(b) * np.abs(ghat_blocks - ghat))
+    return ghat, math.sqrt(b) * np.abs(ghat_blocks - ghat)
+
+
+def _deviation_quantile(deviations: np.ndarray, alpha: float) -> np.ndarray:
+    """d: the inf-quantile at level 1 - alpha of the deviations along the last axis.
+
+    ``np.partition`` places the order statistic at ``quantile_rank`` as a full
+    sort would, so d equals ``sample_quantile`` of the deviations bit for bit.
+    """
+    k = int(quantile_rank(deviations.shape[-1], 1.0 - alpha)) - 1
+    return np.partition(deviations, k, axis=-1)[..., k]
+
+
+def _subsample_half_widths(rows: np.ndarray, ghat: np.ndarray, p: np.ndarray, b: int, alpha: float) -> np.ndarray:
+    """d / sqrt(n) of ``subsample_ci`` for every row of a (rows, n) block and every point.
+
+    ``rows`` holds the series in time order; ``ghat`` is (rows, points), at
+    plug-in levels ``p``.  Points whose levels share a block rank share one
+    sweep of the block (``_block_quantile_rows``).
+    """
+    n = rows.shape[1]
+    half = np.empty(ghat.shape)
+    block_rank = quantile_rank(b, p)
+    for rank in np.unique(block_rank):
+        cols = np.flatnonzero(block_rank == rank)
+        ghat_blocks = _block_quantile_rows(rows, b, float(p[cols[0]]))
+        for j in cols:
+            deviations = math.sqrt(b) * np.abs(ghat_blocks - ghat[:, j, None])
+            half[:, j] = _deviation_quantile(deviations, alpha) / math.sqrt(n)
+    return half
 
 
 def subsample_distribution(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> Sample:
@@ -67,7 +104,7 @@ def subsample_distribution(sample_y: Sample, dist: KnownDistribution, x: float, 
     Its ECDF (via empirical.ecdf) is the nondecreasing step function
     S_{n,b}(eta, x), and empirical.sample_quantile gives inf-quantiles of it.
     """
-    return _ghat_and_deviations(sample_y, dist, x, b)[1]
+    return Sample(_ghat_and_deviations(sample_y, dist, x, b)[1])
 
 
 def subsample_ci(
@@ -77,12 +114,16 @@ def subsample_ci(
     alpha: float,
     b: int | None = None,
 ) -> SubsampleResult:
-    """Level-(1-alpha) subsampling interval for g(x); b defaults to ceil(n^(4/5))."""
+    """Level-(1-alpha) subsampling interval for g(x); b defaults to ceil(n^(4/5)).
+
+    b must be an integer with 2 <= b < n.  d is the inf-quantile at level
+    1 - alpha of ``subsample_distribution``.
+    """
     check_alpha(alpha)
     if b is None:
         b = default_block_length(sample_y.n)
     ghat, deviations = _ghat_and_deviations(sample_y, dist, x, b)
-    d = float(sample_quantile(deviations, 1.0 - alpha))
+    d = float(_deviation_quantile(deviations, alpha))
     half = d / math.sqrt(sample_y.n)
     return SubsampleResult(
         x=float(x),

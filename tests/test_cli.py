@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
 from transferfn.cli import _read_column_fast, _read_column_rows
-from transferfn import Gamma, Normal, Uniform
+from transferfn import DGPConfig, Gamma, Normal, Sample, Uniform, confidence_band, generate, replication_rng
 from transferfn.errors import ArgumentError
 
 
@@ -382,6 +383,23 @@ def test_subsample_ci_command(capsys, tmp_path):
     assert payload["block"] == int(np.ceil(1500**0.8))
 
 
+def test_subsample_ci_json_reports_windows_and_block_default(capsys, tmp_path):
+    data = tmp_path / "ma.csv"
+    run_cli(capsys, "simulate", "data", "--transfer", "(x+4)^2", "--n", "700", "--ma-order", "10", "--out", str(data))
+    n = len(data.read_text().splitlines()) - 2  # the schema line and the header
+    argv = ("subsample-ci", "--data", str(data), "--y-col", "y", "--dist", "normal:0,2.178", "--x", "0")
+    keys = ["x", "ghat", "d_quantile", "ci_lo", "ci_hi", "block", "n", "level"]
+    for extra, b, default in (((), math.ceil(n**0.8), True), (("--block", "55"), 55, False)):
+        code, out, _ = run_cli(capsys, *argv, *extra, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["block"], payload["windows"], payload["block_default"]) == (b, n - b + 1, default)
+        # the plain output keeps its keys and values
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert out == "".join(f"{key}: {payload[key]}\n" for key in keys)
+
+
 def test_fit_command_and_qq(tmp_path, capsys, gamma_file):
     y = read_column(str(gamma_file), "DQO-E")
     payloads = {}
@@ -445,13 +463,21 @@ def test_simulate_coverage_command(tmp_path, capsys):
     assert len(rows) == 3
     code, _, err = run_cli(
         capsys,
-        "simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "5",
-        "--method", "band", "--x", "-1", "0", "1", "--seed", "2", "--out", str(out),
+        "simulate", "coverage", "--transfer", "x^3", "--n", "300", "--reps", "5",
+        "--method", "band", "--x", "-2", "0", "2", "--seed", "2", "--out", str(out),
     )
     assert code == 0
-    simultaneous = re.fullmatch(r"simultaneous: (\S+)\n", err)
-    assert simultaneous and 0.0 <= float(simultaneous.group(1)) <= 1.0
+    line = re.fullmatch(r"simultaneous: (\S+), flagged_points: (\d+), flagged_reps: (\d+)\n", err)
+    assert line and 0.0 <= float(line.group(1)) <= 1.0
     assert len(read_table(out)[2]) == 3
+    # the flag counts, one replicate at a time
+    config = DGPConfig(transfer="x^3", n=300, seed=2)
+    flags = [
+        int(np.count_nonzero(confidence_band(Sample(generate(config, replication_rng(2, r))[1]), Normal(), (-2.0, 2.0), 0.01, xs=[-2.0, 0.0, 2.0]).flagged))
+        for r in range(5)
+    ]
+    assert sum(flags) > 0
+    assert (int(line.group(2)), int(line.group(3))) == (sum(flags), sum(f > 0 for f in flags))
 
 
 def test_dgp_schema(tmp_path, capsys):
@@ -464,6 +490,14 @@ def test_dgp_schema(tmp_path, capsys):
     assert schema == "# schema: transferfn.dgp.v1"
     assert header == ["z", "y"]
     assert len(rows) == 10
+
+
+def test_band_needs_two_grid_points(capsys, uniform_identity_file):
+    data = ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1")
+    for argv in (("--x", "0.5"), ("--grid", "0.5..0.5x5"), ("--grid", "0.1..0.9x1")):
+        code, out, err = run_cli(capsys, *data, *argv, "--band")
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: --band needs at least two distinct grid points") and "--grid" in err, argv
 
 
 def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):

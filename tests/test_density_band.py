@@ -13,7 +13,7 @@ from transferfn import (
     ks_sup_quantile,
 )
 
-from transferfn.density_band import _bandwidth
+from transferfn.density_band import _bandwidth, _kde_rows
 
 from oracles import naive_kde
 
@@ -112,6 +112,39 @@ def test_kde_matches_dense_oracle_at_any_offset():
                 empty = np.min(np.abs(ys[:, None] - values[None, :]), axis=1) > edge * (1 + 1e-3)
                 assert np.all(got[empty] == 0.0)
                 assert np.all(got >= 0.0)
+
+
+def test_kde_rows_match_one_row_kde_bit_for_bit():
+    # rows of one block differ in offset and scale: a one-cell row, rows of
+    # many cells and rows where |Y|/h is huge; each row's queries include
+    # windows across two cells, empty windows and windows past either end
+    rng = np.random.default_rng(16)
+    n, h = 400, 400 ** (-1.0 / 6.0)
+    edge, cell = math.pi * h, 4.0 * math.pi * h
+    offsets = [0.0, 0.0, -50.0, 1e3, 1e6, 1e9, 0.0]
+    spreads = [0.1, 1.0, 30.0, 5.0, 100.0, 10.0, 1e-3]
+    block = np.sort(np.stack([o + s * rng.standard_normal(n) for o, s in zip(offsets, spreads)]), axis=1)
+    queries = []
+    for row in block:
+        key = np.floor((row - row[0]) / cell)
+        cell_starts = row[np.flatnonzero(np.diff(key)) + 1]
+        ends = [row[0] - 2 * edge, row[0] - edge * (1 + 1e-3), row[-1] + edge * (1 + 1e-3), row[-1] + 2 * edge]
+        picks = rng.choice(row, size=12, replace=False)
+        queries.append(np.resize(np.concatenate([cell_starts - 0.5 * edge, cell_starts, ends, picks - edge, picks + edge,
+                                                 rng.uniform(row[0] - edge, row[-1] + edge, 12)]), 80))
+    ys = np.stack(queries)
+    got = _kde_rows(block, ys, h)
+    straddles = empties = 0
+    for r, row in enumerate(block):
+        one = kde(Sample(row), ys[r], bandwidth=h)
+        assert np.array_equal(got[r].view(np.int64), one.view(np.int64)), r
+        key = np.floor((row - row[0]) / cell)
+        lo, hi = np.searchsorted(row, ys[r] - edge, "left"), np.searchsorted(row, ys[r] + edge, "right")
+        straddles += int(np.count_nonzero((hi > lo) & (key[np.minimum(lo, n - 1)] != key[np.maximum(hi - 1, 0)])))
+        empties += int(np.count_nonzero(hi == lo))
+        assert np.all(got[r][hi == lo] == 0.0)
+    assert np.unique(np.floor((block[0] - block[0, 0]) / cell)).size == 1  # the one-cell row
+    assert straddles > 20 and empties > 20
 
 
 def _squared_sample(n, seed):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from transferfn import DomainError, Sample, block_quantiles, ecdf, sample_quantile
+from transferfn.empirical import _block_quantile_rows
 
 from oracles import naive_inf_quantile, naive_window_quantiles, ma_series
 
@@ -129,6 +130,24 @@ def test_block_quantiles_randomized_oracle():
         assert np.array_equal(
             block_quantiles(Sample(values), b, p), naive_window_quantiles(values, b, p)
         ), (values.size, b, p)
+
+
+def test_block_quantile_rows_match_per_row_sweeps_and_oracle():
+    # one sweep over the flattened block: no window may mix two rows, at the
+    # smallest block, the largest and the whole row, at several levels
+    rng = np.random.default_rng(100)
+    n = 37
+    block = np.stack(
+        [rng.normal(size=n), 1e6 + rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float), -rng.exponential(size=n)]
+    )
+    for b in (2, n - 1, n):
+        for p in (0.01, 0.3, 0.5, 0.77, 1.0):
+            rows = _block_quantile_rows(block, b, p)
+            assert rows.shape == (block.shape[0], n - b + 1)
+            for r, values in enumerate(block):
+                one = block_quantiles(Sample(values), b, p)
+                assert np.array_equal(rows[r], one), (b, p, r)
+                assert np.array_equal(rows[r], naive_window_quantiles(values, b, p)), (b, p, r)
 
 
 def test_block_quantiles_domain():

@@ -23,6 +23,8 @@ from transferfn import (
     subsample_ci,
 )
 from transferfn import test_statistic as gof_statistic
+from transferfn.empirical import quantile_rank
+from transferfn.errors import ArgumentError
 import transferfn.gof_test as gof_module
 import transferfn.simulate as simulate
 
@@ -314,3 +316,40 @@ def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
     _check_study(cfg, [-4.0, -3.0, -1.0], 0.05, 30, "ci")
     assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
+
+
+def test_subsample_study_shares_a_sweep_between_points_of_one_block_rank():
+    # x = 0 and 0.01 map to one block rank, x = -0.5 and 1.0 to two others;
+    # 60 replications of width 600 are a block of 54 rows and one of 6
+    cfg = DGPConfig(transfer="(x+4)^2", n=600, seed=24, ma_order=10, ma_decay=0.9)
+    xs, b = [-0.5, 0.0, 0.01, 1.0], 25
+    ranks = quantile_rank(b, cfg.marginal().cdf(np.array(xs)))
+    assert ranks[1] == ranks[2] and np.unique(ranks).size == 3
+    rep = _check_study(cfg, xs, 0.05, 60, "subsample", block=b)
+    assert any(0.0 < c < 1.0 for c in rep.cells.values())  # some misses, so a misread row shows
+
+
+def test_block_length_is_checked_before_any_draw(monkeypatch):
+    cfg = DGPConfig(transfer="(x+4)^2", n=300, seed=25)
+    rep = run_coverage_study(cfg, [0.0], 0.05, 2, method="subsample", block=np.int64(40))
+    assert type(rep.params["block"]) is int and rep.params["block"] == 40
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(simulate, "replicate_blocks", refuse)
+    sample = Sample(generate(cfg)[1])
+    for block, message in (
+        (55.0, r"block length must be an integer \(got 55\.0\)"),
+        (np.float64(40.0), "block length must be an integer"),
+        ("40", "block length must be an integer"),
+        (1, r"2 <= b < n \(got b=1, n=300\)"),
+        (np.int64(300), r"2 <= b < n \(got b=300, n=300\)"),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            run_coverage_study(cfg, [0.0], 0.05, 3, method="subsample", block=block)
+        with pytest.raises(ArgumentError, match=message):
+            subsample_ci(sample, cfg.marginal(), 0.0, 0.05, b=block)
+    # the default ceil(n^(4/5)) is n itself at n = 4
+    with pytest.raises(ArgumentError, match=r"got b=4, n=4"):
+        run_coverage_study(DGPConfig(transfer="(x+4)^2", n=4), [0.0], 0.05, 3, method="subsample")
