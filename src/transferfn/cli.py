@@ -4,8 +4,7 @@ Exit codes: 0 ok; 2 for a flag argparse rejects and for any argument the
 library rejects (ArgumentError, ConfigError); 3 for data that cannot be
 read; 4 for a numeric or convergence failure.  The library checks each
 argument where it uses it, so a bad flag value is reported after the input
-is read; the CLI checks only its own specs and that ``--band`` gets at
-least two grid points.  All delimited output starts with a ``# schema:`` comment so
+is read.  All delimited output starts with a ``# schema:`` comment so
 downstream readers can pin the column layout.
 """
 
@@ -275,18 +274,20 @@ def _cmd_estimate(args) -> int:
     else:
         p_lo, p_hi, npts = parse_grid(args.grid)
         xs = default_grid(dist, npts, p_lo, p_hi)
-    if args.band and not xs[0] < xs[-1]:
-        raise ArgumentError(
-            f"--band needs at least two distinct grid points (got x = {float(xs[0])!r} only); "
-            "give them with --grid P1..P2xN, P1 < P2 and N >= 2"
-        )
     sample = Sample(read_column(args.data, args.y_col, delimiter=args.delim))
 
     res = estimate_with_ci(sample, dist, xs, args.alpha)
     header = ["x", "ghat", "ci_lo", "ci_hi"]
     columns = [res.xs, res.ghat, res.ci_lo, res.ci_hi]
     if args.band:
-        band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), args.alpha, bandwidth=args.bandwidth, xs=xs)
+        try:
+            band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), args.alpha, bandwidth=args.bandwidth, xs=xs)
+        except ArgumentError as exc:
+            if xs[0] < xs[-1]:
+                raise
+            raise ArgumentError(
+                f"--band needs at least two distinct grid points; give them with --grid P1..P2xN, P1 < P2 and N >= 2 ({exc})"
+            ) from exc
         header += ["band_lo", "band_hi", "flagged"]
         columns += [band.band_lo, band.band_hi, band.flagged.astype(int)]
     rows = list(zip(*[np.asarray(c) for c in columns]))

@@ -247,7 +247,7 @@ def run_coverage_study(
     gives once per study.  For "ci" and "band" the block is sorted once
     along the rows; the band's density estimates come from one KDE over the
     block.  For "subsample" the block in time order is swept once per
-    distinct block rank among the points.  Every row's intervals equal, bit
+    point.  Every row's intervals equal, bit
     for bit, those of ``estimate_with_ci``, ``confidence_band`` or
     ``subsample_ci`` on the replicate alone.  The alpha, the band's interval
     (at least two points) and the block length (an integer with 2 <= b < n,

@@ -65,8 +65,12 @@ def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b:
     b = _check_block(b, sample_y.n)
     r = estimator_ranks(dist, float(x), sample_y.n)
     ghat = float(sample_y.sorted_values[r.ghat[0]])
-    ghat_blocks = block_quantiles(sample_y, b, float(r.p[0]))
-    return ghat, math.sqrt(b) * np.abs(ghat_blocks - ghat)
+    return ghat, _scaled_deviations(block_quantiles(sample_y, b, float(r.p[0])), ghat, b)
+
+
+def _scaled_deviations(ghat_blocks: np.ndarray, ghat, b: int) -> np.ndarray:
+    """sqrt(b)|ghat_b,i - ghat|; ``ghat`` broadcasts against the block estimates."""
+    return math.sqrt(b) * np.abs(ghat_blocks - ghat)
 
 
 def _deviation_quantile(deviations: np.ndarray, alpha: float) -> np.ndarray:
@@ -83,19 +87,13 @@ def _subsample_half_widths(rows: np.ndarray, ghat: np.ndarray, p: np.ndarray, b:
     """d / sqrt(n) of ``subsample_ci`` for every row of a (rows, n) block and every point.
 
     ``rows`` holds the series in time order; ``ghat`` is (rows, points), at
-    plug-in levels ``p``.  Points whose levels share a block rank share one
-    sweep of the block (``_block_quantile_rows``).
+    plug-in levels ``p``.  Each point sweeps the block once.
     """
-    n = rows.shape[1]
     half = np.empty(ghat.shape)
-    block_rank = quantile_rank(b, p)
-    for rank in np.unique(block_rank):
-        cols = np.flatnonzero(block_rank == rank)
-        ghat_blocks = _block_quantile_rows(rows, b, float(p[cols[0]]))
-        for j in cols:
-            deviations = math.sqrt(b) * np.abs(ghat_blocks - ghat[:, j, None])
-            half[:, j] = _deviation_quantile(deviations, alpha) / math.sqrt(n)
-    return half
+    for j in range(ghat.shape[1]):
+        deviations = _scaled_deviations(_block_quantile_rows(rows, b, float(p[j])), ghat[:, j, None], b)
+        half[:, j] = _deviation_quantile(deviations, alpha)
+    return half / math.sqrt(rows.shape[1])
 
 
 def subsample_distribution(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> Sample:

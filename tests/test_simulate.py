@@ -318,7 +318,7 @@ def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
     assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
 
 
-def test_subsample_study_shares_a_sweep_between_points_of_one_block_rank():
+def test_subsample_study_at_several_x_reads_every_point():
     # x = 0 and 0.01 map to one block rank, x = -0.5 and 1.0 to two others;
     # 60 replications of width 600 are a block of 54 rows and one of 6
     cfg = DGPConfig(transfer="(x+4)^2", n=600, seed=24, ma_order=10, ma_decay=0.9)
