@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .density_band import confidence_band
-from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform
+from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform, family_fitter
 from .empirical import Sample
 from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
 from .estimator import default_grid, estimate_with_ci
@@ -281,7 +281,7 @@ def _cmd_estimate(args) -> int:
     columns = [res.xs, res.ghat, res.ci_lo, res.ci_hi]
     if args.band:
         try:
-            band = confidence_band(sample, dist, (float(xs[0]), float(xs[-1])), args.alpha, bandwidth=args.bandwidth, xs=xs)
+            band = confidence_band(sample, dist, xs, args.alpha, bandwidth=args.bandwidth)
         except ArgumentError as exc:
             if xs[0] < xs[-1]:
                 raise
@@ -351,10 +351,9 @@ def _cmd_subsample_ci(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.family not in FAMILIES:
-        raise ConfigError(f"unknown --family {args.family!r}; known: {', '.join(FAMILIES)}")
+    fit = family_fitter(args.family)
     y = read_column(args.data, args.y_col, delimiter=args.delim)
-    fitted = FAMILIES[args.family](y)
+    fitted = fit(y)
     payload = {"family": args.family, "n": int(y.size), **dataclasses.asdict(fitted)}
     if isinstance(fitted, Gamma):
         payload["scale"] = fitted.scale

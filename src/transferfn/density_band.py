@@ -1,6 +1,6 @@
 """Kernel density estimate of the output law and the uniform confidence band.
 
-The band on a closed interval [c, d] strictly inside the input support has
+The band on a grid spanning [c, d], strictly inside the input support, has
 per-point half-width  critical / (sqrt(n) f_n(ghat(x))),  where critical
 solves the Brownian-bridge sup law at the requested level and f_n is the
 compact-support KDE below.  Points where f_n(ghat(x)) falls under the floor
@@ -19,23 +19,32 @@ import numpy as np
 from .distributions import KnownDistribution
 from .empirical import Sample
 from .errors import ArgumentError, check_alpha
-from .estimator import estimate
+from .estimator import _interior_grid, estimate
 from .ks_distribution import ks_sup_quantile
 
 __all__ = ["BandResult", "kde", "confidence_band"]
 
 
-def _bandwidth(n: int, bandwidth: float | None = None) -> float:
+def _bandwidth(n: int, bandwidth: float | None = None, span: float = 0.0) -> float:
     """The KDE bandwidth for n observations: ``bandwidth`` if given, else h = n^(-1/6).
 
     The default satisfies the admissibility conditions (loglog n)^(1/2) h -> 0
-    and sqrt(n) h^2 / loglog n -> inf.
+    and sqrt(n) h^2 / loglog n -> inf.  A given bandwidth must be positive
+    and finite, and large enough that the kernel's peak 1/(pi h), which
+    bounds the estimate and its normaliser 1/(2 pi n h), and the cell keys
+    span/(4 pi h) of values spanning ``span`` stay finite (ArgumentError
+    otherwise): below that the estimate is inf or NaN.
     """
     if bandwidth is None:
         return float(n) ** (-1.0 / 6.0)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ArgumentError(f"bandwidth must be positive and finite (got {bandwidth})")
-    return float(bandwidth)
+    h = float(bandwidth)
+    if not math.isfinite(1.0 / (math.pi * h)):
+        raise ArgumentError(f"bandwidth {h} is too small: the kernel's peak 1/(pi h) overflows")
+    if not math.isfinite(span / (4.0 * math.pi * h)):
+        raise ArgumentError(f"bandwidth {h} is too small for values spanning {span}: the cell keys span/(4 pi h) overflow")
+    return h
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,10 @@ def kde(sample_y: Sample, y, bandwidth: float | None = None):
     outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
     when it is None.  This is the one-row call of ``_kde_rows``.
     """
-    h = _bandwidth(sample_y.n, bandwidth)
+    values = sample_y.sorted_values
+    h = _bandwidth(sample_y.n, bandwidth, float(values[-1] - values[0]))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    out = _kde_rows(sample_y.sorted_values[None, :], ys[None, :], h)[0]
+    out = _kde_rows(values[None, :], ys[None, :], h)[0]
     if np.ndim(y) == 0:
         return float(out[0])
     return out
@@ -119,13 +129,20 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     return np.where(hi > lo, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
 
 
-def _band_interval(dist: KnownDistribution, interval) -> tuple[float, float]:
-    """The band's [c, d] as floats; ArgumentError unless a < c < d < b on dist's support (a, b)."""
-    c, d = float(interval[0]), float(interval[1])
-    a, b = dist.support
-    if not (a < c < d < b):
+def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: float | None = None):
+    """(grid, h, critical) of a band for n observations on the grid ``xs``.
+
+    ArgumentError unless alpha is a level and a < min xs < max xs < b on
+    dist's support (a, b); h is ``_bandwidth(n, bandwidth)`` and critical
+    the bridge-sup quantile at 1 - alpha.
+    """
+    check_alpha(alpha)
+    grid = _interior_grid(dist, xs)
+    c, d = float(np.min(grid)), float(np.max(grid))
+    if not c < d:
+        a, b = dist.support
         raise ArgumentError(f"band interval must satisfy a < c < d < b, got [{c}, {d}] in ({a}, {b})")
-    return c, d
+    return grid, _bandwidth(n, bandwidth), ks_sup_quantile(1.0 - alpha)
 
 
 def _band_edges(ghat: np.ndarray, fhat: np.ndarray, critical: float, n: int, h: float):
@@ -138,34 +155,20 @@ def _band_edges(ghat: np.ndarray, fhat: np.ndarray, critical: float, n: int, h: 
 def confidence_band(
     sample_y: Sample,
     dist: KnownDistribution,
-    interval: tuple[float, float],
+    xs,
     alpha: float,
     bandwidth: float | None = None,
-    xs=None,
 ) -> BandResult:
-    """Uniform level-(1-alpha) band for g on [c, d] strictly inside the support.
+    """Uniform level-(1-alpha) band for g on the grid ``xs``: the band on [min xs, max xs].
 
-    Parameters
-    ----------
-    interval : (c, d) with a < c < d < b.
-    bandwidth : the KDE bandwidth; None selects h = n^(-1/6).
-    xs : optional explicit grid inside [c, d]; default is 201 equispaced
-        points spanning the interval.
+    ``xs`` needs two distinct points, all strictly inside the support; the
+    band at a point does not depend on the other points.  ``bandwidth`` is
+    the KDE bandwidth; None selects h = n^(-1/6).
     """
-    check_alpha(alpha)
-    c, d = _band_interval(dist, interval)
-    if xs is None:
-        grid = np.linspace(c, d, 201)
-    else:
-        grid = np.atleast_1d(np.asarray(xs, dtype=float))
-        if np.any(grid < c) or np.any(grid > d):
-            raise ArgumentError("explicit grid must lie inside the band interval")
-
     n = sample_y.n
-    h = _bandwidth(n, bandwidth)
+    grid, h, critical = _band_setup(dist, xs, n, alpha, bandwidth)
     ghat = estimate(sample_y, dist, grid)
     fhat = kde(sample_y, ghat, bandwidth=h)
-    critical = ks_sup_quantile(1.0 - alpha)
     band_lo, band_hi, flagged = _band_edges(ghat, fhat, critical, n, h)
     return BandResult(
         xs=grid,

@@ -22,7 +22,7 @@ from scipy.special import (
     zeta,
 )
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 
 __all__ = [
     "KnownDistribution",
@@ -34,6 +34,7 @@ __all__ = [
     "fit_normal",
     "fit_uniform",
     "FAMILIES",
+    "family_fitter",
 ]
 
 
@@ -489,3 +490,10 @@ FAMILIES = {
     "normal": fit_normal,
     "uniform": fit_uniform,
 }
+
+
+def family_fitter(family: str):
+    """The MLE fitter ``FAMILIES[family]``; ConfigError if no family has that name."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    return FAMILIES[family]

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FAMILIES, TABLE_REL_ERROR, Gamma, KnownDistribution, gamma_quantile_table, quantile_density
+from .distributions import TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter, gamma_quantile_table, quantile_density
 from .empirical import Sample, quantile_rank
-from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
+from .errors import ArgumentError, ConvergenceError, DomainError, check_alpha
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TestResult",
     "trimming_fraction",
     "test_statistic",
-    "test_statistic_rows",
     "replication_rng",
     "replicate_blocks",
     "test",
@@ -249,22 +248,6 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     return stats, np.broadcast_to(status, stats.shape), argmax_x
 
 
-def test_statistic_rows(
-    sorted_rows: np.ndarray,
-    dist: KnownDistribution,
-    hyp: HypothesisFunction,
-) -> np.ndarray:
-    """``test_statistic`` of every row of a (rows, n) array of sorted samples.
-
-    ``dist`` is one law for all rows or a law with (rows, 1) parameter
-    columns (as a family's ``fit_rows`` returns).  Row r equals, bit for bit,
-    the statistic of that row alone.  Raises DomainError if any row's is
-    undefined.
-    """
-    sorted_rows = np.asarray(sorted_rows, dtype=float)
-    return _checked_rows(sorted_rows, dist, hyp, _evaluation_set(sorted_rows.shape[1]))[0]
-
-
 def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None):
     """(statistics, argmax_x) of every row at ``points``; DomainError if any row's statistic is undefined."""
     stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, law_values)
@@ -287,9 +270,10 @@ def test_statistic(
     x = xi_Z(u) with u equispaced in [delta_n, 1-delta_n], augmented with
     both one-sided limits at every order-statistic boundary u = i/n inside
     the trimmed region; pure gridding would understate the sup.  This is
-    the one-row call of ``test_statistic_rows``.
+    the one-row call of ``_checked_rows``.
     """
-    return float(test_statistic_rows(sample_y.sorted_values[None, :], dist, hyp)[0])
+    stats, _ = _checked_rows(sample_y.sorted_values[None, :], dist, hyp, _evaluation_set(sample_y.n))
+    return float(stats[0])
 
 
 def test(
@@ -362,9 +346,7 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     """
     if replications < 99:
         raise ArgumentError(f"need at least 99 bootstrap replications (got {replications})")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    fitted = FAMILIES[family](data.values)
+    fitted = family_fitter(family)(data.values)
     observed = test_statistic(data, fitted, hyp)
 
     n = data.n

@@ -10,18 +10,17 @@ whose docstring states the stream keys and the block sizes.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_band import _band_edges, _band_interval, _bandwidth, _kde_rows
+from .density_band import _band_edges, _band_setup, _kde_rows
 from .distributions import KnownDistribution, Normal, quantile_density
-from .errors import ArgumentError, ConfigError, check_alpha
+from .errors import ArgumentError, ConfigError, DomainError, check_alpha
 from .estimator import _interior_grid, estimator_ranks
 from .gof_test import HypothesisFunction, _checked_rows, _evaluation_set, replicate_blocks, replication_rng
 from .ks_distribution import ks_sup_quantile
-from .subsampling import _check_block, _subsample_half_widths, default_block_length
+from .subsampling import _check_block, _subsample_half_widths
 
 __all__ = [
     "TRANSFERS",
@@ -106,13 +105,13 @@ def perturbed(h: HypothesisFunction, kind: str, n: int) -> HypothesisFunction:
     return g
 
 
-def _check_increasing(g: HypothesisFunction, lo: float = -2.0, hi: float = 2.0) -> None:
-    # B1 on the evaluation region: values strictly increase, derivative never negative
-    xs = np.linspace(lo, hi, 401)
+def _check_increasing(g: HypothesisFunction) -> None:
+    # B1 on the evaluation region [-2, 2]: values strictly increase, derivative never negative
+    xs = np.linspace(-2.0, 2.0, 401)
     vals = np.asarray(g.fn(xs), dtype=float)
     der = np.asarray(g.deriv(xs), dtype=float)
     if np.any(np.diff(vals) <= 0.0) or np.any(der < 0.0):
-        raise ConfigError(f"transfer {g.name!r} is not strictly increasing on [{lo}, {hi}]")
+        raise ConfigError(f"transfer {g.name!r} is not strictly increasing on [-2.0, 2.0]")
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,8 @@ class DGPConfig:
     innovation distribution (normal only, as in the dependent-data example):
     Z_i = sum_{k=0}^{q} decay^k eps_{i-k} with q presample innovations for
     burn-in, and ``marginal()`` is the exact stationary law handed to every
-    estimator.
+    estimator.  A ``ma_decay`` whose coefficients or stationary SD overflow
+    is a ConfigError.
     """
 
     transfer: str
@@ -142,6 +142,11 @@ class DGPConfig:
             raise ConfigError(f"ma_decay must be finite (got {self.ma_decay})")
         if self.ma_order > 0 and not isinstance(self.law, Normal):
             raise ConfigError("MA generation supports normal innovations only")
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                self.marginal()  # its SD is finite only if every coefficient is
+            except DomainError:
+                raise ConfigError(f"ma_decay {self.ma_decay} overflows the MA({self.ma_order}) law") from None
         _check_increasing(get_transfer(self.transfer))
 
     def coefficients(self) -> np.ndarray:
@@ -208,7 +213,6 @@ class ExperimentReport:
     kind: str
     cells: dict
     replications: int
-    runtime_seconds: float
     seed: int
     params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
@@ -249,9 +253,10 @@ def run_coverage_study(
     block.  For "subsample" the block in time order is swept once per
     point.  Every row's intervals equal, bit
     for bit, those of ``estimate_with_ci``, ``confidence_band`` or
-    ``subsample_ci`` on the replicate alone.  The alpha, the band's interval
-    (at least two points) and the block length (an integer with 2 <= b < n,
-    default ceil(n^(4/5))) are checked before any draw too.  The report's
+    ``subsample_ci`` on the replicate alone.  The alpha, the band's grid (at
+    least two distinct points) and the block length (an integer with
+    2 <= b < n, default ceil(n^(4/5))) are checked before any draw too, by
+    the rules ``confidence_band`` and ``subsample_ci`` apply.  The report's
     ``block`` param is the subsampling block length used, as an int; None
     for the other methods.
     """
@@ -271,12 +276,9 @@ def run_coverage_study(
         raise ArgumentError(f"transfer {config.transfer!r} is not finite at x = {float(xs[bad][0])!r}")
     check_alpha(alpha)
     if method == "band":
-        _band_interval(marginal, (float(np.min(xs)), float(np.max(xs))))
-        h = _bandwidth(config.n)
-        critical = ks_sup_quantile(1.0 - alpha)
-    b = _check_block(default_block_length(config.n) if block is None else block, config.n) if method == "subsample" else None
+        _, h, critical = _band_setup(marginal, xs, config.n, alpha)
+    b = _check_block(block, config.n) if method == "subsample" else None
 
-    t0 = time.perf_counter()
     # the ranks depend only on (marginal, xs, n, alpha): one set serves every replicate
     ranks = estimator_ranks(marginal, xs, config.n, alpha if method == "ci" else None)
     hits = np.zeros(xs.size, dtype=np.int64)
@@ -311,7 +313,6 @@ def run_coverage_study(
         kind="coverage",
         cells=cells,
         replications=replications,
-        runtime_seconds=time.perf_counter() - t0,
         seed=config.seed,
         params={
             "transfer": config.transfer,
@@ -345,7 +346,6 @@ def run_test_table(
         raise ArgumentError(f"need at least one repetition (got {repetitions})")
     check_alpha(alpha)
     dist = Normal()
-    t0 = time.perf_counter()
     critical = ks_sup_quantile(1.0 - alpha)
     points = _evaluation_set(n)
     law_values = quantile_density(dist, points[0])
@@ -366,7 +366,6 @@ def run_test_table(
         kind="test_table",
         cells=cells,
         replications=repetitions,
-        runtime_seconds=time.perf_counter() - t0,
         seed=seed,
         params={"n": n, "alpha": alpha, "h_names": list(h_names), "perturbations": list(perturbations)},
     )

@@ -52,7 +52,9 @@ def default_block_length(n: int) -> int:
 
 
 def _check_block(b, n: int) -> int:
-    """``b`` as a Python int; ArgumentError unless it has an integral type and 2 <= b < n."""
+    """``b`` (``default_block_length(n)`` if None) as a Python int; ArgumentError unless an integer with 2 <= b < n."""
+    if b is None:
+        b = default_block_length(n)
     if not isinstance(b, (int, np.integer)):
         raise ArgumentError(f"block length must be an integer (got {b!r})")
     if not 2 <= b < n:
@@ -61,8 +63,7 @@ def _check_block(b, n: int) -> int:
 
 
 def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, np.ndarray]:
-    """ghat(x) and the n-b+1 scaled block deviations sqrt(b)|ghat_b,i - ghat|, from one plug-in level."""
-    b = _check_block(b, sample_y.n)
+    """ghat(x) and the n-b+1 scaled block deviations sqrt(b)|ghat_b,i - ghat|, from one plug-in level; b is checked."""
     r = estimator_ranks(dist, float(x), sample_y.n)
     ghat = float(sample_y.sorted_values[r.ghat[0]])
     return ghat, _scaled_deviations(block_quantiles(sample_y, b, float(r.p[0])), ghat, b)
@@ -102,7 +103,7 @@ def subsample_distribution(sample_y: Sample, dist: KnownDistribution, x: float, 
     Its ECDF (via empirical.ecdf) is the nondecreasing step function
     S_{n,b}(eta, x), and empirical.sample_quantile gives inf-quantiles of it.
     """
-    return Sample(_ghat_and_deviations(sample_y, dist, x, b)[1])
+    return Sample(_ghat_and_deviations(sample_y, dist, x, _check_block(b, sample_y.n))[1])
 
 
 def subsample_ci(
@@ -118,8 +119,7 @@ def subsample_ci(
     1 - alpha of ``subsample_distribution``.
     """
     check_alpha(alpha)
-    if b is None:
-        b = default_block_length(sample_y.n)
+    b = _check_block(b, sample_y.n)
     ghat, deviations = _ghat_and_deviations(sample_y, dist, x, b)
     d = float(_deviation_quantile(deviations, alpha))
     half = d / math.sqrt(sample_y.n)
@@ -128,7 +128,7 @@ def subsample_ci(
         ghat=ghat,
         d_quantile=d,
         ci=(ghat - half, ghat + half),
-        b=int(b),
+        b=b,
         n=sample_y.n,
         level=1.0 - alpha,
     )

@@ -429,6 +429,17 @@ def test_fit_command_and_qq(tmp_path, capsys, gamma_file):
     assert (uniform["lo"], uniform["hi"]) == (y.min(), y.max())
 
 
+def test_unknown_family_is_one_error_checked_before_the_data(tmp_path, capsys, gamma_file):
+    # fit names the family before it reads the (here missing) file; the bootstrap words it the same way
+    code, out, fit_err = run_cli(capsys, "fit", "--data", str(tmp_path / "no.csv"), "--family", "nope")
+    assert code == 2 and out == ""
+    code, out, test_err = run_cli(
+        capsys, "test", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", "nope", "--h", "identity", "--mc-reps", "99"
+    )
+    assert code == 2 and out == ""
+    assert fit_err == test_err == "usage error: unknown family 'nope'; known: gamma, normal, uniform\n"
+
+
 def test_simulate_table2_desk_scale(tmp_path, capsys):
     out = tmp_path / "t2.csv"
     code, _, _ = run_cli(
@@ -473,7 +484,7 @@ def test_simulate_coverage_command(tmp_path, capsys):
     # the flag counts, one replicate at a time
     config = DGPConfig(transfer="x^3", n=300, seed=2)
     flags = [
-        int(np.count_nonzero(confidence_band(Sample(generate(config, replication_rng(2, r))[1]), Normal(), (-2.0, 2.0), 0.01, xs=[-2.0, 0.0, 2.0]).flagged))
+        int(np.count_nonzero(confidence_band(Sample(generate(config, replication_rng(2, r))[1]), Normal(), [-2.0, 0.0, 2.0], 0.01).flagged))
         for r in range(5)
     ]
     assert sum(flags) > 0
@@ -544,6 +555,9 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
          "--grid", "0.5..0.5x5", "--band"),
         ("simulate", "data", "--transfer", "identity", "--n", "10", "--ma-order", "2", "--ma-decay", "inf"),
         (*coverage, "0", "--ma-order", "2", "--ma-decay", "nan"),
+        # a finite decay whose MA law overflows
+        (*coverage, "0", "--ma-order", "2", "--ma-decay", "1e200"),
+        ("simulate", "data", "--transfer", "(x+4)^2", "--n", "5", "--ma-order", "2", "--ma-decay", "1e100"),
         (*coverage, "0", "--method", "subsample", "--block", "1"),
         (*coverage, "0", "--method", "subsample", "--block", "300"),
         (*coverage, "0", "--method", "band"),
@@ -567,7 +581,7 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         *(
             ("estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", "uniform:0,1",
              "--band", "--bandwidth", bad)
-            for bad in ("-1", "inf")
+            for bad in ("-1", "inf", "1e-310", "1e-320")  # at the last two the density estimate overflows
         ),
     ):
         code, _, err = run_cli(capsys, *argv)

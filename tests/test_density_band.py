@@ -5,6 +5,7 @@ import pytest
 
 from transferfn import (
     DomainError,
+    Gamma,
     Normal,
     Sample,
     confidence_band,
@@ -40,12 +41,24 @@ def test_kde_default_bandwidth_rule():
     s = _squared_sample(1000, 24)
     ys = np.linspace(s.sorted_values[0], s.sorted_values[-1], 101)
     assert np.array_equal(kde(s, ys), kde(s, ys, bandwidth=_bandwidth(1000)))
-    assert confidence_band(s, Normal(), (-2.0, 2.0), 0.01, bandwidth=0.25).bandwidth == 0.25
-    for bad in (-1.0, 0.0, math.inf, math.nan):
+    xs = np.linspace(-2.0, 2.0, 5)
+    assert confidence_band(s, Normal(), xs, 0.01, bandwidth=0.25).bandwidth == 0.25
+    # at 1e-310 and 1e-320 the kernel's peak 1/(pi h) overflows, and so do the cell keys range/(4 pi h)
+    for bad in (-1.0, 0.0, math.inf, math.nan, 1e-310, 1e-320):
         with pytest.raises(DomainError):
             kde(s, 0.0, bandwidth=bad)
         with pytest.raises(DomainError):
-            confidence_band(s, Normal(), (-2.0, 2.0), 0.01, bandwidth=bad)
+            confidence_band(s, Normal(), xs, 0.01, bandwidth=bad)
+    # values that span nothing have finite cell keys at any h, and at 1e-309 a finite
+    # normaliser 1/(2 pi n h); their estimate there, the peak 1/(pi h), still overflows
+    with pytest.raises(DomainError, match="peak"):
+        kde(Sample([2.0] * 300), 2.0, bandwidth=1e-309)
+    # a finite peak, but the values 3e10 and 4e10 would share a cell of infinite key, and their phases overflow
+    with pytest.raises(DomainError, match="cell keys"):
+        kde(Sample([0.0, 3e10, 4e10]), 4e10, bandwidth=1e-300)
+    # a tiny bandwidth whose estimate stays finite is accepted
+    band = confidence_band(s, Normal(), xs, 0.01, bandwidth=1e-300)
+    assert np.all(np.isfinite(band.fhat_at_ghat)) and np.all(np.isfinite(band.band_lo + band.band_hi))
 
 
 def test_default_bandwidth_is_admissible():
@@ -155,7 +168,7 @@ def _squared_sample(n, seed):
 def test_band_geometry_and_metadata():
     s = _squared_sample(1000, 21)
     xs = np.linspace(-2.0, 2.0, 201)
-    band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=xs)
+    band = confidence_band(s, Normal(), xs, 0.01)
     assert np.all(band.band_lo <= band.ghat)
     assert np.all(band.ghat <= band.band_hi)
     assert band.critical == pytest.approx(ks_sup_quantile(0.99))
@@ -169,7 +182,7 @@ def test_band_halfwidth_monotone_in_alpha():
     xs = np.linspace(-1.5, 1.5, 51)
     widths = []
     for alpha in (0.01, 0.1, 0.3, 0.5):
-        band = confidence_band(s, Normal(), (-2.0, 2.0), alpha, xs=xs)
+        band = confidence_band(s, Normal(), xs, alpha)
         widths.append(band.half_width)
     for lo, hi in zip(widths[1:], widths[:-1]):
         assert np.all(lo <= hi)
@@ -178,7 +191,7 @@ def test_band_halfwidth_monotone_in_alpha():
 def test_band_wider_than_pointwise_ci():
     s = _squared_sample(1000, 31)
     xs = np.linspace(-2.0, 2.0, 201)
-    band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=xs)
+    band = confidence_band(s, Normal(), xs, 0.01)
     ci = estimate_with_ci(s, Normal(), xs, 0.01)
     ci_widths = ci.ci_hi - ci.ci_lo
     frac = np.mean((band.band_hi - band.band_lo) >= ci_widths)
@@ -192,7 +205,7 @@ def test_band_flags_low_density_for_cubic():
     for seed in range(20):
         rng = np.random.default_rng(400 + seed)
         s = Sample(rng.normal(size=1000) ** 3)
-        band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=np.linspace(-2.0, 2.0, 401))
+        band = confidence_band(s, Normal(), np.linspace(-2.0, 2.0, 401), 0.01)
         total_flagged += int(np.count_nonzero(band.flagged))
     assert total_flagged > 0
 
@@ -200,20 +213,46 @@ def test_band_flags_low_density_for_cubic():
 def test_band_much_wider_than_ci_where_derivative_vanishes():
     rng = np.random.default_rng(32)
     s = Sample(rng.normal(size=1000) ** 3)
-    band = confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=np.array([0.0]))
+    band = confidence_band(s, Normal(), np.array([0.0, 2.0]), 0.01)
     ci = estimate_with_ci(s, Normal(), 0.0, 0.01)
     assert band.half_width[0] > 5.0 * (ci.ci_hi[0] - ci.ci_lo[0]) / 2.0
 
 
 def test_band_interval_validation():
+    # the band's interval is [min xs, max xs]: two distinct points strictly inside the support
     s = _squared_sample(100, 23)
-    with pytest.raises(DomainError):
-        confidence_band(s, Normal(), (2.0, -2.0), 0.01)
     from transferfn import Uniform
 
-    with pytest.raises(DomainError):
-        confidence_band(Sample(np.linspace(0.1, 0.9, 50)), Uniform(0.0, 1.0), (0.0, 0.5), 0.01)
-    with pytest.raises(DomainError):
-        confidence_band(s, Normal(), (-2.0, 2.0), 1.5)
-    with pytest.raises(DomainError):
-        confidence_band(s, Normal(), (-2.0, 2.0), 0.01, xs=np.array([-3.0]))
+    with pytest.raises(DomainError, match="outside the open support"):
+        confidence_band(Sample(np.linspace(0.1, 0.9, 50)), Uniform(0.0, 1.0), [0.0, 0.5], 0.01)
+    with pytest.raises(DomainError, match="alpha"):
+        confidence_band(s, Normal(), [-2.0, 2.0], 1.5)
+    for one_point in ([-3.0], [1.0, 1.0]):
+        with pytest.raises(DomainError, match="a < c < d < b"):
+            confidence_band(s, Normal(), one_point, 0.01)
+    # the grid's order is free; the band is the same at every point
+    xs = np.array([2.0, -2.0, 0.5])
+    forward, backward = confidence_band(s, Normal(), xs, 0.01), confidence_band(s, Normal(), xs[::-1], 0.01)
+    assert np.array_equal(forward.band_lo, backward.band_lo[::-1]) and np.array_equal(forward.band_hi, backward.band_hi[::-1])
+
+
+def test_band_at_a_point_does_not_depend_on_the_rest_of_the_grid():
+    # what makes the band's interval [min xs, max xs]: no other point of the grid moves the band at x
+    rng = np.random.default_rng(25)
+    for sample, dist in (
+        (_squared_sample(700, 26), Normal()),
+        (Sample(rng.normal(size=400) ** 3), Normal()),
+        (Sample(rng.gamma(10.97, 1.0 / 0.027, size=518)), Gamma(10.97, 0.027)),
+    ):
+        lo, hi = (float(dist.quantile(p)) for p in (0.02, 0.98))
+
+        def at(x, grid):
+            band = confidence_band(sample, dist, grid, 0.05)
+            j = int(np.flatnonzero(grid == x)[0])
+            return np.array([band.ghat[j], band.band_lo[j], band.band_hi[j], band.fhat_at_ghat[j], band.flagged[j]])
+
+        for x in (float(dist.quantile(0.3)), float(dist.quantile(0.9))):
+            reference = at(x, np.array([x, hi]))
+            for trial in range(6):
+                grid = rng.permutation(np.append(rng.uniform(lo, hi, int(rng.integers(1, 60))), x))
+                assert np.array_equal(at(x, grid).view(np.int64), reference.view(np.int64)), (trial, x)

@@ -1,7 +1,7 @@
 """Every check on a caller-chosen argument raises ArgumentError, a DomainError.
 
 The CLI maps ArgumentError to exit 2 and any other DomainError to exit 4, so
-a check on a level, bandwidth, interval, point, block length or count that
+a check on a level, bandwidth, grid, point, block length or count that
 raised a plain DomainError would report a usage mistake as a numeric failure.
 """
 
@@ -43,11 +43,14 @@ CASES = {
     "point outside support": lambda: estimate(_SAMPLE, Uniform(0.0, 1.0), [2.0]),
     "default_grid points": lambda: default_grid(Normal(), 0),
     "default_grid range": lambda: default_grid(Normal(), 5, 0.0, 0.5),
-    "confidence_band alpha": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 1.0),
-    "confidence_band bandwidth": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 0.05, bandwidth=-1.0),
-    "band interval c = d": lambda: confidence_band(_SAMPLE, Normal(), (0.0, 0.0), 0.05),
-    "band grid outside interval": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 0.05, xs=[2.0]),
+    "confidence_band alpha": lambda: confidence_band(_SAMPLE, Normal(), [-1.0, 1.0], 1.0),
+    "confidence_band bandwidth": lambda: confidence_band(_SAMPLE, Normal(), [-1.0, 1.0], 0.05, bandwidth=-1.0),
+    "band interval c = d": lambda: confidence_band(_SAMPLE, Normal(), [0.0, 0.0], 0.05),
+    "band grid not finite": lambda: confidence_band(_SAMPLE, Normal(), [-1.0, math.nan], 0.05),
     "kde bandwidth": lambda: kde(_SAMPLE, 0.0, bandwidth=math.inf),
+    # the kernel's peak 1/(pi h) or the cell keys range/(4 pi h) would overflow
+    "kde tiny bandwidth": lambda: kde(Sample([1.0, 2.0, 3.0]), [2.0], bandwidth=1e-310),
+    "confidence_band tiny bandwidth": lambda: confidence_band(_SAMPLE, Normal(), [-1.0, 1.0], 0.05, bandwidth=1e-310),
     "test alpha": lambda: gof_test.test(_SAMPLE, Normal(), _IDENTITY, 0.0),
     "trimming_fraction n": lambda: trimming_fraction(15),
     "statistic n": lambda: gof_test.test_statistic(_SHORT, Normal(), _IDENTITY),
@@ -68,7 +71,7 @@ CASES = {
     # 1 - alpha rounds to 1, so the level would be 1
     "tiny alpha": lambda: check_alpha(1e-17),
     "test tiny alpha": lambda: gof_test.test(_SAMPLE, Normal(), _IDENTITY, 1e-17),
-    "confidence_band tiny alpha": lambda: confidence_band(_SAMPLE, Normal(), (-1.0, 1.0), 1e-17),
+    "confidence_band tiny alpha": lambda: confidence_band(_SAMPLE, Normal(), [-1.0, 1.0], 1e-17),
     "estimator_ranks tiny alpha": lambda: estimator_ranks(Normal(), [0.0], 100, alpha=5e-17),
     # seeds are checked where the streams are made
     "generate seed": lambda: generate(DGPConfig("(x+4)^2", n=50, seed=-1)),

@@ -28,7 +28,12 @@ import transferfn.distributions as distributions_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
 from transferfn.distributions import FAMILIES, TABLE_REL_ERROR, gamma_quantile_table
-from transferfn.gof_test import test_statistic_rows as gof_statistic_rows
+from transferfn.gof_test import _checked_rows, _evaluation_set
+
+
+def gof_statistic_rows(sorted_rows, dist, hyp):
+    """The statistic of every row of a (rows, n) block of sorted samples, as the studies score a block."""
+    return _checked_rows(sorted_rows, dist, hyp, _evaluation_set(sorted_rows.shape[1]))[0]
 
 
 def test_trimming_fraction():

@@ -114,6 +114,11 @@ def test_config_validation():
         for order in (0, 2):
             with pytest.raises(ConfigError, match="ma_decay must be finite"):
                 DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
+    # a finite decay whose coefficients or stationary SD overflow
+    for decay, order in ((1e200, 2), (-1e200, 2), (1e100, 2), (1e160, 1), (10.0, 400)):
+        with pytest.raises(ConfigError, match="overflows the MA"):
+            DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
+    assert DGPConfig(transfer="identity", n=100, ma_order=2, ma_decay=1e50).marginal().sd == pytest.approx(1e100)
 
 
 def test_report_determinism():
@@ -185,7 +190,7 @@ def _reference_coverage(config, xs, alpha, replications, method, block=None):
             res = estimate_with_ci(sample, marginal, xs, alpha)
             lo, hi = res.ci_lo, res.ci_hi
         elif method == "band":
-            band = confidence_band(sample, marginal, (xs.min(), xs.max()), alpha, xs=xs)
+            band = confidence_band(sample, marginal, xs, alpha)
             lo, hi = band.band_lo, band.band_hi
             flagged_points += int(band.flagged.sum())
             flagged_reps += int(band.flagged.any())
@@ -353,3 +358,24 @@ def test_block_length_is_checked_before_any_draw(monkeypatch):
     # the default ceil(n^(4/5)) is n itself at n = 4
     with pytest.raises(ArgumentError, match=r"got b=4, n=4"):
         run_coverage_study(DGPConfig(transfer="(x+4)^2", n=4), [0.0], 0.05, 3, method="subsample")
+
+
+def test_band_grid_is_checked_before_any_draw_as_confidence_band_checks_it(monkeypatch):
+    normal = DGPConfig(transfer="(x+4)^2", n=300, seed=26)
+    uniform = DGPConfig(transfer="identity", n=300, seed=26, law=Uniform(0.0, 1.0))
+    samples = {cfg: Sample(generate(cfg)[1]) for cfg in (normal, uniform)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(simulate, "replicate_blocks", refuse)
+    for cfg, xs, message in (
+        (normal, [0.0], r"a < c < d < b, got \[0\.0, 0\.0\]"),
+        (uniform, [0.5, 2.0], "outside the open support"),
+        (normal, [0.0, np.nan], "evaluation points must be finite"),
+    ):
+        with pytest.raises(ArgumentError, match=message) as study:
+            run_coverage_study(cfg, xs, 0.05, 3, method="band")
+        with pytest.raises(ArgumentError, match=message) as band:
+            confidence_band(samples[cfg], cfg.marginal(), xs, 0.05)
+        assert str(study.value) == str(band.value)
