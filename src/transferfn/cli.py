@@ -292,6 +292,12 @@ def _cmd_estimate(args) -> int:
         columns += [band.band_lo, band.band_hi, band.flagged.astype(int)]
     rows = list(zip(*[np.asarray(c) for c in columns]))
     _write_rows(args.out, "transferfn.estimate.v1", header, rows, delimiter=args.delim)
+    diagnostics = f"clamped: {int(np.count_nonzero(res.clamped))}"
+    if args.band:
+        diagnostics += (
+            f", critical: {band.critical}, bandwidth: {band.bandwidth}, flagged: {int(np.count_nonzero(band.flagged))}"
+        )
+    print(diagnostics, file=sys.stderr)
     return 0
 
 

@@ -122,11 +122,15 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     last = cell[np.maximum(hi - 1, 0) + offset]
     split = np.minimum(hi + offset, cell_end[first]) - offset
     total = (hi - lo).astype(float)
+    filled = hi > lo
+    # an empty window's phase stays 0: far from the data (y - a)/h can overflow there, and the window is masked below
+    phi = np.zeros(y_rows.shape)
     for c, i, j in ((first, lo, split), (last, split, hi)):
-        phi = (y_rows - anchors[c]) / h
+        np.subtract(y_rows, anchors[c], out=phi, where=filled)
+        phi /= h
         total += np.cos(phi) * (csum[row, j] - csum[row, i]) + np.sin(phi) * (ssum[row, j] - ssum[row, i])
     # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
-    return np.where(hi > lo, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
+    return np.where(filled, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
 
 
 def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: float | None = None):

@@ -80,8 +80,13 @@ class KnownDistribution:
         """inf{x : F(x) >= p} for p in (0, 1)."""
         raise NotImplementedError
 
-    def rvs(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n independent variates."""
+    def rvs(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw n independent variates, into ``out`` (a float array of n elements) when given.
+
+        Each family draws numpy's standard variates in place and applies the
+        scale and shift numpy's own ``gamma``/``normal``/``uniform`` apply,
+        in the same order, so the draws are theirs bit for bit.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -119,8 +124,11 @@ class Normal(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(self.mean + self.sd * ndtri(arr), p)
 
-    def rvs(self, n, rng):
-        return rng.normal(self.mean, self.sd, size=n)
+    def rvs(self, n, rng, out=None):
+        out = rng.standard_normal(n, out=out)  # numpy's normal is mean + sd * z
+        out *= self.sd
+        out += self.mean
+        return out
 
     @classmethod
     def fit_rows(cls, data):
@@ -188,8 +196,10 @@ class Gamma(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(gammaincinv(self.shape, arr) / self.rate, p)
 
-    def rvs(self, n, rng):
-        return rng.gamma(self.shape, 1.0 / self.rate, size=n)
+    def rvs(self, n, rng, out=None):
+        out = rng.standard_gamma(self.shape, n, out=out)  # numpy's gamma is scale * standard gamma
+        out *= 1.0 / self.rate
+        return out
 
     @classmethod
     def fit_rows(cls, data):
@@ -232,10 +242,11 @@ def _chebyshev_points(intervals: int) -> np.ndarray:
     return np.cos(np.arange(intervals + 1) * (math.pi / intervals))
 
 
-def _barycentric(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _barycentric(t: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row r: the polynomial through (_chebyshev_points(m - 1), values) evaluated at t[r].
 
-    values is (m, points); the result is (len(t), points).  This is the
+    values is (m, points); the result is (len(t), points), written into
+    ``out`` when given.  This is the
     second (true) barycentric formula of Berrut & Trefethen (2004), whose
     weights at these points are (-1)^j, halved at both ends.
     """
@@ -249,7 +260,7 @@ def _barycentric(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     coef = weights / diff
     coef[hit] = on_node[hit]  # the formula is 0/0 at a node; take the node's value
     coef /= np.sum(coef, axis=1, keepdims=True)
-    return coef @ values
+    return np.matmul(coef, values, out=out)
 
 
 class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to every import
@@ -267,23 +278,28 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
         self.p = p
         self.log_q = log_q  # (intervals + 1, p.size)
 
-    def quantile_density(self, law: Gamma) -> tuple[np.ndarray, np.ndarray]:
+    def quantile_density(self, law: Gamma, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``quantile_density(law, p)`` for a law with (rows, 1) parameter columns, from the table.
 
         With L = log gammaincinv(a, p) interpolated, x = e^L / rate and
         log f(x) = log rate + (a - 1) L - e^L - lgamma(a).  A row whose
-        shape is outside the band gets ``quantile_density`` itself.
+        shape is outside the band gets ``quantile_density`` itself.  x and
+        the density are written into the first rows of ``out``, a pair of
+        (R, p.size) float arrays with R >= rows, allocated here when None.
         """
         shape, rate = law.shape[:, 0], law.rate[:, 0]
+        if out is None:
+            out = (np.empty((shape.size, self.p.size)), np.empty((shape.size, self.p.size)))
+        x, density = out[0][: shape.size], out[1][: shape.size]
         t = (np.log(shape) - self.center) / self.half_width
         inside = np.abs(t) <= 1.0
-        log_q = _barycentric(np.where(inside, t, 0.0), self.log_q)  # a row outside is overwritten below
-        x = np.exp(log_q)
+        log_q = _barycentric(np.where(inside, t, 0.0), self.log_q, out=density)  # a row outside is overwritten below
+        np.exp(log_q, out=x)
         log_q *= (shape - 1.0)[:, None]
         log_q += (np.log(rate) - gammaln(shape))[:, None]
         log_q -= x
         with np.errstate(over="ignore"):  # as in pdf: an overflow is an infinite density, which the caller rejects
-            density = np.exp(log_q, out=log_q)
+            np.exp(log_q, out=density)
         x /= law.rate
         if not np.all(inside):
             outside = Gamma(shape=law.shape[~inside], rate=law.rate[~inside])
@@ -359,8 +375,11 @@ class Uniform(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(self.lo + arr * (self.hi - self.lo), p)
 
-    def rvs(self, n, rng):
-        return rng.uniform(self.lo, self.hi, size=n)
+    def rvs(self, n, rng, out=None):
+        out = rng.random(n, out=out)  # numpy's uniform is lo + (hi - lo) * u
+        out *= self.hi - self.lo
+        out += self.lo
+        return out
 
     @classmethod
     def fit_rows(cls, data):

@@ -40,7 +40,12 @@ _MIN_N = 16  # loglog n must be positive and the trim below 1/2
 _TRIM_CAP = 0.2
 _GRID_POINTS = 512  # grid points of the evaluation set, besides ghat's jumps
 # Elements in one (rows x width) temporary of a block of replicates: a block
-# stays within a few MB (see replicate_blocks).
+# stays within a few MB (see replicate_blocks).  Such a temporary is 256 KiB,
+# above glibc's 128 KiB mmap threshold, so one allocated per block is mapped,
+# faulted in and unmapped every block (~6,600 minor page faults in a
+# 999-replication bootstrap at n = 518); the block kernels therefore write
+# into buffers allocated once per call.  Smaller blocks also avoid the
+# faults, but pay the fixed cost of a block (~0.4 ms there) more often.
 _BLOCK_ELEMENTS = 1 << 15
 
 # A bootstrap statistic computed from a gamma shape table is re-scored with
@@ -176,49 +181,62 @@ def _pcg64_seed_words(seed: int, key: tuple, replications: int):
     return [state[i + 1] << np.uint64(32) | state[i] for i in range(0, 8, 2)]
 
 
-def replicate_blocks(seed: int, replications: int, width: int, draw, key=()):
-    """Replicates 0 .. replications-1 of a seeded study, a block of stacked rows at a time.
+def _block_rows(width: int) -> int:
+    """Rows in a block of ``replicate_blocks`` whose widest per-block temporary has ``width`` columns."""
+    return max(1, _BLOCK_ELEMENTS // width)
 
-    Yields (reps, rows): row i is ``draw(replication_rng(seed, (*key, reps[i])))``.
-    Replicate r thus draws from the seed sequence with entropy ``seed`` and
-    spawn key (*key, r), whatever the block size or scheduling.  A block holds
-    max(1, _BLOCK_ELEMENTS // width) rows, ``width`` being the row length of
-    the caller's widest per-block temporary; the last block holds the rest.
 
-    The streams' PCG64 states are computed in one array pass over the whole
-    range (``_pcg64_seed_words``), and each replicate sets them on one reused
-    ``Generator``; so ``draw`` must consume its ``rng`` at once and never keep
-    it.  ``seed``, ``key`` and ``replications`` must hold non-negative integers (ArgumentError otherwise).
+def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key=()):
+    """Replicates 0 .. replications-1 of a seeded study, a block of rows of n draws at a time.
+
+    Yields (reps, rows): rows is (len(reps), n), and row i holds what
+    ``draw(replication_rng(seed, (*key, reps[i])), out)`` wrote into ``out``,
+    a length-n float row.  Replicate r thus draws from the seed sequence
+    with entropy ``seed`` and spawn key (*key, r), whatever the block size
+    or scheduling.  A block holds ``_block_rows(width)`` rows, ``width``
+    being the row length of the caller's widest per-block temporary; the
+    last block holds the rest.
+
+    Every block's rows are the leading rows of one array allocated per call,
+    so a yielded block is valid only until the next one is drawn: a caller
+    that keeps it copies it.  The streams' PCG64 states are computed in one
+    array pass over the whole range (``_pcg64_seed_words``), and each
+    replicate sets them on one reused ``Generator``; so ``draw`` must
+    consume its ``rng`` at once and never keep it.  ``seed``, ``key`` and
+    ``replications`` must hold non-negative integers (ArgumentError otherwise).
     """
     replications = _check_seed(replications, "replication counts")
     columns = _pcg64_seed_words(seed, tuple(key), replications)
     rng = np.random.Generator(np.random.PCG64(0))
-    block = max(1, _BLOCK_ELEMENTS // width)
+    block = _block_rows(width)
+    buffer = np.empty((min(block, replications), n))
     for start in range(0, replications, block):
         reps = range(start, min(start + block, replications))
-        rows = []
-        for s_hi, s_lo, i_hi, i_lo in zip(*(c[reps.start : reps.stop].tolist() for c in columns)):
+        rows = buffer[: len(reps)]
+        for out, s_hi, s_lo, i_hi, i_lo in zip(rows, *(c[reps.start : reps.stop].tolist() for c in columns)):
             # PCG64's srandom: inc = 2 i + 1, then two LCG steps with s added between them
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
             state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
             rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-            rows.append(draw(rng))
-        yield reps, np.stack(rows)
+            draw(rng, out)
+        yield reps, rows
 
 
-def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None):
+def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None, out=None):
     """Statistic of every row of a (rows, n) array of sorted samples, with a status per row.
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
     columns; ``points`` is _evaluation_set(n).  ``law_values`` is dist's
     (quantiles, density) at the points, computed here by
     ``distributions.quantile_density`` when not given.  h and h' are
-    evaluated once on the (1 or rows) x points array.  Status 0
+    evaluated once on the (1 or rows) x points array.  The weighted gaps
+    are built in ``out``, three (R, points) float arrays with R >= rows
+    (``_block_buffers(3, R, points)``), allocated here when None.  Status 0
     marks a defined statistic; any other status is a key of _ROW_ERRORS,
     and that row's statistic is meaningless.  ``argmax_x`` is the x at which
     each row's sup is attained (the first such point).
     """
-    n = sorted_rows.shape[1]
+    rows, n = sorted_rows.shape
     u, grid, jumps = points
     x, density = quantile_density(dist, u) if law_values is None else law_values
     bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
@@ -230,27 +248,34 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
 
     # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h)
+    if out is None:
+        out = _block_buffers(3, rows, u.size)
+    gap, below, weight = out[0][:rows], out[1][:rows], out[2][: x.shape[0]]
     grid_values = sorted_rows[:, grid]
     g, j0, j1 = grid.size, jumps.start, jumps.stop
-    gap = np.empty((sorted_rows.shape[0], u.size))
-    below = np.empty_like(gap)
     np.subtract(grid_values, hvals[:, :g], out=gap[:, :g])
     np.subtract(sorted_rows[:, j0:j1], hvals[:, g:], out=gap[:, g:])
     np.subtract(hvals[:, :g], grid_values, out=below[:, :g])
     np.subtract(hvals[:, g:], sorted_rows[:, j0 - 1 : j1 - 1], out=below[:, g:])
     np.maximum(gap, below, out=gap)
     with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
-        gap *= density / hprime
+        np.divide(density, hprime, out=weight)
+        gap *= weight
     where = np.argmax(gap, axis=1)
-    rows = np.arange(gap.shape[0])
-    stats = math.sqrt(n) * gap[rows, where]
-    argmax_x = x[rows if x.shape[0] > 1 else 0, where]
+    index = np.arange(rows)
+    stats = math.sqrt(n) * gap[index, where]
+    argmax_x = x[index if x.shape[0] > 1 else 0, where]
     return stats, np.broadcast_to(status, stats.shape), argmax_x
 
 
-def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None):
+def _block_buffers(count: int, rows: int, size: int) -> tuple:
+    """``count`` separate (rows, size) float arrays, for a block kernel's ``out``."""
+    return tuple(np.empty((rows, size)) for _ in range(count))
+
+
+def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None, out=None):
     """(statistics, argmax_x) of every row at ``points``; DomainError if any row's statistic is undefined."""
-    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, law_values)
+    stats, status, argmax_x = _statistic_rows(sorted_rows, dist, hyp, points, law_values, out)
     failed = np.flatnonzero(status)
     if failed.size:
         raise DomainError(_ROW_ERRORS[int(status[failed[0]])])
@@ -351,24 +376,29 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
 
     n = data.n
     points = _evaluation_set(n)
+    size = points[0].size
     table = gamma_quantile_table(fitted.shape, n, points[0]) if isinstance(fitted, Gamma) else None
+    # every block writes its law values and statistic temporaries over the last block's
+    work = _block_buffers(3, _block_rows(size), size)
+    law_buffer = None if table is None else _block_buffers(2, _block_rows(size), size)
     exceed = 0
     failures = 0
-    for reps, draws in replicate_blocks(seed, replications, points[0].size, lambda rng: fitted.rvs(n, rng)):
+    for reps, draws in replicate_blocks(seed, replications, n, size, lambda rng, out: fitted.rvs(n, rng, out)):
         refits, fitted_ok = type(fitted).fit_rows(draws)
         if not np.any(fitted_ok):
             failures += len(reps)
             continue
-        rows = np.sort(draws[fitted_ok], axis=1)
-        law_values = None if table is None else table.quantile_density(refits)
-        stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values)
+        rows = draws if np.all(fitted_ok) else draws[fitted_ok]
+        rows.sort(axis=1)
+        law_values = None if table is None else table.quantile_density(refits, law_buffer)
+        stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values, work)
         ok = status == 0
         if table is not None:
             # a statistic from the table could lie on the wrong side of the observed one only within the window
             near = np.flatnonzero(ok & (np.abs(stats - observed) <= _RESCORE_REL * observed))
             if near.size:
                 exact = Gamma(shape=refits.shape[near], rate=refits.rate[near])
-                stats[near], status, _ = _statistic_rows(rows[near], exact, hyp, points)
+                stats[near], status, _ = _statistic_rows(rows[near], exact, hyp, points, out=work)
                 ok[near] = status == 0
         failures += len(reps) - int(np.count_nonzero(ok))
         exceed += int(np.count_nonzero(stats[ok] >= observed))

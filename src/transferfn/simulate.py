@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,15 @@ from .density_band import _band_edges, _band_setup, _kde_rows
 from .distributions import KnownDistribution, Normal, quantile_density
 from .errors import ArgumentError, ConfigError, DomainError, check_alpha
 from .estimator import _interior_grid, estimator_ranks
-from .gof_test import HypothesisFunction, _checked_rows, _evaluation_set, replicate_blocks, replication_rng
+from .gof_test import (
+    HypothesisFunction,
+    _block_buffers,
+    _block_rows,
+    _checked_rows,
+    _evaluation_set,
+    replicate_blocks,
+    replication_rng,
+)
 from .ks_distribution import ks_sup_quantile
 from .subsampling import _check_block, _subsample_half_widths
 
@@ -172,19 +181,24 @@ def generate(config: DGPConfig, rng: np.random.Generator | None = None):
     """
     if rng is None:
         rng = replication_rng(config.seed, ())
-    return _finite_pair(lambda rng: _draw_z(config, rng), rng, get_transfer(config.transfer), config.law)
+    return _finite_pair(partial(_draw_z, config), rng, get_transfer(config.transfer), config.law)
 
 
-def _draw_z(config: DGPConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_z(config: DGPConfig, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """The n inputs Z of one dataset, written into ``out`` when given."""
     if config.ma_order == 0:
-        return config.law.rvs(config.n, rng)
+        return config.law.rvs(config.n, rng, out)
     eps = config.law.rvs(config.n + config.ma_order, rng)
-    return np.convolve(eps, config.coefficients(), mode="valid")
+    if out is None:
+        out = np.empty(config.n)
+    out[...] = np.convolve(eps, config.coefficients(), mode="valid")
+    return out
 
 
 def _finite_pair(draw, rng, g: HypothesisFunction, law):
+    """(z, y) of the first of up to 100 draws z = ``draw(rng, None)`` whose transfer y = g(z) is finite."""
     for _ in range(100):
-        z = draw(rng)
+        z = draw(rng, None)
         with np.errstate(invalid="ignore", divide="ignore"):
             y = np.asarray(g.fn(z), dtype=float)
         if np.all(np.isfinite(y)):
@@ -192,13 +206,13 @@ def _finite_pair(draw, rng, g: HypothesisFunction, law):
     raise ConfigError(f"transfer kept leaving its domain: {g.name!r} under {law!r}")
 
 
-def _finite_blocks(seed: int, replications: int, width: int, draw, g: HypothesisFunction, law, key=()):
-    """``replicate_blocks`` of the rows g(draw(rng)), g (elementwise) applied to a whole block at once.
+def _finite_blocks(seed: int, replications: int, n: int, width: int, draw, g: HypothesisFunction, law, key=()):
+    """``replicate_blocks`` of the rows g(z), z drawn by ``draw(rng, out)``, g applied to a whole block at once.
 
     A row that leaves g's domain is rebuilt by ``_finite_pair`` on a fresh copy
     of its stream, which redraws exactly as the one-replicate ``generate`` does.
     """
-    for reps, zs in replicate_blocks(seed, replications, width, draw, key):
+    for reps, zs in replicate_blocks(seed, replications, n, width, draw, key):
         with np.errstate(invalid="ignore", divide="ignore"):
             ys = np.asarray(g.fn(zs), dtype=float)
         for i in np.flatnonzero(~np.all(np.isfinite(ys), axis=1)):
@@ -285,7 +299,8 @@ def run_coverage_study(
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
-    for reps, ys in _finite_blocks(config.seed, replications, config.n, lambda rng: _draw_z(config, rng), g, config.law):
+    draw = partial(_draw_z, config)
+    for reps, ys in _finite_blocks(config.seed, replications, config.n, config.n, draw, g, config.law):
         if method == "subsample":
             ghat = np.sort(ys, axis=1)[:, ranks.ghat]
             half = _subsample_half_widths(ys, ghat, ranks.p, b, alpha)
@@ -348,7 +363,9 @@ def run_test_table(
     dist = Normal()
     critical = ks_sup_quantile(1.0 - alpha)
     points = _evaluation_set(n)
+    size = points[0].size
     law_values = quantile_density(dist, points[0])
+    work = _block_buffers(3, _block_rows(size), size)  # every block's statistic temporaries
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)
@@ -356,9 +373,9 @@ def run_test_table(
             g = perturbed(h, pert, n)
             key = (row * len(perturbations) + col,)
             stats = []
-            for _, ys in _finite_blocks(seed, repetitions, points[0].size, lambda rng: dist.rvs(n, rng), g, dist, key):
+            for _, ys in _finite_blocks(seed, repetitions, n, size, partial(dist.rvs, n), g, dist, key):
                 ys.sort(axis=1)
-                stats.append(_checked_rows(ys, dist, h, points, law_values)[0])
+                stats.append(_checked_rows(ys, dist, h, points, law_values, work)[0])
             reject = np.concatenate(stats) > critical
             correct = int(np.count_nonzero(reject if pert != "none" else ~reject))
             cells[(h_name, pert)] = correct / repetitions

@@ -11,7 +11,18 @@ import pytest
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
 from transferfn.cli import _read_column_fast, _read_column_rows
-from transferfn import DGPConfig, Gamma, Normal, Sample, Uniform, confidence_band, generate, replication_rng
+from transferfn import (
+    DGPConfig,
+    Gamma,
+    Normal,
+    Sample,
+    Uniform,
+    confidence_band,
+    default_grid,
+    estimate_with_ci,
+    generate,
+    replication_rng,
+)
 from transferfn.errors import ArgumentError
 
 
@@ -282,6 +293,29 @@ def test_estimate_single_point_and_band_columns(tmp_path, capsys, uniform_identi
     _, header2, rows2 = read_table(out2)
     assert header2 == ["x", "ghat", "ci_lo", "ci_hi", "band_lo", "band_hi", "flagged"]
     assert len(rows2) == 9
+
+
+def test_estimate_prints_its_diagnostics_on_stderr(tmp_path, capsys):
+    # one stderr line: the count of clamped CI levels and, with --band, the
+    # band's critical value, bandwidth and flagged-point count
+    _, y = generate(DGPConfig(transfer="x^3", n=300, seed=4))
+    data = tmp_path / "cube.csv"
+    np.savetxt(data, y, header="y", comments="")
+    sample = Sample(read_column(str(data), "y"))
+    xs = default_grid(Normal(), 21, 0.001, 0.999)
+    clamped = int(np.count_nonzero(estimate_with_ci(sample, Normal(), xs, 0.01).clamped))
+    band = confidence_band(sample, Normal(), xs, 0.01)
+    flagged = int(np.count_nonzero(band.flagged))
+    assert clamped > 0 and flagged > 0  # neither count is trivially 0
+    argv = ["estimate", "--data", str(data), "--y-col", "y", "--dist", "normal:0,1", "--grid", "0.001..0.999x21"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == f"clamped: {clamped}\n"
+    assert out.startswith("# schema: transferfn.estimate.v1\n") and "clamped" not in out
+    code, out, err = run_cli(capsys, *argv, "--band")
+    assert code == 0 and out.startswith("# schema: transferfn.estimate.v1\n") and "clamped" not in out
+    assert err == f"clamped: {clamped}, critical: {band.critical}, bandwidth: {band.bandwidth}, flagged: {flagged}\n"
+    code, _, err = run_cli(capsys, *argv, "--band", "--bandwidth", "0.5")
+    assert code == 0 and err.split(", ")[2] == "bandwidth: 0.5"
 
 
 def test_estimate_deterministic_output(tmp_path, capsys, uniform_identity_file):

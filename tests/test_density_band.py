@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def test_kde_single_observation_peak():
     # beyond the compact support the estimate is exactly zero
     assert kde(s, math.pi + 0.01, bandwidth=1.0) == 0.0
     assert kde(s, -4.0, bandwidth=1.0) == 0.0
+
+
+def test_kde_far_outside_the_data_is_zero_without_warnings():
+    # so far out that (y - a)/h overflows, the window is empty: the estimate is 0, no warning is
+    # raised, and a point inside the data gets the value it gets alone
+    s = Sample([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kde(s, 1e300, bandwidth=1e-10) == 0.0
+        values = kde(s, [2.0, 1e300, -1e300, 1.7e308], bandwidth=1e-10)
+        alone = kde(s, 2.0, bandwidth=1e-10)
+    assert values[0] == alone > 0.0
+    assert np.array_equal(values[1:], np.zeros(3))
 
 
 def test_kde_consistency_standard_normal():

@@ -290,6 +290,29 @@ def test_gamma_quantile_table_meets_its_bound(n, shape):
     assert _same_bits(x[k:], exact[k:]) and _same_bits(density[k:], exact_density[k:])
 
 
+@pytest.mark.parametrize(
+    "law, numpy_draw",
+    [
+        (Gamma(0.4, 2.5), lambda rng, n: rng.gamma(0.4, 1.0 / 2.5, size=n)),
+        (Gamma(1.0, 3.0), lambda rng, n: rng.gamma(1.0, 1.0 / 3.0, size=n)),
+        (Gamma(10.97, 0.0270), lambda rng, n: rng.gamma(10.97, 1.0 / 0.0270, size=n)),
+        (Normal(0.3, 1.7), lambda rng, n: rng.normal(0.3, 1.7, size=n)),
+        (Uniform(-1.3, 2.9), lambda rng, n: rng.uniform(-1.3, 2.9, size=n)),
+    ],
+    ids=["gamma-0.4", "gamma-1", "gamma-10.97", "normal", "uniform"],
+)
+def test_rvs_out_is_numpys_draw(law, numpy_draw):
+    # rvs draws numpy's standard variates in place and scales and shifts
+    # them as numpy's own gamma, normal and uniform do: the same draws, into
+    # a caller's row or a fresh array
+    for seed in range(4):
+        want = numpy_draw(np.random.default_rng(seed), 5000)
+        assert _same_bits(law.rvs(5000, np.random.default_rng(seed)), want)
+        out = np.full(5000, np.nan)
+        assert law.rvs(5000, np.random.default_rng(seed), out) is out
+        assert _same_bits(out, want)
+
+
 def test_trigamma_is_polygamma_bit_for_bit():
     # fit_gamma_rows and gamma_quantile_table take trigamma as zeta(2, k), as
     # scipy's polygamma(1, k) computes it: (-1)^2 Gamma(2) zeta(2, k)

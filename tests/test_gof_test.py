@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -292,8 +293,8 @@ def _recording_kernel(monkeypatch):
     recorded = []
     kernel = gof_module._statistic_rows
 
-    def spy(*args):
-        stats, status, argmax_x = kernel(*args)
+    def spy(*args, **kwargs):
+        stats, status, argmax_x = kernel(*args, **kwargs)
         recorded.append((stats[status == 0], len(args) > 4 and args[4] is not None))
         return stats, status, argmax_x
 
@@ -361,9 +362,9 @@ def test_monte_carlo_p_value_with_a_shape_table_is_the_exact_one(monkeypatch):
     quantile_density = distributions_module.GammaQuantileTable.quantile_density
     left_band = []
 
-    def spy(table, law):
+    def spy(table, law, out=None):
         left_band.append(int(np.count_nonzero(np.abs(np.log(law.shape) - table.center) > table.half_width)))
-        return quantile_density(table, law)
+        return quantile_density(table, law, out)
 
     for n, shape, seed, replications in ((50, 2.0, 1, 999), (50, 8.0, 1, 999), (300, 3.0, 0, 199)):
         data = Sample(np.random.default_rng(seed + 40).gamma(shape, 1.5, size=n))
@@ -410,7 +411,7 @@ def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
         assert failures == 0
         assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
-    assert {len(reps) for reps, _ in gof_module.replicate_blocks(3, 101, width, lambda rng: rng.random(1))} == {1}
+    assert {len(reps) for reps, _ in gof_module.replicate_blocks(3, 101, 1, width, _random_row)} == {1}
     _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 101, 3)
 
     from transferfn import fit_normal, fit_uniform
@@ -497,15 +498,21 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
         monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
 
 
+def _random_row(rng, out):
+    rng.random(out=out)
+
+
 def _recorded_streams(seed, replications, width, key):
-    """(the PCG64 state each replicate's ``draw`` saw, the stacked rows) of one ``replicate_blocks`` call."""
+    """(the PCG64 state each replicate's ``draw`` saw, the rows) of one ``replicate_blocks`` call of 4-draw rows."""
     states = []
 
-    def draw(rng):
+    def draw(rng, out):
         states.append(rng.bit_generator.state)
-        return rng.random(4)
+        rng.random(out=out)
 
-    blocks = list(gof_module.replicate_blocks(seed, replications, width, draw, key=key))
+    # every block is a view of one buffer that the next block rewrites, so each is copied
+    blocks = gof_module.replicate_blocks(seed, replications, 4, width, draw, key=key)
+    blocks = [(reps, rows.copy()) for reps, rows in blocks]
     assert [rep for reps, _ in blocks for rep in reps] == list(range(replications))
     return states, np.concatenate([rows for _, rows in blocks])
 
@@ -532,22 +539,71 @@ def test_replicate_blocks_streams_match_seed_sequence(monkeypatch):
                     assert _same_bits(rows[rep], gof_module.replication_rng(seed, (*key, rep)).random(4))
 
 
+def test_replicate_blocks_rewrite_one_buffer_with_each_familys_draws(monkeypatch):
+    # every block is a view of one array that the next block rewrites, and
+    # row i holds the family's draw on replicate reps[i]'s own stream
+    laws = (Gamma(2.0, 1.5), Normal(0.3, 1.7), Uniform(-1.0, 2.5))
+    for elements in (gof_module._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", elements)
+        for law in laws:
+            seen, previous = [], None
+            # width 1000: blocks of 32 rows, 32 and a partial 13, or of one row
+            for reps, rows in gof_module.replicate_blocks(11, 45, 50, 1000, functools.partial(law.rvs, 50), key=(3,)):
+                assert rows.shape == (len(reps), 50)
+                assert previous is None or np.shares_memory(rows, previous)
+                for i, rep in enumerate(reps):
+                    assert _same_bits(rows[i], law.rvs(50, replication_rng(11, (3, rep)))), (law, rep)
+                seen += reps
+                previous = rows
+            assert seen == list(range(45))
+
+
+def test_row_kernels_into_reused_buffers_match_allocating_calls():
+    # the bootstrap and the Table 2 grid hand each block's kernels the
+    # buffers the previous block wrote, with more rows than the block: the
+    # results are the allocating calls' bit for bit, with rows outside the
+    # shape table's band and a row whose law fails
+    n = 50
+    points = gof_module._evaluation_set(n)
+    size = points[0].size
+    table = gamma_quantile_table(2.0, n, points[0])
+    t = np.array([-1.5, -0.7, 0.0, 0.9, 1.2])
+    rng = np.random.default_rng(32)
+    law = Gamma(shape=np.exp(table.center + table.half_width * t)[:, None], rate=rng.uniform(0.1, 5.0, t.size)[:, None])
+    rows = np.sort(rng.gamma(law.shape, 1.0 / law.rate, size=(t.size, n)), axis=1)
+    law_buffer = (rng.normal(size=(t.size + 2, size)), rng.normal(size=(t.size + 2, size)))
+    x, density = table.quantile_density(law, law_buffer)
+    assert np.shares_memory(x, law_buffer[0]) and np.shares_memory(density, law_buffer[1])
+    assert all(_same_bits(a, b) for a, b in zip((x, density), table.quantile_density(law)))
+    # finite quantiles (~1e-310) where the second law's density overflows, as in test_statistic_domain_errors
+    bad = Gamma(shape=np.array([[2.0], [0.5]]), rate=np.array([[1.5], [1e308]]))
+    bad_rows = np.sort(np.stack([rng.gamma(2.0, 1.0 / 1.5, n), rng.gamma(0.5, 1e-308, n)]), axis=1)
+    work = tuple(rng.normal(size=(t.size + 2, size)) for _ in range(3))
+    cases = [(rows, law, (x, density), h) for h in ("identity", "log(x+5)", "(x+4)^2")]
+    cases += [(rows, law, None, "log(x+5)"), (rows, Normal(), None, "(x+4)^2"), (bad_rows, bad, None, "identity")]
+    for block, dist, law_values, h_name in cases:
+        allocated = gof_module._statistic_rows(block, dist, get_transfer(h_name), points, law_values)
+        reused = gof_module._statistic_rows(block, dist, get_transfer(h_name), points, law_values, work)
+        assert all(_same_bits(a, b) for a, b in zip(allocated, reused)), (h_name, dist)
+    assert list(reused[1]) == [0, gof_module._BAD_LAW]  # the last case's second law fails
+
+
 def test_seeds_and_keys_must_be_non_negative_integers():
     for seed in (-1, -(2**64), 1.5, 2.0, "3", None, np.float64(4.0)):
         with pytest.raises(ArgumentError, match="non-negative integers"):
             gof_module.replication_rng(seed, 0)
         with pytest.raises(ArgumentError, match="non-negative integers"):
-            next(gof_module.replicate_blocks(seed, 3, 10, lambda rng: rng.random(1)))
+            next(gof_module.replicate_blocks(seed, 3, 1, 10, _random_row))
         # and so must a stream key's elements
         with pytest.raises(ArgumentError, match="non-negative integers"):
             gof_module.replication_rng(0, (3, seed))
         with pytest.raises(ArgumentError, match="non-negative integers"):
-            next(gof_module.replicate_blocks(0, 3, 10, lambda rng: rng.random(1), key=(seed,)))
+            next(gof_module.replicate_blocks(0, 3, 1, 10, _random_row, key=(seed,)))
     # numpy integers are integers
     states, _ = _recorded_streams(np.uint64(5), 3, 10, ())
     assert states[2] == np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(2,))).state
     # and a replication count is one too
     for count in (3.0, -1, "3", None, np.float64(3.0)):
         with pytest.raises(ArgumentError, match="replication counts must be non-negative integers"):
-            next(gof_module.replicate_blocks(0, count, 10, lambda rng: rng.random(1)))
-    assert len(next(gof_module.replicate_blocks(0, np.int64(3), 10, lambda rng: rng.random(1)))[0]) == 3
+            next(gof_module.replicate_blocks(0, count, 1, 10, _random_row))
+    assert len(next(gof_module.replicate_blocks(0, np.int64(3), 1, 10, _random_row))[0]) == 3
