@@ -1,7 +1,7 @@
 """Command-line surface: data ingestion and drivers for every capability.
 
 Exit codes: 0 ok; 2 for a flag argparse rejects and for any argument the
-library rejects (ArgumentError, ConfigError); 3 for data that cannot be
+library rejects (ArgumentError); 3 for data that cannot be
 read; 4 for a numeric or convergence failure.  The library checks each
 argument where it uses it, so a bad flag value is reported after the input
 is read.  All delimited output starts with a ``# schema:`` comment so
@@ -24,7 +24,7 @@ import numpy as np
 from .density_band import confidence_band
 from .distributions import FAMILIES, Gamma, KnownDistribution, Normal, Uniform, family_fitter
 from .empirical import Sample
-from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError, check_alpha
+from .errors import ArgumentError, ConvergenceError, DomainError, check_alpha, check_name
 from .estimator import default_grid, estimate_with_ci
 from .gof_test import _bootstrap, test
 from .ks_distribution import ks_sup_quantile
@@ -171,29 +171,24 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
 
 # ---------------------------------------------------------------- dist spec
 
-_DIST_FORMS = {"normal": "normal:MEAN,SD", "uniform": "uniform:LO,HI", "gamma": "gamma:SHAPE,RATE (or rate=R / scale=S)"}
-
-
 def parse_dist(spec: str) -> KnownDistribution:
-    """'family:params' -> distribution.
+    """'family:params' -> distribution, the family a name from FAMILIES.
 
     normal:MEAN,SD  uniform:LO,HI  gamma:SHAPE,RATE with the second gamma
     entry also accepted as rate=R or scale=S (the data source quotes both
     conventions; internally everything is shape/rate).
     """
     family, _, rest = spec.partition(":")
-    family = family.strip().lower()
-    if family not in _DIST_FORMS:
-        raise ArgumentError(f"unknown distribution family {family!r}; known: normal, gamma, uniform")
+    family = check_name(family.strip().lower(), FAMILIES, "family")
+    law = Gamma if family == "gamma" else Normal if family == "normal" else Uniform
     parts = [p.strip() for p in rest.split(",") if p.strip()]
     if len(parts) != 2:
-        raise ArgumentError(f"--dist {family} takes {_DIST_FORMS[family]}")
+        form = ",".join(f.name.upper() for f in dataclasses.fields(law))
+        raise ArgumentError(f"--dist {family} takes {family}:{form}" + (" (or rate=R / scale=S)" if law is Gamma else ""))
     first, second = parts
     try:
-        if family == "normal":
-            return Normal(mean=float(first), sd=float(second))
-        if family == "uniform":
-            return Uniform(lo=float(first), hi=float(second))
+        if law is not Gamma:
+            return law(float(first), float(second))
         if second.startswith("scale="):
             return Gamma.from_scale(float(first), float(second[len("scale="):]))
         return Gamma(shape=float(first), rate=float(second.removeprefix("rate=")))
@@ -202,21 +197,16 @@ def parse_dist(spec: str) -> KnownDistribution:
 
 
 def parse_grid(spec: str) -> tuple[float, float, int]:
-    """'P1..P2xN' (or :N) on the quantile scale."""
+    """'P1..P2xN' (or :N) on the quantile scale; ``default_grid`` checks the range and count."""
     body = spec.replace("×", "x")
     lohi, sep, count = body.rpartition("x")
     if not sep:
-        lohi, sep, count = body.rpartition(":")
-    if not sep:
-        raise ArgumentError(f"bad --grid value {spec!r}; expected P1..P2xN")
-    lo, sep2, hi = lohi.partition("..")
+        lohi, _, count = body.rpartition(":")
+    lo, _, hi = lohi.partition("..")  # a missing separator leaves an empty field, which no number parses
     try:
-        p_lo, p_hi, npts = float(lo), float(hi), int(count)
+        return float(lo), float(hi), int(count)
     except ValueError:
         raise ArgumentError(f"bad --grid value {spec!r}; expected P1..P2xN") from None
-    if not (sep2 and 0.0 < p_lo <= p_hi < 1.0 and npts >= 1):
-        raise ArgumentError(f"bad --grid value {spec!r}; need 0 < P1 <= P2 < 1 and N >= 1")
-    return p_lo, p_hi, npts
 
 
 def _delimiter(value: str) -> str:
@@ -501,7 +491,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ArgumentError, ConfigError) as exc:
+    except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

@@ -22,7 +22,7 @@ from scipy.special import (
     zeta,
 )
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_name
 
 __all__ = [
     "KnownDistribution",
@@ -512,7 +512,5 @@ FAMILIES = {
 
 
 def family_fitter(family: str):
-    """The MLE fitter ``FAMILIES[family]``; ConfigError if no family has that name."""
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    return FAMILIES[family]
+    """The MLE fitter ``FAMILIES[family]``; ArgumentError if no family has that name."""
+    return FAMILIES[check_name(family, FAMILIES, "family")]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import rank_filter
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, check_count
 
 __all__ = ["Sample", "ecdf", "sample_quantile", "block_quantiles", "quantile_rank"]
 
@@ -98,7 +98,7 @@ def _block_quantile_rows(rows: np.ndarray, b: int, p: float) -> np.ndarray:
     on the last row, past the end), so row r equals its own sweep bit for bit.
     """
     n = rows.shape[1]
-    if not (isinstance(b, (int, np.integer)) and 1 <= b <= n):
+    if check_count(b, "block length", 1) > n:
         raise ArgumentError(f"block length must satisfy 1 <= b <= n (got {b})")
     rank = int(quantile_rank(b, p))
     swept = rank_filter(rows.ravel(), rank - 1, size=b, origin=-(b // 2))

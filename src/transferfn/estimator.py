@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 from .distributions import KnownDistribution
 from .empirical import Sample, quantile_rank
-from .errors import ArgumentError, check_alpha
+from .errors import ArgumentError, check_alpha, check_count
 
 __all__ = [
     "EstimateResult",
@@ -132,10 +132,12 @@ def estimate_with_ci(sample_y: Sample, dist: KnownDistribution, xs, alpha: float
 
 
 def default_grid(dist: KnownDistribution, npoints: int = 201, p_lo: float = 0.01, p_hi: float = 0.99) -> np.ndarray:
-    """Equispaced quantile-scale grid: xi_Z(p) for p linearly spaced in [p_lo, p_hi]."""
-    if npoints < 1:
-        raise ArgumentError("grid needs at least one point")
+    """Equispaced quantile-scale grid: xi_Z(p) for p linearly spaced in [p_lo, p_hi].
+
+    ArgumentError unless ``npoints`` is an integer >= 1 and 0 < p_lo <= p_hi < 1.
+    """
+    npoints = check_count(npoints, "the grid's point count", 1)
     if not (0.0 < p_lo <= p_hi < 1.0):
-        raise ArgumentError("grid quantile range must satisfy 0 < p_lo <= p_hi < 1")
+        raise ArgumentError(f"grid quantile range must satisfy 0 < p_lo <= p_hi < 1 (got {p_lo}, {p_hi})")
     ps = np.linspace(p_lo, p_hi, npoints)
     return np.asarray(dist.quantile(ps), dtype=float)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter, gamma_quantile_table, quantile_density
 from .empirical import Sample, quantile_rank
-from .errors import ArgumentError, ConvergenceError, DomainError, check_alpha
+from .errors import ConvergenceError, DomainError, check_alpha, check_count
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
 
 __all__ = [
@@ -94,8 +94,7 @@ class TestResult:
 
 def trimming_fraction(n: int) -> float:
     """delta_n = 25 loglog(n)/n, capped at 0.2 so the region is never empty."""
-    if n < _MIN_N:
-        raise ArgumentError(f"the trimmed statistic needs n >= {_MIN_N} (got {n})")
+    n = check_count(n, "the trimmed statistic's n", _MIN_N)
     return min(25.0 * math.log(math.log(n)) / n, _TRIM_CAP)
 
 
@@ -117,16 +116,10 @@ def _evaluation_set(n: int):
     return u, quantile_rank(n, u_grid) - 1, jumps
 
 
-def _check_seed(seed, what: str = "seeds and stream keys") -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ArgumentError(f"{what} must be non-negative integers (got {seed!r})")
-    return int(seed)
-
-
 def replication_rng(seed: int, index) -> np.random.Generator:
     """Stream of replicate ``index`` (an int or a tuple key) of a seeded study; see ``replicate_blocks``."""
-    key = tuple(map(_check_seed, (index,) if np.ndim(index) == 0 else index))
-    return np.random.default_rng(np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=key))
+    key = tuple(check_count(k, "a stream key", 0) for k in ((index,) if np.ndim(index) == 0 else index))
+    return np.random.default_rng(np.random.SeedSequence(entropy=check_count(seed, "a seed", 0), spawn_key=key))
 
 
 # NumPy's SeedSequence hash (O'Neill's seed_seq) and PCG64's 128-bit LCG multiplier
@@ -159,8 +152,8 @@ def _pcg64_seed_words(seed: int, key: tuple, replications: int):
     SeedSequence's pool mixing and ``generate_state(4, uint64)`` run once on uint32 columns: a
     word shared by every key is a length-1 array, and the last, r, is one word for r < 2^32.
     """
-    head = _words(_check_seed(seed))  # a spawned sequence pads the seed's words to the pool size, 4
-    words = head + [0] * (4 - len(head)) + [w for k in key for w in _words(_check_seed(k))]
+    head = _words(check_count(seed, "a seed", 0))  # a spawned sequence pads the seed's words to the pool size, 4
+    words = head + [0] * (4 - len(head)) + [w for k in key for w in _words(check_count(k, "a stream key", 0))]
     entropy = [np.array([w], dtype=np.uint32) for w in words] + [np.arange(replications, dtype=np.uint32)]
     hashmix = _hasher(_INIT_A, _MULT_A)
 
@@ -205,7 +198,7 @@ def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key
     consume its ``rng`` at once and never keep it.  ``seed``, ``key`` and
     ``replications`` must hold non-negative integers (ArgumentError otherwise).
     """
-    replications = _check_seed(replications, "replication counts")
+    replications = check_count(replications, "a replication count", 0)
     columns = _pcg64_seed_words(seed, tuple(key), replications)
     rng = np.random.Generator(np.random.PCG64(0))
     block = _block_rows(width)
@@ -240,8 +233,9 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     u, grid, jumps = points
     x, density = quantile_density(dist, u) if law_values is None else law_values
     bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
-    if np.any(bad_law):
+    if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
         x = np.where(bad_law[:, None], 0.0, x)
+        density = np.where(bad_law[:, None], 0.0, density)
     hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
     hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
     status = np.where(bad_law, _BAD_LAW, 0)
@@ -369,8 +363,7 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     The CLI prints all three, so the data are fitted and the observed
     statistic computed once.
     """
-    if replications < 99:
-        raise ArgumentError(f"need at least 99 bootstrap replications (got {replications})")
+    replications = check_count(replications, "the bootstrap replication count", 99)
     fitted = family_fitter(family)(data.values)
     observed = test_statistic(data, fitted, hyp)
 

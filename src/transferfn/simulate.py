@@ -17,7 +17,7 @@ import numpy as np
 
 from .density_band import _band_edges, _band_setup, _kde_rows
 from .distributions import KnownDistribution, Normal, quantile_density
-from .errors import ArgumentError, ConfigError, DomainError, check_alpha
+from .errors import ArgumentError, DomainError, check_alpha, check_count, check_name
 from .estimator import _interior_grid, estimator_ranks
 from .gof_test import (
     HypothesisFunction,
@@ -83,13 +83,7 @@ _TRANSFER_ALIASES = {"exp(x)": "e^x", "exp": "e^x", "x": "identity"}
 
 
 def get_transfer(name: str) -> HypothesisFunction:
-    key = _TRANSFER_ALIASES.get(name, name)
-    try:
-        return TRANSFERS[key]
-    except KeyError:
-        raise ConfigError(
-            f"unknown transfer {name!r}; known: {', '.join(sorted(TRANSFERS))}"
-        ) from None
+    return TRANSFERS[check_name(_TRANSFER_ALIASES.get(name, name), TRANSFERS, "transfer")]
 
 
 PERTURBATIONS = ("none", "x/n^(1/8)", "x/sqrt(n)")
@@ -97,14 +91,9 @@ PERTURBATIONS = ("none", "x/n^(1/8)", "x/sqrt(n)")
 
 def perturbed(h: HypothesisFunction, kind: str, n: int) -> HypothesisFunction:
     """The data-generating g for a table cell: h plus the named perturbation."""
-    if kind == "none":
+    if check_name(kind, PERTURBATIONS, "perturbation") == "none":
         return h
-    if kind == "x/n^(1/8)":
-        eps = float(n) ** -0.125
-    elif kind == "x/sqrt(n)":
-        eps = float(n) ** -0.5
-    else:
-        raise ConfigError(f"unknown perturbation {kind!r}; known: {', '.join(PERTURBATIONS)}")
+    eps = float(n) ** (-0.125 if kind == "x/n^(1/8)" else -0.5)
     g = HypothesisFunction(
         fn=lambda x, _h=h.fn, _e=eps: _h(x) + _e * np.asarray(x, dtype=float),
         deriv=lambda x, _d=h.deriv, _e=eps: _d(x) + _e,
@@ -120,7 +109,7 @@ def _check_increasing(g: HypothesisFunction) -> None:
     vals = np.asarray(g.fn(xs), dtype=float)
     der = np.asarray(g.deriv(xs), dtype=float)
     if np.any(np.diff(vals) <= 0.0) or np.any(der < 0.0):
-        raise ConfigError(f"transfer {g.name!r} is not strictly increasing on [-2.0, 2.0]")
+        raise ArgumentError(f"transfer {g.name!r} is not strictly increasing on [-2.0, 2.0]")
 
 
 @dataclass(frozen=True)
@@ -131,8 +120,9 @@ class DGPConfig:
     innovation distribution (normal only, as in the dependent-data example):
     Z_i = sum_{k=0}^{q} decay^k eps_{i-k} with q presample innovations for
     burn-in, and ``marginal()`` is the exact stationary law handed to every
-    estimator.  A ``ma_decay`` whose coefficients or stationary SD overflow
-    is a ConfigError.
+    estimator.  An ``n`` that is not an integer >= 1, an ``ma_order`` that is
+    not an integer >= 0, and a ``ma_decay`` whose coefficients or stationary
+    SD overflow are ArgumentErrors.
     """
 
     transfer: str
@@ -143,19 +133,17 @@ class DGPConfig:
     ma_decay: float = 0.9
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.ma_order < 0:
-            raise ConfigError("ma_order must be >= 0")
+        check_count(self.n, "n", 1)
+        check_count(self.ma_order, "ma_order", 0)
         if not math.isfinite(self.ma_decay):
-            raise ConfigError(f"ma_decay must be finite (got {self.ma_decay})")
+            raise ArgumentError(f"ma_decay must be finite (got {self.ma_decay})")
         if self.ma_order > 0 and not isinstance(self.law, Normal):
-            raise ConfigError("MA generation supports normal innovations only")
+            raise ArgumentError("MA generation supports normal innovations only")
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 self.marginal()  # its SD is finite only if every coefficient is
             except DomainError:
-                raise ConfigError(f"ma_decay {self.ma_decay} overflows the MA({self.ma_order}) law") from None
+                raise ArgumentError(f"ma_decay {self.ma_decay} overflows the MA({self.ma_order}) law") from None
         _check_increasing(get_transfer(self.transfer))
 
     def coefficients(self) -> np.ndarray:
@@ -203,7 +191,7 @@ def _finite_pair(draw, rng, g: HypothesisFunction, law):
             y = np.asarray(g.fn(z), dtype=float)
         if np.all(np.isfinite(y)):
             return z, y
-    raise ConfigError(f"transfer kept leaving its domain: {g.name!r} under {law!r}")
+    raise ArgumentError(f"transfer kept leaving its domain: {g.name!r} under {law!r}")
 
 
 def _finite_blocks(seed: int, replications: int, n: int, width: int, draw, g: HypothesisFunction, law, key=()):
@@ -274,10 +262,8 @@ def run_coverage_study(
     ``block`` param is the subsampling block length used, as an int; None
     for the other methods.
     """
-    if replications < 1:
-        raise ArgumentError(f"need at least one replication (got {replications})")
-    if method not in ("ci", "band", "subsample"):
-        raise ConfigError(f"unknown coverage method {method!r}")
+    check_count(replications, "the replication count", 1)
+    check_name(method, ("ci", "band", "subsample"), "coverage method")
     marginal = config.marginal()
     xs = _interior_grid(marginal, xs)
     if np.unique(xs).size != xs.size:  # the report holds one cell per point; -0.0 and 0.0 are one point
@@ -357,8 +343,7 @@ def run_test_table(
     sized by the statistic's evaluation set, and tested a block of rows at a
     time against the one evaluation set and input-law quantiles of the table.
     """
-    if repetitions < 1:
-        raise ArgumentError(f"need at least one repetition (got {repetitions})")
+    check_count(repetitions, "the repetition count", 1)
     check_alpha(alpha)
     dist = Normal()
     critical = ks_sup_quantile(1.0 - alpha)

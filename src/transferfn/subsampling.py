@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import KnownDistribution
 from .empirical import Sample, _block_quantile_rows, block_quantiles, quantile_rank
-from .errors import ArgumentError, check_alpha
+from .errors import ArgumentError, check_alpha, check_count
 from .estimator import estimator_ranks
 
 __all__ = ["SubsampleResult", "default_block_length", "subsample_distribution", "subsample_ci"]
@@ -53,13 +53,10 @@ def default_block_length(n: int) -> int:
 
 def _check_block(b, n: int) -> int:
     """``b`` (``default_block_length(n)`` if None) as a Python int; ArgumentError unless an integer with 2 <= b < n."""
-    if b is None:
-        b = default_block_length(n)
-    if not isinstance(b, (int, np.integer)):
-        raise ArgumentError(f"block length must be an integer (got {b!r})")
-    if not 2 <= b < n:
+    b = check_count(default_block_length(n) if b is None else b, "block length", 2)
+    if b >= n:
         raise ArgumentError(f"block length must satisfy 2 <= b < n (got b={b}, n={n})")
-    return int(b)
+    return b
 
 
 def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b: int) -> tuple[float, np.ndarray]:

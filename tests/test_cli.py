@@ -79,9 +79,14 @@ def test_parse_dist_variants():
 def test_parse_grid():
     assert parse_grid("0.01..0.99x200") == (0.01, 0.99, 200)
     assert parse_grid("0.05..0.95:21") == (0.05, 0.95, 21)
-    for bad in ("0.5x10", "0..1x10", "0.2..0.1x5", "a..bx5", "0.1..0.9"):
+    for bad in ("0.5x10", "a..bx5", "0.1..0.9", "0.1..0.9x2.5"):
         with pytest.raises(ArgumentError):
             parse_grid(bad)
+    # the range and the count are default_grid's rules
+    for spec in ("0..1x10", "0.2..0.1x5", "0.1..0.9x0"):
+        p_lo, p_hi, npts = parse_grid(spec)
+        with pytest.raises(ArgumentError):
+            default_grid(Normal(), npts, p_lo, p_hi)
 
 
 def test_read_column_missing_policy(tmp_path):
@@ -471,7 +476,10 @@ def test_unknown_family_is_one_error_checked_before_the_data(tmp_path, capsys, g
         capsys, "test", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", "nope", "--h", "identity", "--mc-reps", "99"
     )
     assert code == 2 and out == ""
-    assert fit_err == test_err == "usage error: unknown family 'nope'; known: gamma, normal, uniform\n"
+    # and so does the input law of every other command
+    code, out, dist_err = run_cli(capsys, "estimate", "--data", str(gamma_file), "--dist", "nope:1,2", "--x", "1")
+    assert code == 2 and out == ""
+    assert fit_err == test_err == dist_err == "usage error: unknown family 'nope'; known: gamma, normal, uniform\n"
 
 
 def test_simulate_table2_desk_scale(tmp_path, capsys):

@@ -141,6 +141,7 @@ def test_kde_matches_dense_oracle_at_any_offset():
                 assert np.all(got >= 0.0)
 
 
+@pytest.mark.floor
 def test_kde_rows_match_one_row_kde_bit_for_bit():
     # rows of one block differ in offset and scale: a one-cell row, rows of
     # many cells and rows where |Y|/h is huge; each row's queries include

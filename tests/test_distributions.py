@@ -257,6 +257,7 @@ def test_fit_normal_and_uniform_errors():
 _TABLE_DENSITY_REL = 10 * TABLE_REL_ERROR
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize(
     "n, shape",
     [(50, 0.3), (50, 0.45), (50, 2.7), (300, 2.3), (518, 10.97), (200, 50.0), (100_000, 2.0)],
@@ -290,6 +291,7 @@ def test_gamma_quantile_table_meets_its_bound(n, shape):
     assert _same_bits(x[k:], exact[k:]) and _same_bits(density[k:], exact_density[k:])
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize(
     "law, numpy_draw",
     [
@@ -313,6 +315,7 @@ def test_rvs_out_is_numpys_draw(law, numpy_draw):
         assert _same_bits(out, want)
 
 
+@pytest.mark.floor
 def test_trigamma_is_polygamma_bit_for_bit():
     # fit_gamma_rows and gamma_quantile_table take trigamma as zeta(2, k), as
     # scipy's polygamma(1, k) computes it: (-1)^2 Gamma(2) zeta(2, k)

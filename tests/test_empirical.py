@@ -132,6 +132,7 @@ def test_block_quantiles_randomized_oracle():
         ), (values.size, b, p)
 
 
+@pytest.mark.floor
 def test_block_quantile_rows_match_per_row_sweeps_and_oracle():
     # one sweep over the flattened block: no window may mix two rows, at the
     # smallest block, the largest and the whole row, at several levels
@@ -176,6 +177,7 @@ def test_sample_is_immutable_view():
         s.sorted_values[0] = 0.0
 
 
+@pytest.mark.floor
 def test_sorted_values_are_the_stable_sort_bit_for_bit():
     # the default sort may order -0.0 and 0.0 either way; Sample restores their input order
     rng = np.random.default_rng(17)

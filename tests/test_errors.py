@@ -29,7 +29,8 @@ from transferfn import (
     trimming_fraction,
 )
 from transferfn import gof_test, simulate
-from transferfn.errors import ArgumentError, DomainError, check_alpha
+from transferfn.distributions import family_fitter
+from transferfn.errors import ArgumentError, ConfigError, DomainError, check_alpha
 from transferfn.estimator import estimator_ranks
 
 _SAMPLE = Sample(np.random.default_rng(12).normal(size=200))
@@ -83,6 +84,15 @@ CASES = {
     "bootstrap float replications": lambda: monte_carlo_p_value(_SAMPLE, "normal", _IDENTITY, replications=999.0),
     "coverage float replications": lambda: run_coverage_study(_CONFIG, [0.0], 0.05, 5.0),
     "table float repetitions": lambda: run_test_table(n=50, repetitions=3.0),
+    # every count is an integer: a float or a bool is refused where the library meets it
+    "DGPConfig float n": lambda: DGPConfig("identity", n=10.5),
+    "DGPConfig float ma_order": lambda: DGPConfig("identity", n=50, ma_order=1.5),
+    "DGPConfig bool n": lambda: DGPConfig("identity", n=True),
+    "default_grid float points": lambda: default_grid(Normal(), 2.5),
+    "table float n": lambda: run_test_table(n=50.5, repetitions=1),
+    "coverage float n": lambda: run_coverage_study(DGPConfig("(x+4)^2", n=50.0), [0.0], 0.05, 1),
+    # a name that cannot be a key is unknown too
+    "family not a string": lambda: family_fitter(["gamma"]),
 }
 
 
@@ -107,3 +117,30 @@ def test_coverage_points_are_checked_before_any_draw(monkeypatch):
     ):
         with pytest.raises(ArgumentError, match=message):
             run_coverage_study(DGPConfig(transfer, n=50), xs, 0.05, 1)
+
+
+def test_numpy_integer_counts_are_accepted():
+    config = DGPConfig("identity", n=np.int64(50), ma_order=np.int64(1))
+    assert generate(config)[0].size == 50
+    assert default_grid(Normal(), np.int64(3)).size == 3
+    report = run_test_table(("identity",), ("none",), n=np.int64(50), repetitions=np.int64(2), seed=np.int64(1))
+    assert report.cells == run_test_table(("identity",), ("none",), n=50, repetitions=2, seed=1).cells
+
+
+UNKNOWN_NAMES = {
+    "transfer": lambda: get_transfer("nope"),
+    "perturbation": lambda: simulate.perturbed(_IDENTITY, "nope", 100),
+    "family": lambda: family_fitter("nope"),
+    "coverage method": lambda: run_coverage_study(_CONFIG, [0.0], 0.05, 1, method="nope"),
+}
+
+
+@pytest.mark.parametrize("what", UNKNOWN_NAMES)
+def test_unknown_names_are_worded_alike(what):
+    with pytest.raises(ArgumentError, match=f"^unknown {what} 'nope'; known: "):
+        UNKNOWN_NAMES[what]()
+
+
+def test_config_error_is_argument_error():
+    # the former name still imports and still catches every bad configuration
+    assert ConfigError is ArgumentError

@@ -92,6 +92,7 @@ def test_marginal_kolmogorov_distance():
         assert ks < 0.01
 
 
+@pytest.mark.floor
 def test_generate_redraws_domain_escapes():
     # a standard normal draw below -5 would take log(x+5) out of its domain;
     # the generator retries deterministically instead of returning NaN
@@ -215,6 +216,7 @@ def _check_study(config, xs, alpha, replications, method, block=None):
     return rep
 
 
+@pytest.mark.floor
 def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     # x = +-4 at n = 100 clamps the CI levels at 1/n and 1
     ci_cfg = DGPConfig(transfer="(x+4)^2", n=100, seed=21)
@@ -267,6 +269,7 @@ def _reference_table(h_names, n, alpha, repetitions, seed):
     return cells
 
 
+@pytest.mark.floor
 def test_test_table_matches_per_replicate_loop(monkeypatch):
     h_names = ("(x+4)^2", "log(x+5)")
     expected = _reference_table(h_names, 200, 0.15, 60, 31)
@@ -284,6 +287,7 @@ def _first_draw_escapes(seed, key, n, law, floor, replications):
     )
 
 
+@pytest.mark.floor
 def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
     # about a third of these datasets leave log(x+5)'s domain on their first
     # draw; the block transfer must rebuild exactly those rows as the
@@ -323,6 +327,7 @@ def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
     assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
 
 
+@pytest.mark.floor
 def test_subsample_study_at_several_x_reads_every_point():
     # x = 0 and 0.01 map to one block rank, x = -0.5 and 1.0 to two others;
     # 60 replications of width 600 are a block of 54 rows and one of 6
@@ -345,10 +350,10 @@ def test_block_length_is_checked_before_any_draw(monkeypatch):
     monkeypatch.setattr(simulate, "replicate_blocks", refuse)
     sample = Sample(generate(cfg)[1])
     for block, message in (
-        (55.0, r"block length must be an integer \(got 55\.0\)"),
+        (55.0, r"block length must be an integer >= 2 \(got 55\.0\)"),
         (np.float64(40.0), "block length must be an integer"),
         ("40", "block length must be an integer"),
-        (1, r"2 <= b < n \(got b=1, n=300\)"),
+        (1, r"block length must be an integer >= 2 \(got 1\)"),
         (np.int64(300), r"2 <= b < n \(got b=300, n=300\)"),
     ):
         with pytest.raises(ArgumentError, match=message):
