@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import (
     digamma,
+    expit,
     gammainc,
+    gammainccinv,
     gammaincinv,
     gammaln,
+    logit,
     ndtr,
     ndtri,
     zeta,
@@ -211,7 +214,8 @@ class Gamma(KnownDistribution):
 
 # A shape table's interpolant must match gammaincinv to this relative error
 # at its check points; it spans this many asymptotic SDs of log(shape MLE)
-# either side of the fitted shape, in at most this many Chebyshev intervals.
+# either side of the fitted shape, in at most this many Chebyshev intervals
+# along log a and along each piece of logit u, in at most this many pieces.
 TABLE_REL_ERROR = 1e-13
 _TABLE_HALF_WIDTH_SDS = 4.0
 _TABLE_MAX_INTERVALS = 64
@@ -266,10 +270,12 @@ def _barycentric(t: np.ndarray, values: np.ndarray, out: np.ndarray | None = Non
 class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to every import
     """Gamma quantiles and density at a fixed probability set p, for every shape a in a band, by interpolation.
 
-    log gammaincinv(a, p_j) is tabulated at Chebyshev points in log a and
-    interpolated barycentrically; ``gamma_quantile_table`` builds one and
-    checks it to TABLE_REL_ERROR.  The density at a quantile follows from
-    the same interpolant, so nothing else is tabulated or checked.
+    ``log_q`` holds log gammaincinv(a, p_j) at Chebyshev points in log a,
+    which a refit's row interpolates barycentrically.  ``gamma_quantile_table``
+    fills it from a Chebyshev grid in (log a, logit u), checked to
+    TABLE_REL_ERROR at the midpoints of both directions' intervals.  The
+    density at a quantile follows from the same interpolant, so nothing
+    else is tabulated or checked.
     """
 
     def __init__(self, center: float, half_width: float, p: np.ndarray, log_q: np.ndarray):
@@ -307,6 +313,13 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
         return x, density
 
 
+def _nest(nodes: np.ndarray, between: np.ndarray) -> np.ndarray:
+    """Rows of ``nodes`` and ``between`` alternately, from a node row to a node row: a doubled grid's values."""
+    out = np.empty((nodes.shape[0] + between.shape[0], nodes.shape[1]))
+    out[0::2], out[1::2] = nodes, between
+    return out
+
+
 def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     """A shape table centred on ``shape`` for refits of n-point samples, or None if none passes its check.
 
@@ -314,11 +327,21 @@ def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
 
     The band is log(shape) -+ 4 asymptotic SDs of the log shape MLE at n
     points, var = 1 / (n a (a trigamma(a) - 1)) from the Fisher information.
-    Starting from one Chebyshev interval, the table is compared with
-    gammaincinv at every interval's midpoint (in angle); while the largest
-    relative error exceeds TABLE_REL_ERROR the intervals double, the
-    midpoints becoming the new nodes, up to 64.  The points are nested, so a
-    table of m intervals costs 2m + 1 gammaincinv rows from any start.
+    log Q(a, u), Q = gammaincinv, is tabulated on a tensor grid: Chebyshev
+    points in s = log a over the band, crossed with Chebyshev points in
+    t = logit u on pieces of [logit min p, logit max p].  Each direction
+    starts from one interval.  The grid with every interval halved (at its
+    midpoint in angle) is computed too, and the 2-D interpolant is compared
+    with it at each of its points that is not a node.  While the largest
+    error exceeds TABLE_REL_ERROR, the s intervals double if the error of
+    interpolating along s alone does, up to _TABLE_MAX_INTERVALS; otherwise
+    the t intervals of every failing piece double, and a piece that would
+    exceed _TABLE_MAX_INTERVALS splits in two, into at most that many
+    pieces.  The halved grid becomes the next one's nodes, so a piece of
+    A x M intervals costs (2A + 1)(2M + 1) evaluations of Q.  For t > 0,
+    Q is gammainccinv(a, expit(-t)): 1 - u itself, not 1 minus a rounded u,
+    so the error along t has no rounding floor in the upper tail.  Each
+    log-a node row is finally interpolated along t onto p.
     """
     if shape > _TABLE_MAX_SHAPE:
         return None
@@ -326,25 +349,65 @@ def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     center = math.log(shape)
     info = n * shape * (shape * float(_trigamma(shape)) - 1.0)  # 1 / var(log shape MLE)
     half_width = _TABLE_HALF_WIDTH_SDS / math.sqrt(info)
+    t = logit(p)
 
-    def log_quantiles(t):
+    def log_quantiles(s, ts):
+        """log Q at a = exp(center + half_width s) crossed with u = expit(ts)."""
+        a, upper = np.exp(center + half_width * s)[:, None], ts > 0.0
+        q = np.empty((s.size, ts.size))
+        q[:, ~upper] = gammaincinv(a, expit(ts[~upper]))
+        q[:, upper] = gammainccinv(a, expit(-ts[upper]))
         with np.errstate(divide="ignore"):
-            return np.log(gammaincinv(np.exp(center + half_width * t)[:, None], p))
+            return np.log(q)
 
-    intervals = 1
-    log_q = log_quantiles(_chebyshev_points(intervals))
-    while np.all(np.isfinite(log_q)):
-        mid_t = _chebyshev_points(2 * intervals)[1::2]
-        mid = log_quantiles(mid_t)
-        # |log q - log q_exact| is the relative error of q to first order
-        if np.max(np.abs(_barycentric(mid_t, log_q) - mid)) <= TABLE_REL_ERROR:
-            return GammaQuantileTable(center, half_width, p, log_q)
-        if 2 * intervals > _TABLE_MAX_INTERVALS:
+    def new_piece(mid, half):  # t = mid + half x for x in [-1, 1]; one interval, so a halved grid of two
+        return mid, half, log_quantiles(_chebyshev_points(2 * intervals), mid + half * _chebyshev_points(2))
+
+    intervals = 1  # along s
+    pieces = [new_piece(0.5 * (t.max() + t.min()), 0.5 * (t.max() - t.min()) or 1.0)]  # p of one level: width 2
+    while True:
+        errors = []  # per piece: of the 2-D interpolant, and of interpolating along s alone
+        for *_, values in pieces:
+            if not np.all(np.isfinite(values)):
+                return None
+            along_s = _barycentric(_chebyshev_points(2 * intervals), values[0::2])
+            both = _barycentric(_chebyshev_points(values.shape[1] - 1), along_s[:, 0::2].T).T
+            # |log q - log q_exact| is the relative error of q to first order
+            errors.append((np.max(np.abs(both - values)), np.max(np.abs(along_s - values))))
+        if max(error for error, _ in errors) <= TABLE_REL_ERROR:
+            break
+        if max(error_s for _, error_s in errors) > TABLE_REL_ERROR:
+            if 2 * intervals > _TABLE_MAX_INTERVALS:
+                return None
+            mid_s = _chebyshev_points(4 * intervals)[1::2]
+            pieces = [
+                (mid, half, _nest(v, log_quantiles(mid_s, mid + half * _chebyshev_points(v.shape[1] - 1))))
+                for mid, half, v in pieces
+            ]
+            intervals *= 2
+            continue
+        finer = []
+        for (mid, half, values), (error, _) in zip(pieces, errors):
+            halved = values.shape[1] - 1  # twice the piece's intervals
+            if error <= TABLE_REL_ERROR:
+                finer.append((mid, half, values))
+            elif halved <= _TABLE_MAX_INTERVALS:
+                mid_t = log_quantiles(_chebyshev_points(2 * intervals), mid + half * _chebyshev_points(2 * halved)[1::2])
+                finer.append((mid, half, _nest(values.T, mid_t.T).T))
+            else:
+                finer += [new_piece(mid - 0.5 * half, 0.5 * half), new_piece(mid + 0.5 * half, 0.5 * half)]
+        if len(finer) > _TABLE_MAX_INTERVALS:
             return None
-        finer = np.empty((2 * intervals + 1, p.size))
-        finer[0::2], finer[1::2] = log_q, mid
-        log_q, intervals = finer, 2 * intervals
-    return None
+        pieces = finer
+    log_q = np.empty((intervals + 1, p.size))
+    which = np.searchsorted([mid - half for mid, half, _ in pieces[1:]], t)
+    for k, (mid, half, values) in enumerate(pieces):
+        nodes = values[0::2, 0::2].T
+        points = np.flatnonzero(which == k)
+        # a chunk's barycentric temporaries stay near 1 MB however large p is
+        for chunk in np.array_split(points, 1 + points.size * nodes.shape[0] // (1 << 17)):
+            log_q[:, chunk] = _barycentric((t[chunk] - mid) / half, nodes).T
+    return GammaQuantileTable(center, half_width, p, log_q)
 
 
 @dataclass(frozen=True)

@@ -345,14 +345,16 @@ def monte_carlo_p_value(
     one-replicate ``test_statistic`` bit for bit.  For a gamma law the
     refits' quantiles and density come from one shape table per call
     (``distributions.gamma_quantile_table``: 4 asymptotic SDs of the log
-    shape MLE, grown from one Chebyshev interval and checked to relative
-    error 1e-13; a refit outside it is scored exactly), so a row's statistic
-    is within a bounded relative error of the one-replicate one; every row
-    within relative 1e-7 of the observed statistic is recomputed with exact
-    quantiles and density, so the exceedance count and the p-value are
-    exact.  Without a table that passes its check, every row is exact.
-    Replications whose draw, refit or statistic fails are dropped; more than
-    5% failures raises ConvergenceError.
+    shape MLE, built from a Chebyshev grid in log shape and logit u that
+    doubles from one interval per direction until the midpoints of its
+    intervals match to relative error 1e-13; a refit outside the band is
+    scored exactly), so a row's statistic is within a bounded relative
+    error of the one-replicate one; every row within relative 1e-7 of the
+    observed statistic is recomputed with exact quantiles and density, so
+    the exceedance count and the p-value are exact.  Without a table that
+    passes its check, every row is exact.  Replications whose draw, refit
+    or statistic fails are dropped; more than 5% failures raises
+    ConvergenceError.
     """
     return _bootstrap(data, family, hyp, replications, seed)[0]
 

@@ -122,7 +122,8 @@ class DGPConfig:
     burn-in, and ``marginal()`` is the exact stationary law handed to every
     estimator.  An ``n`` that is not an integer >= 1, an ``ma_order`` that is
     not an integer >= 0, and a ``ma_decay`` whose coefficients or stationary
-    SD overflow are ArgumentErrors.
+    SD overflow are ArgumentErrors.  ``n`` and ``ma_order`` are stored as
+    Python ints, whatever integer type the caller gave.
     """
 
     transfer: str
@@ -133,8 +134,8 @@ class DGPConfig:
     ma_decay: float = 0.9
 
     def __post_init__(self):
-        check_count(self.n, "n", 1)
-        check_count(self.ma_order, "ma_order", 0)
+        object.__setattr__(self, "n", check_count(self.n, "n", 1))
+        object.__setattr__(self, "ma_order", check_count(self.ma_order, "ma_order", 0))
         if not math.isfinite(self.ma_decay):
             raise ArgumentError(f"ma_decay must be finite (got {self.ma_decay})")
         if self.ma_order > 0 and not isinstance(self.law, Normal):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,15 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="overflows the MA"):
             DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
     assert DGPConfig(transfer="identity", n=100, ma_order=2, ma_decay=1e50).marginal().sd == pytest.approx(1e100)
+
+
+def test_config_stores_counts_as_python_ints():
+    # a numpy count is stored as a Python int, so a study's params serialise
+    cfg = DGPConfig(transfer="identity", n=np.int64(50), ma_order=np.int32(2))
+    assert type(cfg.n) is int and type(cfg.ma_order) is int and (cfg.n, cfg.ma_order) == (50, 2)
+    report = run_coverage_study(DGPConfig(transfer="identity", n=np.int64(50)), [0.0], 0.05, 2)
+    assert type(report.params["n"]) is int and type(report.params["ma_order"]) is int
+    assert json.loads(json.dumps(report.params))["n"] == 50
 
 
 def test_report_determinism():
