@@ -11,6 +11,7 @@ downstream readers can pin the column layout.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import io
@@ -157,12 +158,15 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
     field is a missing token ('?', empty, NA, nan) are dropped; any other
     non-numeric field is a data error.  The input is read once; clean input
     goes through numpy's C parser, and anything it declines is parsed row by
-    row, with identical values and errors either way.  Input that cannot be
-    read or decoded in the locale's encoding is a data error too.
+    row, with identical values and errors either way.  A leading UTF-8
+    byte-order mark is dropped.  Input that cannot be read or decoded in the
+    locale's encoding is a data error too.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+        # not by decoding as utf-8-sig: the fast parser's body offset counts the bytes the locale encodes
+        data = data.removeprefix(codecs.BOM_UTF8)
         values = _read_column_fast(data, path, selector, delimiter)
         return _read_column_rows(data, path, selector, delimiter) if values is None else values
     except (OSError, UnicodeError) as exc:

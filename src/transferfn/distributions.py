@@ -83,13 +83,8 @@ class KnownDistribution:
         """inf{x : F(x) >= p} for p in (0, 1)."""
         raise NotImplementedError
 
-    def rvs(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        """Draw n independent variates, into ``out`` (a float array of n elements) when given.
-
-        Each family draws numpy's standard variates in place and applies the
-        scale and shift numpy's own ``gamma``/``normal``/``uniform`` apply,
-        in the same order, so the draws are theirs bit for bit.
-        """
+    def rvs(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n independent variates: numpy's own ``gamma``, ``normal`` or ``uniform`` draw on ``rng``."""
         raise NotImplementedError
 
     @staticmethod
@@ -127,11 +122,8 @@ class Normal(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(self.mean + self.sd * ndtri(arr), p)
 
-    def rvs(self, n, rng, out=None):
-        out = rng.standard_normal(n, out=out)  # numpy's normal is mean + sd * z
-        out *= self.sd
-        out += self.mean
-        return out
+    def rvs(self, n, rng):
+        return rng.normal(self.mean, self.sd, n)
 
     @classmethod
     def fit_rows(cls, data):
@@ -199,10 +191,8 @@ class Gamma(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(gammaincinv(self.shape, arr) / self.rate, p)
 
-    def rvs(self, n, rng, out=None):
-        out = rng.standard_gamma(self.shape, n, out=out)  # numpy's gamma is scale * standard gamma
-        out *= 1.0 / self.rate
-        return out
+    def rvs(self, n, rng):
+        return rng.gamma(self.shape, self.scale, n)
 
     @classmethod
     def fit_rows(cls, data):
@@ -416,8 +406,9 @@ class Uniform(KnownDistribution):
     hi: float = 1.0
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)) and np.all(self.lo < self.hi)):
-            raise DomainError("uniform requires finite lo < hi")
+        with np.errstate(over="ignore"):
+            if not (np.all(self.lo < self.hi) and np.all(np.isfinite(self.hi - self.lo))):
+                raise DomainError("uniform requires finite lo < hi with a finite range hi - lo")
 
     @property
     def support(self):
@@ -438,18 +429,16 @@ class Uniform(KnownDistribution):
         arr = self._require_prob(p)
         return _maybe_scalar(self.lo + arr * (self.hi - self.lo), p)
 
-    def rvs(self, n, rng, out=None):
-        out = rng.random(n, out=out)  # numpy's uniform is lo + (hi - lo) * u
-        out *= self.hi - self.lo
-        out += self.lo
-        return out
+    def rvs(self, n, rng):
+        return rng.uniform(self.lo, self.hi, n)
 
     @classmethod
     def fit_rows(cls, data):
         """Row-wise MLE (min, max); see ``KnownDistribution``."""
         arr = np.asarray(data, dtype=float)
         lo, hi = np.min(arr, axis=1), np.max(arr, axis=1)
-        ok = np.all(np.isfinite(arr), axis=1) & (lo < hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (lo < hi) & np.isfinite(hi - lo)  # False on a row with a nan or an infinity too
         return cls(lo=lo[ok, None], hi=hi[ok, None]), ok
 
 
@@ -559,11 +548,14 @@ def fit_normal(data) -> Normal:
 
 
 def fit_uniform(data) -> Uniform:
-    """The one-row call of ``Uniform.fit_rows``: ConvergenceError also for constant data."""
-    law, ok = Uniform.fit_rows(_one_row(data))
-    if not ok[0]:
-        raise ConvergenceError("data are constant; uniform MLE is degenerate", last=None)
-    return Uniform(lo=law.lo.item(), hi=law.hi.item())
+    """The one-row call of ``Uniform.fit_rows``: DomainError also if the range overflows, ConvergenceError if it is 0."""
+    arr = _one_row(data)
+    law, ok = Uniform.fit_rows(arr)
+    if ok[0]:
+        return Uniform(lo=law.lo.item(), hi=law.hi.item())
+    if np.max(arr) > np.min(arr):  # the row failed on an overflowing range, not on constant data
+        raise DomainError("uniform requires finite lo < hi with a finite range hi - lo")
+    raise ConvergenceError("data are constant; uniform MLE is degenerate", last=None)
 
 
 # Family name -> MLE fitter, used by the parametric-bootstrap test and the CLI.

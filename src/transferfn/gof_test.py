@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter, gamma_quantile_table, quantile_density
 from .empirical import Sample, quantile_rank
@@ -122,10 +124,9 @@ def replication_rng(seed: int, index) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=check_count(seed, "a seed", 0), spawn_key=key))
 
 
-# NumPy's SeedSequence hash (O'Neill's seed_seq) and PCG64's 128-bit LCG multiplier
+# NumPy's SeedSequence hash (O'Neill's seed_seq)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT, _MASK32 = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16), 0xFFFFFFFF
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def _words(value: int) -> list:
@@ -146,11 +147,11 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _pcg64_seed_words(seed: int, key: tuple, replications: int):
-    """Uint64 columns (s_hi, s_lo, i_hi, i_lo) of PCG64(SeedSequence(seed, (*key, r))) seed words, r < replications.
+def _pcg64_seed_words(seed: int, key: tuple, replications: int) -> np.ndarray:
+    """(replications, 4) uint64 array: row r is ``SeedSequence(seed, spawn_key=(*key, r)).generate_state(4, uint64)``.
 
-    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run once on uint32 columns: a
-    word shared by every key is a length-1 array, and the last, r, is one word for r < 2^32.
+    The hash runs once on uint32 columns, not as one ~10 us SeedSequence per replicate: a word
+    shared by every key is a length-1 array, and the last, r, is one word for r < 2^32.
     """
     head = _words(check_count(seed, "a seed", 0))  # a spawned sequence pads the seed's words to the pool size, 4
     words = head + [0] * (4 - len(head)) + [w for k in key for w in _words(check_count(k, "a stream key", 0))]
@@ -171,7 +172,17 @@ def _pcg64_seed_words(seed: int, key: tuple, replications: int):
             pool[dst] = mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return [state[i + 1] << np.uint64(32) | state[i] for i in range(0, 8, 2)]
+    return np.stack([state[i + 1] << np.uint64(32) | state[i] for i in range(0, 8, 2)], axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """A row of ``_pcg64_seed_words`` as a seed sequence: PCG64 seeds itself from ``generate_state(4, uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _block_rows(width: int) -> int:
@@ -182,36 +193,30 @@ def _block_rows(width: int) -> int:
 def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key=()):
     """Replicates 0 .. replications-1 of a seeded study, a block of rows of n draws at a time.
 
-    Yields (reps, rows): rows is (len(reps), n), and row i holds what
-    ``draw(replication_rng(seed, (*key, reps[i])), out)`` wrote into ``out``,
-    a length-n float row.  Replicate r thus draws from the seed sequence
-    with entropy ``seed`` and spawn key (*key, r), whatever the block size
-    or scheduling.  A block holds ``_block_rows(width)`` rows, ``width``
-    being the row length of the caller's widest per-block temporary; the
-    last block holds the rest.
+    Yields (reps, rows): rows is (len(reps), n), and row i holds the
+    length-n row ``draw(replication_rng(seed, (*key, reps[i])))`` returns.
+    Replicate r thus draws from the seed sequence with entropy ``seed`` and
+    spawn key (*key, r), whatever the block size or scheduling.  A block
+    holds ``_block_rows(width)`` rows, ``width`` being the row length of the
+    caller's widest per-block temporary; the last block holds the rest.
 
     Every block's rows are the leading rows of one array allocated per call,
     so a yielded block is valid only until the next one is drawn: a caller
-    that keeps it copies it.  The streams' PCG64 states are computed in one
+    that keeps it copies it.  The streams' seed words are hashed in one
     array pass over the whole range (``_pcg64_seed_words``), and each
-    replicate sets them on one reused ``Generator``; so ``draw`` must
-    consume its ``rng`` at once and never keep it.  ``seed``, ``key`` and
-    ``replications`` must hold non-negative integers (ArgumentError otherwise).
+    replicate's ``Generator`` is seeded from its row of them.  ``seed``,
+    ``key`` and ``replications`` must hold non-negative integers
+    (ArgumentError otherwise).
     """
     replications = check_count(replications, "a replication count", 0)
-    columns = _pcg64_seed_words(seed, tuple(key), replications)
-    rng = np.random.Generator(np.random.PCG64(0))
+    seed_words = _pcg64_seed_words(seed, tuple(key), replications)
     block = _block_rows(width)
     buffer = np.empty((min(block, replications), n))
     for start in range(0, replications, block):
         reps = range(start, min(start + block, replications))
         rows = buffer[: len(reps)]
-        for out, s_hi, s_lo, i_hi, i_lo in zip(rows, *(c[reps.start : reps.stop].tolist() for c in columns)):
-            # PCG64's srandom: inc = 2 i + 1, then two LCG steps with s added between them
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-            draw(rng, out)
+        for i, rep in enumerate(reps):
+            rows[i] = draw(np.random.Generator(np.random.PCG64(_SeedWords(seed_words[rep]))))
         yield reps, rows
 
 
@@ -378,7 +383,7 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     law_buffer = None if table is None else _block_buffers(2, _block_rows(size), size)
     exceed = 0
     failures = 0
-    for reps, draws in replicate_blocks(seed, replications, n, size, lambda rng, out: fitted.rvs(n, rng, out)):
+    for reps, draws in replicate_blocks(seed, replications, n, size, partial(fitted.rvs, n)):
         refits, fitted_ok = type(fitted).fit_rows(draws)
         if not np.any(fitted_ok):
             failures += len(reps)

@@ -173,21 +173,18 @@ def generate(config: DGPConfig, rng: np.random.Generator | None = None):
     return _finite_pair(partial(_draw_z, config), rng, get_transfer(config.transfer), config.law)
 
 
-def _draw_z(config: DGPConfig, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """The n inputs Z of one dataset, written into ``out`` when given."""
+def _draw_z(config: DGPConfig, rng: np.random.Generator) -> np.ndarray:
+    """The n inputs Z of one dataset."""
     if config.ma_order == 0:
-        return config.law.rvs(config.n, rng, out)
+        return config.law.rvs(config.n, rng)
     eps = config.law.rvs(config.n + config.ma_order, rng)
-    if out is None:
-        out = np.empty(config.n)
-    out[...] = np.convolve(eps, config.coefficients(), mode="valid")
-    return out
+    return np.convolve(eps, config.coefficients(), mode="valid")
 
 
 def _finite_pair(draw, rng, g: HypothesisFunction, law):
-    """(z, y) of the first of up to 100 draws z = ``draw(rng, None)`` whose transfer y = g(z) is finite."""
+    """(z, y) of the first of up to 100 draws z = ``draw(rng)`` whose transfer y = g(z) is finite."""
     for _ in range(100):
-        z = draw(rng, None)
+        z = draw(rng)
         with np.errstate(invalid="ignore", divide="ignore"):
             y = np.asarray(g.fn(z), dtype=float)
         if np.all(np.isfinite(y)):
@@ -196,7 +193,7 @@ def _finite_pair(draw, rng, g: HypothesisFunction, law):
 
 
 def _finite_blocks(seed: int, replications: int, n: int, width: int, draw, g: HypothesisFunction, law, key=()):
-    """``replicate_blocks`` of the rows g(z), z drawn by ``draw(rng, out)``, g applied to a whole block at once.
+    """``replicate_blocks`` of the rows g(z), z drawn by ``draw(rng)``, g applied to a whole block at once.
 
     A row that leaves g's domain is rebuilt by ``_finite_pair`` on a fresh copy
     of its stream, which redraws exactly as the one-replicate ``generate`` does.

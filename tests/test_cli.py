@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -71,7 +72,8 @@ def test_parse_dist_variants():
     g2 = parse_dist("gamma:10.97,scale=37.10")
     assert g2.rate == pytest.approx(1.0 / 37.10)
     assert parse_dist("gamma:2,1") == Gamma(2.0, 1.0)
-    for bad in ("nope:1,2", "normal:1", "gamma:1,rate=-2", "gamma:-3,1", "gamma:inf,1", "gamma:2,rate=inf"):
+    for bad in ("nope:1,2", "normal:1", "gamma:1,rate=-2", "gamma:-3,1", "gamma:inf,1", "gamma:2,rate=inf",
+                "gamma:2,scale=0", "uniform:-1e308,1e308"):
         with pytest.raises(ArgumentError):
             parse_dist(bad)
 
@@ -122,7 +124,7 @@ def _ingestion_corpus():
         ("crlf", ("y,z\n" + f6).replace("\n", "\r\n"), ("y", "1"), True),
         ("padded", "  y ,  z \n 1.5 ,  2 \n3,4  \n\t5\t,6\n", ("y", "z", "1"), True),
         ("cr endings", "y,z\r1,2\r3,4\r", ("y", "1"), False),
-        ("byte order mark", "\ufeffy,z\n1,2\n3,4\n", ("y", "z"), False),
+        ("byte order mark", "\ufeffy,z\n1,2\n3,4\n", ("y", "z"), True),
         ("no final newline", "y\n1\n2", ("y", "0"), True),
         ("blank lines", "y,z\n1,2\n\n3,4\n\n\n5,6\n", ("y", "1"), True),
         ("top comments", "# units: mg/l\n#\ny,z\n1,2\n3,4\n", ("y", "1"), True),
@@ -158,7 +160,7 @@ def _ingestion_corpus():
 
 def _outcome(reader, path, selector, delimiter):
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # as read_column hands it to its parsers
     try:
         return reader(data, path, selector, delimiter)
     except DataError as exc:
@@ -191,6 +193,32 @@ def test_read_column_reads_fields_of_any_length(tmp_path):
         path.write_text(text)
         assert read_column(str(path), "y").tolist() == [1.0, 2.0, 3.0]
         assert _outcome(_read_column_rows, str(path), "y", ",").tolist() == [1.0, 2.0, 3.0]
+
+
+def test_read_column_drops_a_byte_order_mark(tmp_path, monkeypatch):
+    # a UTF-8 byte-order mark is neither part of the first value nor of the
+    # header: the file reads as it does without one, on either parser
+    cases = [
+        ("1.5\n2.5\n3.5\n4.5\n", "0", True),
+        ("y\n1.5\n2.5\n3.5\n4.5\n", "y", True),
+        ("z,y\n0,1.5\n0,2.5\n0,3.5\n", "y", True),
+        ('"y","z"\n"1.5",2\n2.5,"4"\n', "y", False),  # a quote anywhere: the row parser
+        ('"1.5",2\n2.5,"4"\n', "0", False),
+    ]
+    for k, (text, selector, fast) in enumerate(cases):
+        plain, marked = tmp_path / f"plain{k}.csv", tmp_path / f"bom{k}.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        want = read_column(str(plain), selector)
+        with monkeypatch.context() as patch:
+            if fast:
+                patch.setattr("transferfn.cli._read_column_rows", _refuse_row_parser)
+            got = read_column(str(marked), selector)
+        assert want[0] == 1.5 and np.array_equal(got.view(np.int64), want.view(np.int64)), text
+
+
+def _refuse_row_parser(*args):
+    raise AssertionError("row parser used")
 
 
 def test_read_column_fast_path_body_starts_after_the_header(tmp_path):
@@ -575,9 +603,14 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
         "--dist", "uniform:0,1", "--grid", "0.5..0.4x10",
     )
     assert code == 2
-    for dist in ("gamma:inf,1", "gamma:2,rate=inf"):
+    for dist, reason in (
+        ("gamma:inf,1", "finite"),
+        ("gamma:2,rate=inf", "finite"),
+        ("gamma:2,scale=0", "gamma scale must be > 0"),
+        ("uniform:-1e308,1e308", "finite range hi - lo"),
+    ):
         code, _, err = run_cli(capsys, "estimate", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", dist)
-        assert code == 2 and "finite" in err
+        assert code == 2 and reason in err, dist
     coverage = ("simulate", "coverage", "--transfer", "(x+4)^2", "--n", "300", "--reps", "2", "--x")
     tiny = tmp_path / "tiny.csv"  # too short for the default block ceil(n^(4/5)) = n
     tiny.write_text("y\n0.5\n1.5\n2.5\n")
@@ -676,6 +709,10 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     const.write_text("y\n" + "3.7\n" * 50)
     code, _, _ = run_cli(capsys, "fit", "--data", str(const), "--y-col", "y", "--family", "gamma")
     assert code == 4
+    huge = tmp_path / "huge.csv"  # a uniform fit whose range overflows
+    huge.write_text("y\n1e308\n0\n-1e308\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(huge), "--y-col", "y", "--family", "uniform")
+    assert code == 4 and out == "" and err == "numeric error: uniform requires finite lo < hi with a finite range hi - lo\n"
     # argparse usage -> 2, help -> 0
     assert main(["estimate"]) == 2
     assert main([*coverage, "abc"]) == 2

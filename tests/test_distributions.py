@@ -116,8 +116,10 @@ def test_domain_errors():
     for shape, rate in ((-1.0, 1.0), (math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)):
         with pytest.raises(DomainError):
             Gamma(shape, rate)
-    with pytest.raises(DomainError):
-        Uniform(2.0, 2.0)
+    # a uniform law needs lo < hi and a range hi - lo that does not overflow
+    for lo, hi in ((2.0, 2.0), (-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="uniform requires"):
+            Uniform(lo, hi)
 
 
 @pytest.mark.parametrize("dist", [Normal(), Gamma(10.97, 0.0270), Uniform(0.0, 1.0)])
@@ -201,7 +203,7 @@ def test_fit_gamma_rows_match_one_row_fits(monkeypatch):
 @pytest.mark.parametrize("family, law", [("normal", Normal), ("uniform", Uniform), ("gamma", Gamma)])
 def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
     rng = np.random.default_rng(12)
-    data = np.stack([rng.gamma(3.0, 2.0, 40), rng.uniform(-1.0, 3.0, 40), rng.normal(0.0, 1e-3, 40)] * 3)
+    data = np.stack([rng.gamma(3.0, 2.0, 40), rng.uniform(-1.0, 3.0, 40), rng.normal(0.0, 1e-3, 40)] * 4)
     data[3, 5] = np.nan
     data[4, 7] = np.inf
     data[5] = 3.7  # constant
@@ -209,6 +211,7 @@ def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
     data[7] = 1e308  # the mean overflows and the row is constant
     data[8, :] = 0.0
     data[8, 1] = 5e-324  # not constant, but the sd underflows to 0
+    data[9, :2] = 1e308, -1e308  # the range (and the sd) overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning escapes the block fit
         laws, ok = law.fit_rows(data)
@@ -230,15 +233,18 @@ def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
 def test_fit_normal_and_uniform_errors():
     few = (DomainError, "need at least two finite observations")
     constant = {name: (ConvergenceError, f"data are constant; {name} MLE is degenerate") for name in ("normal", "uniform")}
+    sd_overflows = (DomainError, "normal requires finite mean and sd > 0")
     cases = [  # data, then fit_normal's and fit_uniform's error (None: a fit)
         ([1.0], few, few),
         ([], few, few),
         ([1.0, np.nan, 2.0], few, few),
         ([1e200, np.inf], few, few),
         ([3.7] * 5, constant["normal"], constant["uniform"]),
-        ([1e200, -1e200, 3.0], (DomainError, "normal requires finite mean and sd > 0"), None),  # the sd overflows
-        ([1e308] * 3, (DomainError, "normal requires finite mean and sd > 0"), constant["uniform"]),  # the mean overflows
+        ([1e200, -1e200, 3.0], sd_overflows, None),  # the sd overflows
+        ([1e308] * 3, sd_overflows, constant["uniform"]),  # the mean overflows
         ([0.0, 5e-324], constant["normal"], None),  # the sd underflows
+        # the range overflows
+        ([1e308, 0.0, -1e308], sd_overflows, (DomainError, "uniform requires finite lo < hi with a finite range hi - lo")),
     ]
     for data, *errors in cases:
         for fitter, error in zip((fit_normal, fit_uniform), errors):
@@ -309,6 +315,13 @@ def test_gamma_quantile_table_evaluations(monkeypatch, n, shape, most):
     # the table is built from a tensor grid in (log a, logit u), not from
     # every point of p: ~1,100 inverse-gamma evaluations at n = 518 against
     # 15,963 with gammaincinv at all 939 points for each of 17 shapes
+    evaluations = _counted_evaluations(monkeypatch)
+    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]) is not None
+    assert 0 < sum(evaluations) <= most
+
+
+def _counted_evaluations(monkeypatch):
+    """The sizes of the inverse-gamma calls made after this, as the table builder makes them."""
     evaluations = []
 
     def counted(inverse):
@@ -320,8 +333,18 @@ def test_gamma_quantile_table_evaluations(monkeypatch, n, shape, most):
 
     for name in ("gammaincinv", "gammainccinv"):
         monkeypatch.setattr(distributions, name, counted(getattr(distributions, name)))
-    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]) is not None
-    assert 0 < sum(evaluations) <= most
+    return evaluations
+
+
+@pytest.mark.floor
+@pytest.mark.parametrize("n, shape", [(16, 0.005), (300, 0.002)])
+def test_gamma_quantile_table_declines_quantiles_that_underflow(monkeypatch, n, shape):
+    # the band reaches shapes whose quantile at u = delta_n underflows to 0,
+    # so the first grid, 3 log-a nodes by 3 logit-u nodes, already holds
+    # log q = -inf: no table, and no refinement of a grid that cannot pass
+    evaluations = _counted_evaluations(monkeypatch)
+    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]) is None
+    assert sum(evaluations) == 9
 
 
 def test_gamma_quantile_table_at_one_level():
@@ -339,11 +362,22 @@ def test_gamma_quantile_table_at_a_million_points(shape):
     # at n = 1e6 the evaluation set reaches u within 7e-5 of 0 and 1: the
     # table still passes its check there, and meets its bound on a fixed
     # subsample of p that includes both ends
-    n = 1_000_000
+    _check_table_on_a_subsample(1_000_000, shape, 20_000)
+
+
+@pytest.mark.floor
+def test_gamma_quantile_table_keeps_a_passing_piece():
+    # at n = 1e5, shape 0.3, the logit-u piece above u = 1/2 passes at 32
+    # intervals while the one below doubles to 64: the table meets its bound
+    # on a subsample of p on both sides of 1/2
+    _check_table_on_a_subsample(100_000, 0.3, 5_000)
+
+
+def _check_table_on_a_subsample(n, shape, count):
     p = _evaluation_set(n)[0]
     table = gamma_quantile_table(shape, n, p)
     assert table is not None
-    pick = np.unique(np.concatenate([np.linspace(0, p.size - 1, 20_000).astype(int), [np.argmin(p), np.argmax(p)]]))
+    pick = np.unique(np.concatenate([np.linspace(0, p.size - 1, count).astype(int), [np.argmin(p), np.argmax(p)]]))
     sub = distributions.GammaQuantileTable(table.center, table.half_width, p[pick], table.log_q[:, pick])
     lo, hi = table.center - table.half_width, table.center + table.half_width
     shapes = np.exp(np.concatenate([[lo, hi, math.log(shape)], np.random.default_rng(13).uniform(lo, hi, 5)]))
@@ -365,15 +399,10 @@ def test_gamma_quantile_table_at_a_million_points(shape):
     ids=["gamma-0.4", "gamma-1", "gamma-10.97", "normal", "uniform"],
 )
 def test_rvs_out_is_numpys_draw(law, numpy_draw):
-    # rvs draws numpy's standard variates in place and scales and shifts
-    # them as numpy's own gamma, normal and uniform do: the same draws, into
-    # a caller's row or a fresh array
+    # rvs is numpy's own gamma, normal or uniform draw, scale convention included
     for seed in range(4):
         want = numpy_draw(np.random.default_rng(seed), 5000)
         assert _same_bits(law.rvs(5000, np.random.default_rng(seed)), want)
-        out = np.full(5000, np.nan)
-        assert law.rvs(5000, np.random.default_rng(seed), out) is out
-        assert _same_bits(out, want)
 
 
 @pytest.mark.floor

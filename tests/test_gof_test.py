@@ -447,6 +447,18 @@ def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
     assert 0 < exceed < 99
 
 
+@pytest.mark.floor
+def test_monte_carlo_without_a_shape_table_near_shape_0_02(monkeypatch):
+    # near shape 0.02 no log-a grid of _TABLE_MAX_INTERVALS intervals passes
+    # the table's check, at n = 16 and 300: every refit is scored exactly
+    for n in (16, 300):
+        data = Sample(np.random.default_rng(60).gamma(0.02, 1.5, size=n))
+        assert gamma_quantile_table(fit_gamma_mle(data.values).shape, n, gof_module._evaluation_set(n)[0]) is None
+        with monkeypatch.context() as patch:
+            exceed, failures = _check_against_reference(patch, data, "gamma", fit_gamma_mle, 99, 1)
+        assert failures == 0 and 0 < exceed < 99, n
+
+
 def test_monte_carlo_rescores_rows_near_the_observed_statistic(monkeypatch):
     # a window covering every row: each row is scored from the table, then
     # re-scored with exact quantiles, and the p-value is the exact one
@@ -506,17 +518,17 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
         monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
 
 
-def _random_row(rng, out):
-    rng.random(out=out)
+def _random_row(rng):
+    return rng.random(1)
 
 
 def _recorded_streams(seed, replications, width, key):
     """(the PCG64 state each replicate's ``draw`` saw, the rows) of one ``replicate_blocks`` call of 4-draw rows."""
     states = []
 
-    def draw(rng, out):
+    def draw(rng):
         states.append(rng.bit_generator.state)
-        rng.random(out=out)
+        return rng.random(4)
 
     # every block is a view of one buffer that the next block rewrites, so each is copied
     blocks = gof_module.replicate_blocks(seed, replications, 4, width, draw, key=key)
@@ -527,8 +539,8 @@ def _recorded_streams(seed, replications, width, key):
 
 @pytest.mark.floor
 def test_replicate_blocks_streams_match_seed_sequence(monkeypatch):
-    # replicate_blocks seeds its streams by its own copy of numpy's SeedSequence
-    # hash and PCG64 seeding; every replicate's state must be numpy's, whole
+    # replicate_blocks hashes its streams' seed words by its own copy of numpy's
+    # SeedSequence; every replicate's PCG64 state must be numpy's, whole
     # blocks at a time, over one- to five-word seeds and one-word and
     # multi-word keys
     pick = np.random.default_rng(2718)

@@ -47,6 +47,10 @@ def test_perturbed_transfers_stay_increasing():
             assert np.all(np.diff(np.asarray(g.fn(xs), dtype=float)) > 0.0)
     with pytest.raises(ConfigError):
         perturbed(get_transfer("identity"), "x^2", 1000)
+    # a caller's h that decreases on [-2, 2] stays decreasing after a small perturbation
+    falling = HypothesisFunction(fn=lambda x: -np.asarray(x), deriv=lambda x: np.full(np.shape(x), -1.0), name="-x")
+    with pytest.raises(ArgumentError, match="'-x\\+x/sqrt\\(n\\)' is not strictly increasing"):
+        perturbed(falling, "x/sqrt(n)", 1000)
 
 
 def test_generate_identity_returns_inputs():
@@ -104,6 +108,16 @@ def test_generate_redraws_domain_escapes():
 
         z, y = generate(cfg, replication_rng(7, rep))
         assert np.all(np.isfinite(y))
+
+
+def test_studies_raise_when_the_transfer_keeps_leaving_its_domain():
+    # every N(-10, 0.1) draw is below -5, so no redraw of log(x+5)'s inputs is finite
+    for n in (5, 50):
+        cfg = DGPConfig(transfer="log(x+5)", n=n, seed=3, law=Normal(-10.0, 0.1))
+        with pytest.raises(ArgumentError, match="transfer kept leaving its domain: 'log\\(x\\+5\\)'"):
+            generate(cfg)
+        with pytest.raises(ArgumentError, match="transfer kept leaving its domain"):
+            run_coverage_study(cfg, [0.0], 0.05, 3)
 
 
 def test_config_validation():
