@@ -8,100 +8,27 @@ parametric-bootstrap p-values), and subsampling intervals for short-range
 dependent inputs, plus a seeded simulation harness.
 """
 
-from .density_band import BandResult, confidence_band, kde
-from .distributions import (
-    FAMILIES,
-    Gamma,
-    KnownDistribution,
-    Normal,
-    Uniform,
-    fit_gamma_mle,
-    fit_normal,
-    fit_uniform,
-)
-from .empirical import Sample, block_quantiles, ecdf, sample_quantile
-from .errors import ArgumentError, ConfigError, ConvergenceError, DomainError
-from .estimator import (
-    EstimateResult,
-    default_grid,
-    estimate,
-    estimate_with_ci,
-)
-from .gof_test import (
-    HypothesisFunction,
-    TestResult,
-    monte_carlo_p_value,
-    test,
-    test_statistic,
-    trimming_fraction,
-)
-from .ks_distribution import ks_sup_cdf, ks_sup_quantile, ks_sup_tail
-from .simulate import (
-    DGPConfig,
-    ExperimentReport,
-    PERTURBATIONS,
-    TRANSFERS,
-    generate,
-    get_transfer,
-    perturbed,
-    replication_rng,
-    run_coverage_study,
-    run_test_table,
-)
-from .subsampling import (
-    SubsampleResult,
-    default_block_length,
-    subsample_ci,
-    subsample_distribution,
-)
+# Each module's __all__ is its share of the package surface; the package re-exports them all.
+from . import density_band, distributions, empirical, errors, estimator, gof_test, ks_distribution, simulate, subsampling
+from .density_band import *
+from .distributions import *
+from .empirical import *
+from .errors import *
+from .estimator import *
+from .gof_test import *
+from .ks_distribution import *
+from .simulate import *
+from .subsampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentError",
-    "BandResult",
-    "ConfigError",
-    "ConvergenceError",
-    "DGPConfig",
-    "DomainError",
-    "EstimateResult",
-    "ExperimentReport",
-    "FAMILIES",
-    "Gamma",
-    "HypothesisFunction",
-    "KnownDistribution",
-    "Normal",
-    "PERTURBATIONS",
-    "Sample",
-    "SubsampleResult",
-    "TRANSFERS",
-    "TestResult",
-    "Uniform",
-    "block_quantiles",
-    "confidence_band",
-    "default_block_length",
-    "default_grid",
-    "ecdf",
-    "estimate",
-    "estimate_with_ci",
-    "fit_gamma_mle",
-    "fit_normal",
-    "fit_uniform",
-    "generate",
-    "get_transfer",
-    "kde",
-    "ks_sup_cdf",
-    "ks_sup_quantile",
-    "ks_sup_tail",
-    "monte_carlo_p_value",
-    "perturbed",
-    "replication_rng",
-    "run_coverage_study",
-    "run_test_table",
-    "sample_quantile",
-    "subsample_ci",
-    "subsample_distribution",
-    "test",
-    "test_statistic",
-    "trimming_fraction",
-]
+__all__: list[str] = []
+__all__ += density_band.__all__
+__all__ += distributions.__all__
+__all__ += empirical.__all__
+__all__ += errors.__all__
+__all__ += estimator.__all__
+__all__ += gof_test.__all__
+__all__ += ks_distribution.__all__
+__all__ += simulate.__all__
+__all__ += subsampling.__all__

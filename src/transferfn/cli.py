@@ -397,12 +397,6 @@ def _cmd_simulate_data(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common_data_flags(p):
-    p.add_argument("--data", required=True, help="delimited text file")
-    p.add_argument("--y-col", default="0", help="column index or header name of the observations")
-    p.add_argument("--delim", type=_delimiter, default=",", help="field delimiter (default comma)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transferfn",
@@ -410,78 +404,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="transfer-function estimate with pointwise CIs (and optionally a band)")
-    _add_common_data_flags(p)
+    # A flag that several commands take is declared once, in a parent parser that each of them lists in parents=.
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    delim, out, seed, as_json, reps, dgp = (shared() for _ in range(6))
+    delim.add_argument("--delim", type=_delimiter, default=",", help="field delimiter (default comma)")
+    out.add_argument("--out", default="-")
+    seed.add_argument("--seed", type=int, default=0)
+    as_json.add_argument("--json", action="store_true")
+    reps.add_argument("--reps", type=int, default=200)
+    dgp.add_argument("--transfer", required=True, help=f"one of: {', '.join(sorted(TRANSFERS))}")
+    dgp.add_argument("--ma-order", type=int, default=0)
+    dgp.add_argument("--ma-decay", type=float, default=0.9)
+    data = shared()
+    data.add_argument("--data", required=True, help="delimited text file")
+    data.add_argument("--y-col", default="0", help="column index or header name of the observations")
+    data = shared(data, delim)  # --delim after --data and --y-col in the help
+    study = shared(seed, out, delim)
+    study.add_argument("--n", type=int, default=1000)
+
+    p = sub.add_parser(
+        "estimate", parents=[data, out], help="transfer-function estimate with pointwise CIs (and optionally a band)"
+    )
     p.add_argument("--dist", required=True, help="input law, e.g. gamma:10.97,rate=0.0270")
     p.add_argument("--grid", default="0.01..0.99x201", help="quantile-scale grid P1..P2xN (default 0.01..0.99x201)")
     p.add_argument("--x", type=float, default=None, help="single evaluation point instead of a grid")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--band", action="store_true", help="append uniform confidence-band columns")
     p.add_argument("--bandwidth", type=float, default=None, help="explicit KDE bandwidth (default n^(-1/6))")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("test", help="goodness-of-fit test of g = h")
-    _add_common_data_flags(p)
+    p = sub.add_parser("test", parents=[data, seed, as_json], help="goodness-of-fit test of g = h")
     p.add_argument("--dist", required=True, help="input law; with --mc-reps the family alone (the bootstrap fits it)")
     p.add_argument("--h", required=True, help=f"hypothesis name, one of: {', '.join(sorted(TRANSFERS))}")
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--mc-reps", type=int, default=None, help="parametric-bootstrap p-value with this many refits")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("subsample-ci", help="block-subsampling CI for dependent data")
-    _add_common_data_flags(p)
+    p = sub.add_parser("subsample-ci", parents=[data, as_json], help="block-subsampling CI for dependent data")
     p.add_argument("--dist", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--block", type=int, default=None, help="block length (default ceil(n^(4/5)))")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_subsample_ci)
 
-    p = sub.add_parser("fit", help="fit a distribution family by maximum likelihood; optionally emit Q-Q pairs")
-    _add_common_data_flags(p)
+    p = sub.add_parser(
+        "fit", parents=[data, as_json], help="fit a distribution family by maximum likelihood; optionally emit Q-Q pairs"
+    )
     p.add_argument("--family", default="gamma", help=f"one of: {', '.join(FAMILIES)}")
     p.add_argument("--qq-out", default=None, help="write Q-Q pairs (p, fitted quantile, observed) here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("simulate", help="seeded simulation studies")
     ssub = p.add_subparsers(dest="study", required=True)
 
-    q = ssub.add_parser("table2", help="correct-test-ratio grid over (h, perturbation) cells")
-    q.add_argument("--n", type=int, default=1000)
-    q.add_argument("--reps", type=int, default=200)
+    q = ssub.add_parser("table2", parents=[study, reps], help="correct-test-ratio grid over (h, perturbation) cells")
     q.add_argument("--alpha", type=float, default=0.15)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", default="-")
-    q.add_argument("--delim", type=_delimiter, default=",")
     q.set_defaults(func=_cmd_simulate_table2)
 
-    q = ssub.add_parser("coverage", help="coverage study for ci/band/subsample intervals")
-    q.add_argument("--transfer", required=True, help=f"one of: {', '.join(sorted(TRANSFERS))}")
-    q.add_argument("--n", type=int, default=1000)
-    q.add_argument("--reps", type=int, default=200)
+    q = ssub.add_parser("coverage", parents=[dgp, study, reps], help="coverage study for ci/band/subsample intervals")
     q.add_argument("--alpha", type=float, default=0.01)
     q.add_argument("--method", choices=("ci", "band", "subsample"), default="ci")
     q.add_argument("--x", type=float, nargs="+", required=True, help="evaluation points")
-    q.add_argument("--ma-order", type=int, default=0)
-    q.add_argument("--ma-decay", type=float, default=0.9)
     q.add_argument("--block", type=int, default=None)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", default="-")
-    q.add_argument("--delim", type=_delimiter, default=",")
     q.set_defaults(func=_cmd_simulate_coverage)
 
-    q = ssub.add_parser("data", help="write one generated (z, y) series")
-    q.add_argument("--transfer", required=True)
-    q.add_argument("--n", type=int, default=1000)
-    q.add_argument("--ma-order", type=int, default=0)
-    q.add_argument("--ma-decay", type=float, default=0.9)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", default="-")
-    q.add_argument("--delim", type=_delimiter, default=",")
+    q = ssub.add_parser("data", parents=[dgp, study], help="write one generated (z, y) series")
     q.set_defaults(func=_cmd_simulate_data)
 
     return parser

@@ -27,18 +27,7 @@ from scipy.special import (
 
 from .errors import ConvergenceError, DomainError, check_name
 
-__all__ = [
-    "KnownDistribution",
-    "Normal",
-    "Gamma",
-    "Uniform",
-    "fit_gamma_mle",
-    "fit_gamma_rows",
-    "fit_normal",
-    "fit_uniform",
-    "FAMILIES",
-    "family_fitter",
-]
+__all__ = ["KnownDistribution", "Normal", "Gamma", "Uniform", "fit_gamma_mle", "fit_normal", "fit_uniform", "FAMILIES"]
 
 
 def _as_array(x, name: str):
@@ -507,7 +496,7 @@ def fit_gamma_mle(data) -> Gamma:
     Raises
     ------
     DomainError
-        Nonpositive, non-finite or too-few observations.
+        Nonpositive, non-finite or too-few observations, or data that are not one-dimensional.
     ConvergenceError
         Near-constant data (the profile equation degenerates) or no
         convergence within _MAX_ITER (200) iterations; ``last`` holds the final
@@ -515,7 +504,7 @@ def fit_gamma_mle(data) -> Gamma:
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
-        raise DomainError("need at least two observations")
+        raise DomainError("need a one-dimensional sequence of at least two observations")
     shape, rate, status = fit_gamma_rows(arr[None, :])
     k, rate, status = float(shape[0]), float(rate[0]), status[0]
     if status == FIT_BAD_DATA:
@@ -528,8 +517,10 @@ def fit_gamma_mle(data) -> Gamma:
 
 
 def _one_row(data) -> np.ndarray:
-    """All of ``data`` as one row; DomainError for fewer than two or non-finite observations."""
+    """``data`` as one row; DomainError unless it is one-dimensional with at least two observations, all finite."""
     arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"need a one-dimensional sequence of observations (got {arr.ndim} dimensions)")
     if arr.size < 2 or not np.all(np.isfinite(arr)):
         raise DomainError("need at least two finite observations")
     return arr.reshape(1, -1)

@@ -14,7 +14,7 @@ from scipy.ndimage import rank_filter
 
 from .errors import ArgumentError, DomainError, check_count
 
-__all__ = ["Sample", "ecdf", "sample_quantile", "block_quantiles", "quantile_rank"]
+__all__ = ["Sample", "ecdf", "sample_quantile", "block_quantiles"]
 
 
 class Sample:

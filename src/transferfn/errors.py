@@ -6,6 +6,8 @@ ConvergenceError 4.
 
 import numpy as np
 
+__all__ = ["DomainError", "ArgumentError", "ConfigError", "ConvergenceError"]
+
 
 class DomainError(ValueError):
     """An argument fell outside the domain a contract requires."""

@@ -17,14 +17,7 @@ from .distributions import KnownDistribution
 from .empirical import Sample, quantile_rank
 from .errors import ArgumentError, check_alpha, check_count
 
-__all__ = [
-    "EstimateResult",
-    "EstimatorRanks",
-    "estimator_ranks",
-    "estimate",
-    "estimate_with_ci",
-    "default_grid",
-]
+__all__ = ["EstimateResult", "estimate", "estimate_with_ci", "default_grid"]
 
 
 @dataclass(frozen=True)

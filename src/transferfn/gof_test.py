@@ -33,7 +33,6 @@ __all__ = [
     "trimming_fraction",
     "test_statistic",
     "replication_rng",
-    "replicate_blocks",
     "test",
     "monte_carlo_p_value",
 ]
@@ -357,9 +356,12 @@ def monte_carlo_p_value(
     error of the one-replicate one; every row within relative 1e-7 of the
     observed statistic is recomputed with exact quantiles and density, so
     the exceedance count and the p-value are exact.  Without a table that
-    passes its check, every row is exact.  Replications whose draw, refit
-    or statistic fails are dropped; more than 5% failures raises
-    ConvergenceError.
+    passes its check, every row is exact.  Replications whose refit or
+    statistic fails are dropped; more than 5% failures raises
+    ConvergenceError.  A draw outside the fitted law's support (not finite,
+    or an exact 0 from numpy's gamma sampler, which underflows at shapes
+    below about 0.01) raises DomainError: its refit would fail on the
+    sampler, not on the data.
     """
     return _bootstrap(data, family, hyp, replications, seed)[0]
 
@@ -385,10 +387,17 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     failures = 0
     for reps, draws in replicate_blocks(seed, replications, n, size, partial(fitted.rvs, n)):
         refits, fitted_ok = type(fitted).fit_rows(draws)
-        if not np.any(fitted_ok):
-            failures += len(reps)
-            continue
-        rows = draws if np.all(fitted_ok) else draws[fitted_ok]
+        rows = draws
+        if not np.all(fitted_ok):
+            failed = draws[~fitted_ok]  # only a row whose refit failed can hold a draw outside the support
+            if not np.all(np.isfinite(failed)) or isinstance(fitted, Gamma) and np.any(failed == 0.0):
+                raise DomainError(
+                    f"bootstrap draws from the fitted {fitted!r} left its support: a draw underflowed to 0 or is not finite"
+                )
+            if not np.any(fitted_ok):
+                failures += len(reps)
+                continue
+            rows = draws[fitted_ok]
         rows.sort(axis=1)
         law_values = None if table is None else table.quantile_density(refits, law_buffer)
         stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values, work)

@@ -38,7 +38,6 @@ __all__ = [
     "perturbed",
     "DGPConfig",
     "generate",
-    "replication_rng",
     "ExperimentReport",
     "run_coverage_study",
     "run_test_table",

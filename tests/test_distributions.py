@@ -232,6 +232,7 @@ def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
 
 def test_fit_normal_and_uniform_errors():
     few = (DomainError, "need at least two finite observations")
+    two_d = (DomainError, "need a one-dimensional sequence of observations (got 2 dimensions)")
     constant = {name: (ConvergenceError, f"data are constant; {name} MLE is degenerate") for name in ("normal", "uniform")}
     sd_overflows = (DomainError, "normal requires finite mean and sd > 0")
     cases = [  # data, then fit_normal's and fit_uniform's error (None: a fit)
@@ -239,6 +240,7 @@ def test_fit_normal_and_uniform_errors():
         ([], few, few),
         ([1.0, np.nan, 2.0], few, few),
         ([1e200, np.inf], few, few),
+        ([[1.0, 2.0], [3.0, 4.5]], two_d, two_d),  # fit_gamma_mle rejects a 2-d array too
         ([3.7] * 5, constant["normal"], constant["uniform"]),
         ([1e200, -1e200, 3.0], sd_overflows, None),  # the sd overflows
         ([1e308] * 3, sd_overflows, constant["uniform"]),  # the mean overflows

@@ -518,6 +518,18 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
         monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
 
 
+def test_monte_carlo_rejects_gamma_draws_that_underflow():
+    # at fitted shapes 0.0064, 0.0078 and 0.0086 numpy's gamma sampler returns
+    # exact zeros, outside the law's support: the sampler failed, not the data,
+    # so no replicate is dropped or counted as a refit failure for it
+    idn = get_transfer("identity")
+    for seed, shape in ((1, 0.006), (0, 0.006), (1, 0.008)):
+        data = Sample(np.random.default_rng(seed).gamma(shape, 1.0, 16))
+        with pytest.raises(DomainError, match=r"fitted Gamma\(shape=0\.00.* left its support: a draw underflowed to 0") as info:
+            monte_carlo_p_value(data, "gamma", idn, 99, 0)
+        assert type(info.value) is DomainError, (seed, shape)
+
+
 def _random_row(rng):
     return rng.random(1)
 

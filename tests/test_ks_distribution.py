@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,3 +161,11 @@ def test_quantile_matches_high_precision_root():
         assert abs(ks_sup_quantile(p) - ref) <= 1e-14 * ref, p
         if p in (0.85, 0.95, 0.99):
             assert ks_sup_quantile(p) == ref, p
+
+
+def test_importing_the_package_leaves_scipy_stats_unimported():
+    # the law's cdf and quantile are scipy.special's private ufuncs because
+    # importing scipy.stats would double the package's cold import
+    code = "import sys, transferfn, transferfn.cli; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr or "importing transferfn imported scipy.stats"
