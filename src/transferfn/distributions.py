@@ -43,6 +43,12 @@ def _maybe_scalar(arr, like):
     return arr
 
 
+# Status of one row of a family's row MLE: fitted; a value outside the
+# support; near-constant data; no convergence (gamma only); parameters that
+# are not a law (an overflowing moment or range).
+FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE, FIT_OVERFLOW = range(5)
+
+
 class KnownDistribution:
     """Fully specified continuous law with open support (a, b).
 
@@ -50,10 +56,10 @@ class KnownDistribution:
     density is positive on the interior for every shipped family.
 
     Parameters may also be (rows, 1) columns, one law per row; cdf, pdf and
-    quantile then broadcast a (points,) argument to (rows, points).  Each
-    family's classmethod ``fit_rows(data)`` fits every row of a (rows, n)
-    array at once and returns such a law for the fitted rows and the fitted
-    mask; a row fails exactly where the family's scalar fitter would raise.
+    quantile then broadcast a (points,) argument to (rows, points).  The
+    classmethod ``fit_rows(data)`` returns such a law for the fitted rows of
+    a (rows, n) array, fitted at once by the family's ``_row_mle``: one array
+    per parameter, then a FIT_* status, each with one entry per row.
     """
 
     @property
@@ -76,6 +82,13 @@ class KnownDistribution:
         """n independent variates: numpy's own ``gamma``, ``normal`` or ``uniform`` draw on ``rng``."""
         raise NotImplementedError
 
+    @classmethod
+    def fit_rows(cls, data):
+        """(law of the FIT_OK rows as (rows, 1) columns, FIT_* status of every row) of the MLE of each row of data."""
+        *params, status = cls._row_mle(np.asarray(data, dtype=float))
+        ok = status == FIT_OK
+        return cls(*(p[ok, None] for p in params)), status
+
     @staticmethod
     def _require_prob(p):
         arr = np.asarray(p, dtype=float)
@@ -97,32 +110,35 @@ class Normal(KnownDistribution):
     def support(self):
         return (-math.inf, math.inf)
 
+    # Each evaluator lets an overflow go to +-inf, whose cdf, density or quantile is 0, 1 or +-inf.
     def cdf(self, x):
         arr = _as_array(x, "x")
-        return _maybe_scalar(ndtr((arr - self.mean) / self.sd), x)
+        with np.errstate(over="ignore"):
+            return _maybe_scalar(ndtr((arr - self.mean) / self.sd), x)
 
     def pdf(self, x):
         arr = _as_array(x, "x")
-        z = (arr - self.mean) / self.sd
-        out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        with np.errstate(over="ignore"):
+            z = (arr - self.mean) / self.sd
+            out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         return _maybe_scalar(out, x)
 
     def quantile(self, p):
         arr = self._require_prob(p)
-        return _maybe_scalar(self.mean + self.sd * ndtri(arr), p)
+        with np.errstate(over="ignore"):
+            return _maybe_scalar(self.mean + self.sd * ndtri(arr), p)
 
     def rvs(self, n, rng):
         return rng.normal(self.mean, self.sd, n)
 
-    @classmethod
-    def fit_rows(cls, data):
-        """Row-wise MLE (mean, population sd); see ``KnownDistribution``."""
-        arr = np.asarray(data, dtype=float)
+    @staticmethod
+    def _row_mle(arr):
+        """(mean, population sd) of every row."""
         with np.errstate(over="ignore", invalid="ignore"):
             mean, sd = np.mean(arr, axis=1), np.std(arr, axis=1)
         # sd is inf where the mean overflows and nan where it is nan
-        ok = np.all(np.isfinite(arr), axis=1) & (sd > 0.0) & (sd < math.inf)
-        return cls(mean=mean[ok, None], sd=sd[ok, None]), ok
+        conditions = [~np.all(np.isfinite(arr), axis=1), sd == 0.0, ~(sd < math.inf)]
+        return mean, sd, np.select(conditions, [FIT_BAD_DATA, FIT_DEGENERATE, FIT_OVERFLOW], FIT_OK)
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,8 @@ class Gamma(KnownDistribution):
 
     def cdf(self, x):
         arr = _as_array(x, "x")
-        out = np.where(arr <= 0.0, 0.0, gammainc(self.shape, self.rate * np.maximum(arr, 0.0)))
+        with np.errstate(over="ignore"):  # as in Normal
+            out = np.where(arr <= 0.0, 0.0, gammainc(self.shape, self.rate * np.maximum(arr, 0.0)))
         return _maybe_scalar(out, x)
 
     def _log_pdf(self, arr):
@@ -178,17 +195,13 @@ class Gamma(KnownDistribution):
 
     def quantile(self, p):
         arr = self._require_prob(p)
-        return _maybe_scalar(gammaincinv(self.shape, arr) / self.rate, p)
+        with np.errstate(over="ignore"):
+            return _maybe_scalar(gammaincinv(self.shape, arr) / self.rate, p)
 
     def rvs(self, n, rng):
         return rng.gamma(self.shape, self.scale, n)
 
-    @classmethod
-    def fit_rows(cls, data):
-        """Row-wise MLE by ``fit_gamma_rows``; see ``KnownDistribution``."""
-        shape, rate, status = fit_gamma_rows(data)
-        ok = (status == FIT_OK) & (rate < math.inf)  # the law rejects an infinite rate, as fit_gamma_mle does
-        return cls(shape=shape[ok, None], rate=rate[ok, None]), ok
+    _row_mle = staticmethod(lambda arr: fit_gamma_rows(arr))  # (shape, rate, status); defined below
 
 
 # A shape table's interpolant must match gammaincinv to this relative error
@@ -405,13 +418,15 @@ class Uniform(KnownDistribution):
 
     def cdf(self, x):
         arr = _as_array(x, "x")
-        out = np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # as in Normal
+            out = np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return _maybe_scalar(out, x)
 
     def pdf(self, x):
         arr = _as_array(x, "x")
         inside = (arr > self.lo) & (arr < self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
+        with np.errstate(over="ignore"):
+            out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
         return _maybe_scalar(out, x)
 
     def quantile(self, p):
@@ -421,18 +436,16 @@ class Uniform(KnownDistribution):
     def rvs(self, n, rng):
         return rng.uniform(self.lo, self.hi, n)
 
-    @classmethod
-    def fit_rows(cls, data):
-        """Row-wise MLE (min, max); see ``KnownDistribution``."""
-        arr = np.asarray(data, dtype=float)
-        lo, hi = np.min(arr, axis=1), np.max(arr, axis=1)
+    @staticmethod
+    def _row_mle(arr):
+        """(min, max) of every row."""
+        lo, hi = np.min(arr, axis=1), np.max(arr, axis=1)  # nan on a row with a nan, infinite on one with an infinity
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = (lo < hi) & np.isfinite(hi - lo)  # False on a row with a nan or an infinity too
-        return cls(lo=lo[ok, None], hi=hi[ok, None]), ok
+            width = hi - lo
+        conditions = [~(np.isfinite(lo) & np.isfinite(hi)), width == 0.0, width == math.inf]
+        return lo, hi, np.select(conditions, [FIT_BAD_DATA, FIT_DEGENERATE, FIT_OVERFLOW], FIT_OK)
 
 
-# fit_gamma_rows status of one row
-FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, FIT_NO_CONVERGENCE = range(4)
 # A gamma fit has converged once the per-observation log-likelihood gradient
 # norm is below _GRAD_TOL, and has failed if it has not within _MAX_ITER
 # Newton steps.
@@ -452,7 +465,9 @@ def fit_gamma_rows(data):
     Returns (shape, rate, status), each of length rows.  status is FIT_OK,
     FIT_BAD_DATA (a non-finite or nonpositive value), FIT_DEGENERATE
     (near-constant data: the profile equation degenerates) or
-    FIT_NO_CONVERGENCE (shape and rate then hold the last iterate).
+    FIT_NO_CONVERGENCE (shape and rate then hold the last iterate).  It is
+    never FIT_OVERFLOW: an infinite rate makes the gradient infinite, so
+    such a row does not converge.
     """
     arr = np.asarray(data, dtype=float)
     status = np.full(arr.shape[0], FIT_BAD_DATA)
@@ -487,66 +502,40 @@ def fit_gamma_rows(data):
         return k, k / mean, status
 
 
-def fit_gamma_mle(data) -> Gamma:
-    """Maximum-likelihood gamma fit: the one-row call of ``fit_gamma_rows``.
+def _fit_row(law, data):
+    """The one-row call of ``law._row_mle``: DomainError unless data are one-dimensional with at least two values.
 
-    At the returned parameters the per-observation log-likelihood gradient
-    has norm below _GRAD_TOL (1e-8).
-
-    Raises
-    ------
-    DomainError
-        Nonpositive, non-finite or too-few observations, or data that are not one-dimensional.
-    ConvergenceError
-        Near-constant data (the profile equation degenerates) or no
-        convergence within _MAX_ITER (200) iterations; ``last`` holds the final
-        (shape, rate) iterate.
+    Then DomainError for FIT_BAD_DATA (and, from the law's constructor, for
+    FIT_OVERFLOW), ConvergenceError for FIT_DEGENERATE and FIT_NO_CONVERGENCE.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError("need a one-dimensional sequence of at least two observations")
-    shape, rate, status = fit_gamma_rows(arr[None, :])
-    k, rate, status = float(shape[0]), float(rate[0]), status[0]
+    *params, status = law._row_mle(arr[None, :])
+    params, status, name = [float(p[0]) for p in params], status[0], law.__name__.lower()
     if status == FIT_BAD_DATA:
-        raise DomainError("gamma fitting requires finite, strictly positive data")
+        raise DomainError(f"{name} fitting requires finite data inside the law's support")
     if status == FIT_DEGENERATE:
-        raise ConvergenceError("data are (numerically) constant; gamma MLE is degenerate", last=None)
+        constant = "(numerically) constant" if law is Gamma else "constant"  # gamma's test is a tolerance, not sd == 0
+        raise ConvergenceError(f"data are {constant}; {name} MLE is degenerate", last=None)
     if status == FIT_NO_CONVERGENCE:
-        raise ConvergenceError(f"gamma MLE did not converge in {_MAX_ITER} iterations", last=(k, rate))
-    return Gamma(shape=k, rate=rate)
+        raise ConvergenceError(f"{name} MLE did not converge in {_MAX_ITER} iterations", last=tuple(params))
+    return law(*params)
 
 
-def _one_row(data) -> np.ndarray:
-    """``data`` as one row; DomainError unless it is one-dimensional with at least two observations, all finite."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError(f"need a one-dimensional sequence of observations (got {arr.ndim} dimensions)")
-    if arr.size < 2 or not np.all(np.isfinite(arr)):
-        raise DomainError("need at least two finite observations")
-    return arr.reshape(1, -1)
+def fit_gamma_mle(data) -> Gamma:
+    """Maximum-likelihood gamma fit by ``fit_gamma_rows`` (gradient norm below 1e-8 in 200 steps); see ``_fit_row``."""
+    return _fit_row(Gamma, data)
 
 
 def fit_normal(data) -> Normal:
-    """The one-row call of ``Normal.fit_rows``: DomainError also if a moment overflows, ConvergenceError if sd is 0."""
-    arr = _one_row(data)
-    law, ok = Normal.fit_rows(arr)
-    if ok[0]:
-        return Normal(mean=law.mean.item(), sd=law.sd.item())
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.std(arr) == math.inf:  # the row failed on an overflow, not on a zero sd
-            raise DomainError("normal requires finite mean and sd > 0")
-    raise ConvergenceError("data are constant; normal MLE is degenerate", last=None)
+    """Maximum-likelihood normal fit (mean, population sd); see ``_fit_row``."""
+    return _fit_row(Normal, data)
 
 
 def fit_uniform(data) -> Uniform:
-    """The one-row call of ``Uniform.fit_rows``: DomainError also if the range overflows, ConvergenceError if it is 0."""
-    arr = _one_row(data)
-    law, ok = Uniform.fit_rows(arr)
-    if ok[0]:
-        return Uniform(lo=law.lo.item(), hi=law.hi.item())
-    if np.max(arr) > np.min(arr):  # the row failed on an overflowing range, not on constant data
-        raise DomainError("uniform requires finite lo < hi with a finite range hi - lo")
-    raise ConvergenceError("data are constant; uniform MLE is degenerate", last=None)
+    """Maximum-likelihood uniform fit (min, max); see ``_fit_row``."""
+    return _fit_row(Uniform, data)
 
 
 # Family name -> MLE fitter, used by the parametric-bootstrap test and the CLI.

@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 from .distributions import KnownDistribution
 from .empirical import Sample, quantile_rank
-from .errors import ArgumentError, check_alpha, check_count
+from .errors import ArgumentError, DomainError, check_alpha, check_count
 
 __all__ = ["EstimateResult", "estimate", "estimate_with_ci", "default_grid"]
 
@@ -127,10 +127,17 @@ def estimate_with_ci(sample_y: Sample, dist: KnownDistribution, xs, alpha: float
 def default_grid(dist: KnownDistribution, npoints: int = 201, p_lo: float = 0.01, p_hi: float = 0.99) -> np.ndarray:
     """Equispaced quantile-scale grid: xi_Z(p) for p linearly spaced in [p_lo, p_hi].
 
-    ArgumentError unless ``npoints`` is an integer >= 1 and 0 < p_lo <= p_hi < 1.
+    ArgumentError unless ``npoints`` is an integer >= 1 and 0 < p_lo <= p_hi < 1;
+    DomainError if a quantile over- or underflows onto the edge of the open support.
     """
     npoints = check_count(npoints, "the grid's point count", 1)
     if not (0.0 < p_lo <= p_hi < 1.0):
         raise ArgumentError(f"grid quantile range must satisfy 0 < p_lo <= p_hi < 1 (got {p_lo}, {p_hi})")
     ps = np.linspace(p_lo, p_hi, npoints)
-    return np.asarray(dist.quantile(ps), dtype=float)
+    xs = np.asarray(dist.quantile(ps), dtype=float)
+    a, b = dist.support
+    outside = ~((xs > a) & (xs < b))
+    if np.any(outside):
+        level, x = ps[outside][0], xs[outside][0]
+        raise DomainError(f"the {dist!r} quantile at level {level:g} is {x:g}, not inside the open support ({a}, {b})")
+    return xs

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter, gamma_quantile_table, quantile_density
+from .distributions import FIT_BAD_DATA, FIT_OK, TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter
+from .distributions import gamma_quantile_table, quantile_density
 from .empirical import Sample, quantile_rank
 from .errors import ConvergenceError, DomainError, check_alpha, check_count
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
@@ -356,12 +357,13 @@ def monte_carlo_p_value(
     error of the one-replicate one; every row within relative 1e-7 of the
     observed statistic is recomputed with exact quantiles and density, so
     the exceedance count and the p-value are exact.  Without a table that
-    passes its check, every row is exact.  Replications whose refit or
-    statistic fails are dropped; more than 5% failures raises
-    ConvergenceError.  A draw outside the fitted law's support (not finite,
-    or an exact 0 from numpy's gamma sampler, which underflows at shapes
-    below about 0.01) raises DomainError: its refit would fail on the
-    sampler, not on the data.
+    passes its check, every row is exact.  Replications whose refit (a
+    status other than FIT_OK) or statistic fails are dropped; more than 5%
+    failures raises ConvergenceError, which counts the two apart and names
+    why the first statistic failed.  A draw outside the fitted law's
+    support (FIT_BAD_DATA: not finite, or an exact 0 from numpy's gamma
+    sampler, which underflows at shapes below about 0.01) raises
+    DomainError: the sampler failed, not the data.
     """
     return _bootstrap(data, family, hyp, replications, seed)[0]
 
@@ -383,37 +385,39 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     # every block writes its law values and statistic temporaries over the last block's
     work = _block_buffers(3, _block_rows(size), size)
     law_buffer = None if table is None else _block_buffers(2, _block_rows(size), size)
-    exceed = 0
-    failures = 0
+    exceed = refit_failures = stat_failures = 0
     for reps, draws in replicate_blocks(seed, replications, n, size, partial(fitted.rvs, n)):
-        refits, fitted_ok = type(fitted).fit_rows(draws)
-        rows = draws
-        if not np.all(fitted_ok):
-            failed = draws[~fitted_ok]  # only a row whose refit failed can hold a draw outside the support
-            if not np.all(np.isfinite(failed)) or isinstance(fitted, Gamma) and np.any(failed == 0.0):
-                raise DomainError(
-                    f"bootstrap draws from the fitted {fitted!r} left its support: a draw underflowed to 0 or is not finite"
-                )
-            if not np.any(fitted_ok):
-                failures += len(reps)
-                continue
-            rows = draws[fitted_ok]
+        refits, fit_status = type(fitted).fit_rows(draws)
+        if np.any(fit_status == FIT_BAD_DATA):
+            raise DomainError(
+                f"bootstrap draws from the fitted {fitted!r} left its support: a draw underflowed to 0 or is not finite"
+            )
+        fitted_ok = fit_status == FIT_OK
+        refit_failures += len(reps) - int(np.count_nonzero(fitted_ok))
+        if not np.any(fitted_ok):
+            continue
+        rows = draws if np.all(fitted_ok) else draws[fitted_ok]
         rows.sort(axis=1)
         law_values = None if table is None else table.quantile_density(refits, law_buffer)
         stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values, work)
-        ok = status == 0
         if table is not None:
             # a statistic from the table could lie on the wrong side of the observed one only within the window
-            near = np.flatnonzero(ok & (np.abs(stats - observed) <= _RESCORE_REL * observed))
+            near = np.flatnonzero((status == 0) & (np.abs(stats - observed) <= _RESCORE_REL * observed))
             if near.size:
                 exact = Gamma(shape=refits.shape[near], rate=refits.rate[near])
-                stats[near], status, _ = _statistic_rows(rows[near], exact, hyp, points, out=work)
-                ok[near] = status == 0
-        failures += len(reps) - int(np.count_nonzero(ok))
-        exceed += int(np.count_nonzero(stats[ok] >= observed))
+                status = status.copy()
+                stats[near], status[near], _ = _statistic_rows(rows[near], exact, hyp, points, out=work)
+        failed = np.flatnonzero(status)
+        if failed.size and not stat_failures:
+            first_stat_failure = int(status[failed[0]])
+        stat_failures += failed.size
+        exceed += int(np.count_nonzero(stats[status == 0] >= observed))
+    failures = refit_failures + stat_failures
     if failures > 0.05 * replications:
+        why = f", the first because {_ROW_ERRORS[first_stat_failure]}" if stat_failures else ""
         raise ConvergenceError(
-            f"{failures}/{replications} bootstrap refits failed; the family does not fit this data",
+            f"{failures}/{replications} bootstrap replicates failed: "
+            f"{refit_failures} refits of the {family} family and {stat_failures} statistics{why}",
             last=fitted,
         )
     successful = replications - failures

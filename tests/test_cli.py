@@ -713,6 +713,12 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
     huge.write_text("y\n1e308\n0\n-1e308\n")
     code, out, err = run_cli(capsys, "fit", "--data", str(huge), "--y-col", "y", "--family", "uniform")
     assert code == 4 and out == "" and err == "numeric error: uniform requires finite lo < hi with a finite range hi - lo\n"
+    # a grid quantile outside the open support is the law's failure, not a usage error (exit 4)
+    for dist in ("normal:0,1e308", "gamma:0.001,1"):
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", dist, "--grid", "0.01..0.99x3"
+        )
+        assert code == 4 and out == "" and err.startswith("numeric error: the ") and "quantile at level 0.01" in err, dist
     # argparse usage -> 2, help -> 0
     assert main(["estimate"]) == 2
     assert main([*coverage, "abc"]) == 2

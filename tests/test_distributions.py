@@ -23,6 +23,7 @@ from transferfn.distributions import (
     FIT_DEGENERATE,
     FIT_NO_CONVERGENCE,
     FIT_OK,
+    FIT_OVERFLOW,
     TABLE_REL_ERROR,
     _barycentric,
     _chebyshev_points,
@@ -103,6 +104,21 @@ def test_pdf_outside_support_and_endpoint_errors():
     assert g.cdf(-1.0) == 0.0
     u = Uniform(0.0, 1.0)
     assert u.pdf(-0.5) == 0.0
+
+
+def test_evaluators_overflow_to_their_limits_without_warning():
+    # pyproject turns a RuntimeWarning into an error, so each case also checks that none escapes
+    cases = [
+        (Normal(0.0, 1e308).quantile, 0.99, math.inf),
+        (Gamma(2.0, 1e-308).quantile, 0.99, math.inf),
+        (Normal(1e308, 1e308).cdf, -1e308, 0.0),
+        (Normal(0.0, 1e-308).pdf, 1.0, 0.0),
+        (Gamma(2.0, 1e300).cdf, 1e10, 1.0),
+        (Uniform(-1e308, 0.0).cdf, 1e308, 1.0),
+        (Uniform(0.0, 1e-320).pdf, 5e-321, math.inf),
+    ]
+    for evaluate, x, want in cases:
+        assert evaluate(x) == want, (evaluate, x)
 
 
 def test_domain_errors():
@@ -212,34 +228,45 @@ def test_fit_rows_fail_exactly_where_the_scalar_fitter_raises(family, law):
     data[8, :] = 0.0
     data[8, 1] = 5e-324  # not constant, but the sd underflows to 0
     data[9, :2] = 1e308, -1e308  # the range (and the sd) overflows
+    data[10] = data[0] * 1e-310  # subnormal: the gamma rate k / mean overflows, the sd underflows to 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning escapes the block fit
-        laws, ok = law.fit_rows(data)
+        laws, status = law.fit_rows(data)
+    # a gamma row whose rate overflows cannot be built: the infinite rate
+    # makes the gradient infinite, so row 10 reports FIT_NO_CONVERGENCE
+    last = FIT_NO_CONVERGENCE if law is Gamma else FIT_OVERFLOW
+    assert set(status.tolist()) == {FIT_OK, FIT_BAD_DATA, FIT_DEGENERATE, last}
+    raises = {
+        FIT_BAD_DATA: DomainError,
+        FIT_OVERFLOW: DomainError,
+        FIT_DEGENERATE: ConvergenceError,
+        FIT_NO_CONVERGENCE: ConvergenceError,
+    }
     names = [f.name for f in dataclasses.fields(law)]
     fitted = 0
     for r, row in enumerate(data):
-        try:
-            want = FAMILIES[family](row)
-        except (ConvergenceError, DomainError):
-            assert not ok[r], r
+        if status[r] != FIT_OK:
+            with pytest.raises(raises[status[r]]) as info:
+                FAMILIES[family](row)
+            assert type(info.value) is raises[status[r]], r
             continue
-        assert ok[r], r
+        want = FAMILIES[family](row)
         got = [getattr(laws, name)[fitted, 0] for name in names]
         assert _same_bits(got, [getattr(want, name) for name in names]), r
         fitted += 1
-    assert 0 < fitted < len(data)
+    assert 0 < fitted == getattr(laws, names[0]).shape[0] < len(data)
 
 
 def test_fit_normal_and_uniform_errors():
-    few = (DomainError, "need at least two finite observations")
-    two_d = (DomainError, "need a one-dimensional sequence of observations (got 2 dimensions)")
+    few = two_d = (DomainError, "need a one-dimensional sequence of at least two observations")
+    bad = {name: (DomainError, f"{name} fitting requires finite data inside the law's support") for name in ("normal", "uniform")}
     constant = {name: (ConvergenceError, f"data are constant; {name} MLE is degenerate") for name in ("normal", "uniform")}
     sd_overflows = (DomainError, "normal requires finite mean and sd > 0")
     cases = [  # data, then fit_normal's and fit_uniform's error (None: a fit)
         ([1.0], few, few),
         ([], few, few),
-        ([1.0, np.nan, 2.0], few, few),
-        ([1e200, np.inf], few, few),
+        ([1.0, np.nan, 2.0], bad["normal"], bad["uniform"]),
+        ([1e200, np.inf], bad["normal"], bad["uniform"]),
         ([[1.0, 2.0], [3.0, 4.5]], two_d, two_d),  # fit_gamma_mle rejects a 2-d array too
         ([3.7] * 5, constant["normal"], constant["uniform"]),
         ([1e200, -1e200, 3.0], sd_overflows, None),  # the sd overflows

@@ -137,6 +137,14 @@ def test_default_grid():
     assert xs[-1] == pytest.approx(ndtri(0.99))
     with pytest.raises(DomainError):
         default_grid(Normal(), npoints=0)
+    # a quantile that over- or underflows onto the support's edge is the law's numeric failure, not the caller's
+    for dist, message in (
+        (Normal(0.0, 1e308), r"Normal\(mean=0.0, sd=1e\+308\) quantile at level 0.01 is -inf, not inside"),
+        (Gamma(0.001, 1.0), r"Gamma\(shape=0.001, rate=1.0\) quantile at level 0.01 is 0, not inside"),
+    ):
+        with pytest.raises(DomainError, match=message) as info:
+            default_grid(dist, 3)
+        assert type(info.value) is DomainError
 
 
 def _bits(a):

@@ -28,7 +28,7 @@ from transferfn import test_statistic as gof_statistic
 import transferfn.distributions as distributions_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
-from transferfn.distributions import FAMILIES, TABLE_REL_ERROR, gamma_quantile_table
+from transferfn.distributions import FAMILIES, FIT_NO_CONVERGENCE, FIT_OK, TABLE_REL_ERROR, gamma_quantile_table
 from transferfn.gof_test import _checked_rows, _evaluation_set
 
 
@@ -492,9 +492,10 @@ def _refits_failing_on(monkeypatch, reps):
     seen = itertools.count()
 
     def failing(cls, draws):
-        law, ok = fit_rows(draws)
+        law, status = fit_rows(draws)
         keep = ~np.isin([next(seen) for _ in draws], list(reps))
-        return cls(shape=law.shape[keep[ok]], rate=law.rate[keep[ok]]), ok & keep
+        ok = status == FIT_OK
+        return cls(shape=law.shape[keep[ok]], rate=law.rate[keep[ok]]), np.where(keep, status, FIT_NO_CONVERGENCE)
 
     monkeypatch.setattr(Gamma, "fit_rows", classmethod(failing))
 
@@ -514,8 +515,20 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
             p = monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
         assert p == (1 + exceed) / (96 + 1), block_elements
     _refits_failing_on(monkeypatch, {0, 1, 44, 45, 46, 98})
-    with pytest.raises(ConvergenceError, match="6/99"):
+    message = "^6/99 bootstrap replicates failed: 6 refits of the gamma family and 0 statistics$"
+    with pytest.raises(ConvergenceError, match=message):
         monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
+
+
+def test_monte_carlo_counts_undefined_statistics_apart_from_refits():
+    # every normal refit succeeds; 20 replicates fail because h' <= 0 on their trimmed region
+    data = Sample(np.random.default_rng(0).normal(-2.8, 1.0, 16))
+    with pytest.raises(ConvergenceError) as info:
+        monte_carlo_p_value(data, "normal", get_transfer("(x+4)^2"), 99, 0)
+    assert str(info.value) == (
+        "20/99 bootstrap replicates failed: 0 refits of the normal family and 20 statistics, "
+        "the first because h must have a positive derivative on the trimmed region"
+    )
 
 
 def test_monte_carlo_rejects_gamma_draws_that_underflow():
