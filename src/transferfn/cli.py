@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
+import os
 import re
+import stat as stat_mode
 import sys
 
 import numpy as np
@@ -44,6 +48,7 @@ __all__ = ["main"]
 MISSING_TOKENS = ("?", "", "NA", "nan")
 csv.field_size_limit(sys.maxsize)  # a field may be as long as the input (csv's default limit is 131 072)
 _NON_BLANK = re.compile(rb"\S")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy decompresses a path with one of these suffixes
 
 
 class DataError(Exception):
@@ -113,7 +118,20 @@ def _read_column_rows(data: bytes, path: str, selector: str, delimiter: str) -> 
     return np.asarray(out, dtype=float)
 
 
-def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray | None:
+def _unchanged(path: str, stat: os.stat_result | None, size: int) -> bool:
+    """Whether ``path`` is still the regular file of ``size`` bytes that ``stat`` describes."""
+    if stat is None or not stat_mode.S_ISREG(stat.st_mode) or stat.st_size != size:
+        return False
+    try:
+        now = os.stat(path)
+    except OSError:
+        return False
+    return (now.st_dev, now.st_ino, now.st_size, now.st_mtime_ns) == (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
+
+
+def _read_column_fast(
+    data: bytes, path: str, selector: str, delimiter: str, stat: os.stat_result | None = None
+) -> np.ndarray | None:
     """numpy's C parser on the records after the header, or None to defer to the row parser.
 
     It declines whatever the row parser treats specially: a quote anywhere,
@@ -121,12 +139,14 @@ def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> 
     tokens it cannot parse (missing tokens included), non-finite values and
     fewer than 2 values.  '"' and '#' are one byte in the ASCII-compatible
     encodings a locale uses, so ``data`` is searched for them undecoded.
+    numpy reads a path in chunks but a stream line by line, so a regular
+    file (``stat``) that still holds exactly ``data`` is parsed from its path.
     """
     if b'"' in data:
         return None
     lines = _text(data)
     head = ""  # the text before the body
-    for line in lines:
+    for skip, line in enumerate(lines):
         first_row = next(csv.reader([line], delimiter=delimiter), [])
         if _is_record(first_row):
             break
@@ -142,8 +162,17 @@ def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> 
     body_start = len(head.encode(lines.encoding))
     if data.find(b"#", body_start) >= 0 or _NON_BLANK.search(data, body_start) is None:
         return None
+    load = functools.partial(np.loadtxt, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
+    real = os.path.realpath(path)  # the file itself: no '..' past a symlink, and nothing numpy takes for a URL
     try:
-        values = np.loadtxt(body, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
+        values = None
+        if not real.endswith(_COMPRESSED) and _unchanged(real, stat, len(data)):
+            with contextlib.suppress(OSError):
+                values = load(real, skiprows=skip + has_header, encoding=lines.encoding)
+            if not _unchanged(real, stat, len(data)):  # numpy may have read other bytes than the checks saw
+                values = None
+        if values is None:
+            values = load(body)
     except ValueError:
         return None
     if values.size < 2 or not np.all(np.isfinite(values)):
@@ -164,10 +193,11 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
     """
     try:
         with open(path, "rb") as fh:
+            stat = os.fstat(fh.fileno())
             data = fh.read()
         # not by decoding as utf-8-sig: the fast parser's body offset counts the bytes the locale encodes
         data = data.removeprefix(codecs.BOM_UTF8)
-        values = _read_column_fast(data, path, selector, delimiter)
+        values = _read_column_fast(data, path, selector, delimiter, stat)
         return _read_column_rows(data, path, selector, delimiter) if values is None else values
     except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import KnownDistribution
 from .empirical import Sample
-from .errors import ArgumentError, check_alpha
+from .errors import ArgumentError, DomainError, check_alpha
 from .estimator import _interior_grid, estimate
 from .ks_distribution import ks_sup_quantile
 
@@ -70,10 +70,14 @@ def kde(sample_y: Sample, y, bandwidth: float | None = None):
 
     K is the raised cosine K(u) = (1 + cos u) / (2 pi) on [-pi, pi], zero
     outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
-    when it is None.  This is the one-row call of ``_kde_rows``.
+    when it is None.  This is the one-row call of ``_kde_rows``.  Data
+    whose range overflows a float raise DomainError.
     """
     values = sample_y.sorted_values
-    h = _bandwidth(sample_y.n, bandwidth, float(values[-1] - values[0]))
+    lo, hi = float(values[0]), float(values[-1])
+    if not math.isfinite(hi - lo):  # Python floats: the overflow is inf, not a RuntimeWarning
+        raise DomainError(f"the data range [{lo!r}, {hi!r}] is wider than the largest float: no density estimate")
+    h = _bandwidth(sample_y.n, bandwidth, hi - lo)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     out = _kde_rows(values[None, :], ys[None, :], h)[0]
     if np.ndim(y) == 0:

@@ -464,10 +464,10 @@ def fit_gamma_rows(data):
 
     Returns (shape, rate, status), each of length rows.  status is FIT_OK,
     FIT_BAD_DATA (a non-finite or nonpositive value), FIT_DEGENERATE
-    (near-constant data: the profile equation degenerates) or
-    FIT_NO_CONVERGENCE (shape and rate then hold the last iterate).  It is
-    never FIT_OVERFLOW: an infinite rate makes the gradient infinite, so
-    such a row does not converge.
+    (near-constant data: the profile equation degenerates), FIT_OVERFLOW
+    (the mean, or log(mean) - mean(log data), is not finite) or
+    FIT_NO_CONVERGENCE (shape and rate then hold the last iterate; an
+    infinite rate makes the gradient infinite, so such a row ends here).
     """
     arr = np.asarray(data, dtype=float)
     status = np.full(arr.shape[0], FIT_BAD_DATA)
@@ -476,6 +476,7 @@ def fit_gamma_rows(data):
         mean = np.mean(arr, axis=1)
         mean_log = np.mean(np.log(arr), axis=1)
         s = np.log(mean) - mean_log  # >= 0 by Jensen, 0 iff constant
+        status[(status == FIT_NO_CONVERGENCE) & ~(np.isfinite(mean) & np.isfinite(s))] = FIT_OVERFLOW
         status[(status == FIT_NO_CONVERGENCE) & ~(s > 1e-12)] = FIT_DEGENERATE
 
         var = np.var(arr, axis=1)

@@ -57,9 +57,10 @@ _BLOCK_ELEMENTS = 1 << 15
 # 1e5, shapes 0.3 to 60), so the window is 1e4 times a 100-fold bound.
 _RESCORE_REL = 1e6 * TABLE_REL_ERROR
 
-_BAD_LAW, _BAD_DERIVATIVE = 1, 2
+_BAD_LAW, _BAD_DERIVATIVE, _BAD_H = 1, 2, 3
 _ROW_ERRORS = {
     _BAD_LAW: "the input law's quantile or density is not finite on the trimmed region",
+    _BAD_H: "h must be finite on the trimmed region",
     _BAD_DERIVATIVE: "h must have a positive derivative on the trimmed region",
 }
 
@@ -241,9 +242,11 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
         x = np.where(bad_law[:, None], 0.0, x)
         density = np.where(bad_law[:, None], 0.0, density)
-    hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
-    hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h or h' is the row's status
+        hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
+        hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
     status = np.where(bad_law, _BAD_LAW, 0)
+    status[~np.all(np.isfinite(hvals), axis=1)] = _BAD_H
     status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
 
     # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h)

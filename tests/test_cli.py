@@ -2,6 +2,7 @@ import codecs
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
 from transferfn.cli import _read_column_fast, _read_column_rows
@@ -184,6 +186,99 @@ def test_read_column_fast_path_matches_row_parser(tmp_path):
                 assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
             if fast:
                 assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+
+
+@st.composite
+def _delimited_files(draw):
+    """(bytes, delimiter): a delimited file, clean or with what the row parser treats specially."""
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    fmt = draw(st.sampled_from(["%.17g", "%.6f"]))
+    noisy = draw(st.booleans())
+    value = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: fmt % v)
+    pad = st.sampled_from(["", " ", "\t"]) if delimiter != "\t" else st.just("")
+    special = st.sampled_from(["?", "", "NA", "nan", "xyz", '"1.5"', "2#3", "inf", "1e999"])
+    field = st.tuples(pad, st.one_of(value, special) if noisy else value, pad).map("".join)
+    row = st.lists(field, min_size=1 if noisy else 2, max_size=3 if noisy else 2).map(delimiter.join)
+    filler = st.sampled_from(["", " ", " \t ", "# note"])  # blank, whitespace-only and comment lines
+    lines = draw(st.lists(st.sampled_from(["# units: mg/l", "#", ""]), max_size=2))  # top comments
+    if draw(st.booleans()):
+        lines.append(delimiter.join(["y", "z"]))
+    lines += draw(st.lists(st.one_of(row, filler) if noisy else row, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode(), delimiter
+
+
+@settings(
+    max_examples=300, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_delimited_files(), st.sampled_from(["y", "z", "0", "1", "-1"]))
+def test_read_column_matches_the_row_parser_on_generated_files(tmp_path, file, selector):
+    # LF, CRLF and CR ends, a BOM, top comments, blank and whitespace-only rows, quotes,
+    # '#', tabs and missing tokens: every file reads as the row parser reads it, bit for bit
+    data, delimiter = file
+    path = tmp_path / "generated.csv"
+    path.write_bytes(data)
+    ref = _outcome(_read_column_rows, str(path), selector, delimiter)
+    try:
+        got = read_column(str(path), selector, delimiter)
+    except DataError as exc:
+        got = str(exc)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_read_column_gives_numpy_a_regular_files_path(tmp_path, monkeypatch):
+    # numpy's C reader pulls a path in chunks but a stream line by line
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        seen.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    text = "# note\r\n\nz,y\n" + "".join(f"{v},{v / 4}\r\n" for v in range(1, 30))
+    want = [v / 4 for v in range(1, 30)]
+    clean, marked, gz = tmp_path / "clean.csv", tmp_path / "bom.csv", tmp_path / "plain.csv.gz"
+    clean.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    gz.write_bytes(text.encode())  # numpy would decompress a path with this suffix
+    assert read_column(str(clean), "y").tolist() == want and seen == [os.path.realpath(clean)]
+    for path in (marked, gz):
+        seen.clear()
+        assert read_column(str(path), "y").tolist() == want and len(seen) == 1 and not isinstance(seen[0], str), path
+
+    # a file that changes under numpy is parsed from the bytes the checks saw
+    def appending(source, *args, **kwargs):
+        if isinstance(source, str):
+            with open(source, "a") as fh:
+                fh.write("99,99\n")
+        return spy(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", appending)
+    seen.clear()
+    assert read_column(str(clean), "y").tolist() == want and len(seen) == 2 and not isinstance(seen[1], str)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert read_column(str(clean), "y").tolist() == [*want, 99.0]
+
+    # /dev/stdin: a pipe is parsed from the buffer, a redirected regular file from its path
+    code = (
+        "import numpy as np; from transferfn.cli import read_column\n"
+        "seen, loadtxt = [], np.loadtxt\n"
+        "np.loadtxt = lambda source, *a, **k: (seen.append(type(source).__name__), loadtxt(source, *a, **k))[1]\n"
+        "print(read_column('/dev/stdin', 'y').tolist() == [v / 4 for v in range(1, 30)], *seen)"
+    )
+    clean.write_bytes(text.encode())
+    done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "True TextIOWrapper\n"), done.stderr
+    with open(clean, "rb") as fh:
+        done = subprocess.run([sys.executable, "-c", code], stdin=fh, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "True str\n"), done.stderr
 
 
 def test_read_column_reads_fields_of_any_length(tmp_path):
@@ -719,6 +814,19 @@ def test_exit_codes(tmp_path, capsys, uniform_identity_file, gamma_file):
             capsys, "estimate", "--data", str(uniform_identity_file), "--y-col", "y", "--dist", dist, "--grid", "0.01..0.99x3"
         )
         assert code == 4 and out == "" and err.startswith("numeric error: the ") and "quantile at level 0.01" in err, dist
+    # h = log(x+5) is NaN where N(0, 6)'s trimmed region passes -5; a band on data whose range overflows
+    lin = tmp_path / "lin.csv"
+    lin.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in np.linspace(-1.0, 1.0, 16)))
+    code, out, err = run_cli(
+        capsys, "test", "--data", str(lin), "--y-col", "y", "--dist", "normal:0,6", "--h", "log(x+5)", "--alpha", "0.15"
+    )
+    assert code == 4 and out == "" and err == "numeric error: h must have a positive derivative on the trimmed region\n"
+    wide = tmp_path / "wide.csv"
+    wide.write_text("y\n6.48648100598784e293\n-1.7976931348623093e308\n1\n2\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--data", str(wide), "--y-col", "y", "--dist", "normal:0,1", "--grid", "0.1..0.9x5", "--band"
+    )
+    assert code == 4 and out == "" and "the data range [-1.7976931348623093e+308, 6.48648100598784e+293]" in err
     # argparse usage -> 2, help -> 0
     assert main(["estimate"]) == 2
     assert main([*coverage, "abc"]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -39,6 +40,17 @@ def test_kde_far_outside_the_data_is_zero_without_warnings():
         alone = kde(s, 2.0, bandwidth=1e-10)
     assert values[0] == alone > 0.0
     assert np.array_equal(values[1:], np.zeros(3))
+
+
+def test_kde_on_data_whose_range_overflows_names_the_range():
+    s = Sample([6.48648100598784e293, -1.7976931348623093e308, 1.0, 2.0])
+    message = "the data range [-1.7976931348623093e+308, 6.48648100598784e+293] is wider than the largest float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bandwidth in (None, 0.5):
+            with pytest.raises(DomainError, match=re.escape(message)) as info:
+                kde(s, 0.0, bandwidth=bandwidth)
+            assert type(info.value) is DomainError  # not the ArgumentError that blames the bandwidth
 
 
 def test_kde_consistency_standard_normal():

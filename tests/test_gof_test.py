@@ -275,6 +275,22 @@ def test_statistic_rows_rejects_any_bad_row():
         gof_statistic_rows(rows, Normal(means, np.ones((3, 1))), bent)
 
 
+def test_statistic_rows_report_an_undefined_h_without_warning():
+    # h = log(x+5) is NaN below x = -5, where N(0, 6)'s trimmed region reaches
+    sample = Sample(np.linspace(-1.0, 1.0, 16))
+    with pytest.raises(DomainError, match="positive derivative"):
+        gof(sample, Normal(0.0, 6.0), get_transfer("log(x+5)"), 0.15)
+    # an h that overflows where h' stays finite and positive is its own row status
+    steep = HypothesisFunction(fn=lambda x: np.exp(1e3 * np.asarray(x)), deriv=lambda x: np.ones_like(x))
+    rows = np.sort(np.random.default_rng(5).normal(size=(2, 100)), axis=1)
+    stats, status, _ = gof_module._statistic_rows(
+        rows, Normal(np.array([[-3.0], [3.0]]), np.ones((2, 1))), steep, _evaluation_set(100)
+    )
+    assert status.tolist() == [0, gof_module._BAD_H] and np.isfinite(stats[0])
+    with pytest.raises(DomainError, match="h must be finite on the trimmed region"):
+        gof_statistic(Sample(rows[1]), Normal(3.0, 1.0), steep)
+
+
 def _reference_bootstrap(data, fitter, hyp, replications, seed):
     """The parametric bootstrap one replicate at a time: (observed, replicate statistics, failures)."""
     fitted = fitter(data.values)
