@@ -15,7 +15,6 @@ import codecs
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -49,6 +48,7 @@ MISSING_TOKENS = ("?", "", "NA", "nan")
 csv.field_size_limit(sys.maxsize)  # a field may be as long as the input (csv's default limit is 131 072)
 _NON_BLANK = re.compile(rb"\S")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy decompresses a path with one of these suffixes
+_CHUNK = 1 << 20  # bytes of a regular file its checks read at a time
 
 
 class DataError(Exception):
@@ -118,9 +118,9 @@ def _read_column_rows(data: bytes, path: str, selector: str, delimiter: str) -> 
     return np.asarray(out, dtype=float)
 
 
-def _unchanged(path: str, stat: os.stat_result | None, size: int) -> bool:
+def _unchanged(path: str, stat: os.stat_result, size: int) -> bool:
     """Whether ``path`` is still the regular file of ``size`` bytes that ``stat`` describes."""
-    if stat is None or not stat_mode.S_ISREG(stat.st_mode) or stat.st_size != size:
+    if stat.st_size != size:
         return False
     try:
         now = os.stat(path)
@@ -129,23 +129,14 @@ def _unchanged(path: str, stat: os.stat_result | None, size: int) -> bool:
     return (now.st_dev, now.st_ino, now.st_size, now.st_mtime_ns) == (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
 
 
-def _read_column_fast(
-    data: bytes, path: str, selector: str, delimiter: str, stat: os.stat_result | None = None
-) -> np.ndarray | None:
-    """numpy's C parser on the records after the header, or None to defer to the row parser.
+def _head(lines, selector: str, delimiter: str, path: str):
+    """The text before the body of ``lines``, or None when no line is a record.
 
-    It declines whatever the row parser treats specially: a quote anywhere,
-    any '#' after the header (a comment line may follow), a blank body,
-    tokens it cannot parse (missing tokens included), non-finite values and
-    fewer than 2 values.  '"' and '#' are one byte in the ASCII-compatible
-    encodings a locale uses, so ``data`` is searched for them undecoded.
-    numpy reads a path in chunks but a stream line by line, so a regular
-    file (``stat``) that still holds exactly ``data`` is parsed from its path.
+    Returns (head, skip, idx, has_header, line): head is the text before the
+    body, skip the number of lines before the first record ``line``, and
+    idx and has_header are ``_locate_column``'s on that record.
     """
-    if b'"' in data:
-        return None
-    lines = _text(data)
-    head = ""  # the text before the body
+    head = ""
     for skip, line in enumerate(lines):
         first_row = next(csv.reader([line], delimiter=delimiter), [])
         if _is_record(first_row):
@@ -154,25 +145,13 @@ def _read_column_fast(
     else:
         return None
     idx, has_header = _locate_column(first_row, selector, path)
-    if has_header:
-        head += line
-        body = lines
-    else:
-        body = itertools.chain([line], lines)
-    body_start = len(head.encode(lines.encoding))
-    if data.find(b"#", body_start) >= 0 or _NON_BLANK.search(data, body_start) is None:
-        return None
-    load = functools.partial(np.loadtxt, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1)
-    real = os.path.realpath(path)  # the file itself: no '..' past a symlink, and nothing numpy takes for a URL
+    return head + line if has_header else head, skip, idx, has_header, line
+
+
+def _load(source, idx: int, delimiter: str, **kwargs) -> np.ndarray | None:
+    """numpy's C parser on the selected column of ``source``; None if it fails or leaves fewer than 2 finite values."""
     try:
-        values = None
-        if not real.endswith(_COMPRESSED) and _unchanged(real, stat, len(data)):
-            with contextlib.suppress(OSError):
-                values = load(real, skiprows=skip + has_header, encoding=lines.encoding)
-            if not _unchanged(real, stat, len(data)):  # numpy may have read other bytes than the checks saw
-                values = None
-        if values is None:
-            values = load(body)
+        values = np.loadtxt(source, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1, **kwargs)
     except ValueError:
         return None
     if values.size < 2 or not np.all(np.isfinite(values)):
@@ -180,25 +159,136 @@ def _read_column_fast(
     return values
 
 
+def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray | None:
+    """numpy's C parser on the records after the header, or None to defer to the row parser.
+
+    It declines whatever the row parser treats specially: a quote anywhere,
+    any '#' after the header (a comment line may follow), a blank body,
+    tokens it cannot parse (missing tokens included), non-finite values and
+    fewer than 2 values.  '"' and '#' are one byte in the ASCII-compatible
+    encodings a locale uses, so ``data`` is searched for them undecoded.
+    """
+    if b'"' in data:
+        return None
+    lines = _text(data)
+    layout = _head(lines, selector, delimiter, path)
+    if layout is None:
+        return None
+    head, _, idx, has_header, line = layout
+    body_start = len(head.encode(lines.encoding))
+    if data.find(b"#", body_start) >= 0 or _NON_BLANK.search(data, body_start) is None:
+        return None
+    return _load(lines if has_header else itertools.chain([line], lines), idx, delimiter)
+
+
+def _read_buffer(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray:
+    """The column of input read whole into ``data``: numpy's C parser, or the row parser where it declines."""
+    data = data.removeprefix(codecs.BOM_UTF8)  # not by decoding as utf-8-sig: the body offset counts the locale's bytes
+    values = _read_column_fast(data, path, selector, delimiter)
+    return _read_column_rows(data, path, selector, delimiter) if values is None else values
+
+
+def _path_encoding(fh, real: str, stat: os.stat_result) -> str | None:
+    """The encoding numpy rereads the file ``fh`` from its path ``real`` with, or None to read ``fh`` whole.
+
+    numpy can reread a regular file whose path has no suffix it would
+    decompress.  A UTF-8 byte-order mark is dropped by decoding as
+    utf-8-sig, which matches the buffered route only in a UTF-8 locale.
+    """
+    if not stat_mode.S_ISREG(stat.st_mode) or real.endswith(_COMPRESSED):
+        return None
+    encoding = _text(b"").encoding
+    marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
+    fh.seek(0)
+    if not marked:
+        return encoding
+    return "utf-8-sig" if codecs.lookup(encoding).name == "utf-8" else None
+
+
+def _chunks(fh):
+    """(chunk, count): the file ``fh`` from its start, read _CHUNK bytes at a time into one buffer, valid up to count."""
+    fh.seek(0)
+    chunk = bytearray(_CHUNK)
+    while count := fh.readinto(chunk):
+        yield chunk, count
+
+
+def _checked_size(fh, body_start: int) -> int | None:
+    """The size of the file ``fh`` if its bytes pass ``_read_column_fast``'s checks, else None.
+
+    No quote anywhere, no '#' at or after ``body_start`` and a non-blank byte there.
+    """
+    size, body = 0, False
+    for chunk, count in _chunks(fh):
+        begin = min(max(0, body_start - size), count)
+        if chunk.find(b'"', 0, count) >= 0 or chunk.find(b"#", begin, count) >= 0:
+            return None
+        body = body or _NON_BLANK.search(chunk, begin, count) is not None
+        size += count
+    return size if body else None
+
+
+def _read_column_path(
+    fh, real: str, encoding: str, path: str, selector: str, delimiter: str, stat: os.stat_result
+) -> np.ndarray:
+    """The column of a regular file, parsed by numpy from its path ``real`` when the file is clean.
+
+    numpy reads a path in chunks but a stream line by line.  The checks of
+    ``_read_column_fast`` read the file in chunks, so it is never held
+    whole; a file they or numpy decline is read whole by the row parser.  A
+    file that changed between the checks and numpy's parse is read whole
+    into one buffer, as a pipe is, so the values always come from one read.
+    """
+    lines = io.TextIOWrapper(fh, encoding=encoding, newline="")
+    try:
+        layout = _head(lines, selector, delimiter, path)
+    except DataError:  # as in _read_column_fast, a quote anywhere leaves the header to the row parser
+        if not any(chunk.find(b'"', 0, count) >= 0 for chunk, count in _chunks(fh)):
+            raise
+        layout = None
+    finally:
+        lines.detach()
+    if layout is not None:
+        head, skip, idx, has_header, _ = layout
+        size = _checked_size(fh, len(head.encode(encoding)))  # utf-8-sig counts the byte-order mark
+        if size is not None:
+            values = None
+            if _unchanged(real, stat, size):
+                with contextlib.suppress(OSError):
+                    values = _load(real, idx, delimiter, skiprows=skip + has_header, encoding=encoding)
+            if not _unchanged(real, stat, size):  # numpy may have read other bytes than the checks saw
+                return _read_buffer(_reread(fh), path, selector, delimiter)
+            if values is not None:
+                return values
+    return _read_column_rows(_reread(fh).removeprefix(codecs.BOM_UTF8), path, selector, delimiter)
+
+
+def _reread(fh) -> bytes:
+    """All of the file ``fh``, read again from its start."""
+    fh.seek(0)
+    return fh.read()
+
+
 def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
     """One numeric column from a delimited file or pipe.
 
     ``selector`` is a 0-based index or a header name.  Rows whose selected
     field is a missing token ('?', empty, NA, nan) are dropped; any other
-    non-numeric field is a data error.  The input is read once; clean input
-    goes through numpy's C parser, and anything it declines is parsed row by
-    row, with identical values and errors either way.  A leading UTF-8
-    byte-order mark is dropped.  Input that cannot be read or decoded in the
-    locale's encoding is a data error too.
+    non-numeric field is a data error.  Clean input goes through numpy's C
+    parser, and anything it declines is parsed row by row, with identical
+    values and errors either way.  A regular file is checked in chunks and
+    parsed by numpy from its path; a pipe is read once, into one buffer.  A
+    leading UTF-8 byte-order mark is dropped.  Input that cannot be read or
+    decoded in the locale's encoding is a data error too.
     """
     try:
         with open(path, "rb") as fh:
             stat = os.fstat(fh.fileno())
-            data = fh.read()
-        # not by decoding as utf-8-sig: the fast parser's body offset counts the bytes the locale encodes
-        data = data.removeprefix(codecs.BOM_UTF8)
-        values = _read_column_fast(data, path, selector, delimiter, stat)
-        return _read_column_rows(data, path, selector, delimiter) if values is None else values
+            real = os.path.realpath(path)  # the file itself: no '..' past a symlink, and nothing numpy takes for a URL
+            encoding = _path_encoding(fh, real, stat)
+            if encoding is None:
+                return _read_buffer(fh.read(), path, selector, delimiter)
+            return _read_column_path(fh, real, encoding, path, selector, delimiter, stat)
     except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

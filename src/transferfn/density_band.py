@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gof_test  # its _BLOCK_ELEMENTS bounds the KDE's tiles too
 from .distributions import KnownDistribution
 from .empirical import Sample
 from .errors import ArgumentError, DomainError, check_alpha
@@ -95,46 +96,99 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     into cells of width 4 pi h, each anchored at its own first value, so both
     phases stay within a few multiples of 2 pi however large |Y|/h is (a
     global anchor loses the phase to rounding as |Y|/h grows).  A window of
-    width 2 pi h overlaps at most two consecutive cells of its row.  The cells
-    are numbered over the flattened block and the prefix sums restart at each
-    row, so row r equals the one-row result bit for bit.
+    width 2 pi h overlaps at most two consecutive cells of its row.
+
+    The block is walked in tiles of at most _BLOCK_ELEMENTS values
+    (``_tiles``), so no temporary grows with n.  A cell's key floor((Y -
+    Y_0)/(4 pi h)) never decreases along a row, so a first pass counts, per
+    window, where its cells start; the second builds the prefix sums tile by
+    tile, the running sum added to each tile's first term as a sequential
+    cumsum adds it, and keeps them only at the window ends.  The cell open at
+    a tile's end carries its anchor into the next tile.  Every row equals the
+    one-row result, and every tiling the one-tile result, bit for bit.
     """
     rows, n = sorted_rows.shape
-    data = sorted_rows.ravel()
-    opens = np.ones((rows, n), dtype=bool)
-    cell_key = np.floor((sorted_rows - sorted_rows[:, :1]) / (4.0 * math.pi * h))
-    np.not_equal(cell_key[:, 1:], cell_key[:, :-1], out=opens[:, 1:])
-    opens = opens.ravel()
-    starts = np.flatnonzero(opens)
-    cell = np.cumsum(opens) - 1
-    anchors = data[starts]
-    cell_end = np.append(starts[1:], data.size)
-    theta = ((data - anchors[cell]) / h).reshape(rows, n)
-    csum = np.zeros((rows, n + 1))
-    ssum = np.zeros((rows, n + 1))
-    np.cumsum(np.cos(theta), axis=1, out=csum[:, 1:])
-    np.cumsum(np.sin(theta), axis=1, out=ssum[:, 1:])
-
+    scale = 4.0 * math.pi * h
+    row = np.arange(rows)[:, None]
     lo = np.empty(y_rows.shape, dtype=np.intp)
     hi = np.empty(y_rows.shape, dtype=np.intp)
     for r in range(rows):
         lo[r] = np.searchsorted(sorted_rows[r], y_rows[r] - math.pi * h, side="left")
         hi[r] = np.searchsorted(sorted_rows[r], y_rows[r] + math.pi * h, side="right")
-    row = np.arange(rows)[:, None]
-    offset = row * n  # flat index of each row's first value
-    first = cell[np.minimum(lo, n - 1) + offset]
-    last = cell[np.maximum(hi - 1, 0) + offset]
-    split = np.minimum(hi + offset, cell_end[first]) - offset
+    # the cells of a window's first and last values: their keys, and the first positions at or past them
+    first_key, last_key = (
+        np.floor((sorted_rows[row, end] - sorted_rows[:, :1]) / scale) for end in (np.minimum(lo, n - 1), np.maximum(hi - 1, 0))
+    )
+    first = np.zeros(y_rows.shape, dtype=np.intp)  # where the first value's cell starts
+    split = np.zeros(y_rows.shape, dtype=np.intp)  # where the cell after it starts (n past the last)
+    last = np.zeros(y_rows.shape, dtype=np.intp)  # where the last value's cell starts
+    tiles = _tiles(rows, n)
+    for start, stop in tiles:
+        keys = _cell_keys(sorted_rows, start, stop, scale)
+        for r in range(rows):
+            first[r] += np.searchsorted(keys[r], first_key[r], side="left")
+            split[r] += np.searchsorted(keys[r], first_key[r], side="right")
+            last[r] += np.searchsorted(keys[r], last_key[r], side="left")
+    del first_key, last_key
+    np.minimum(hi, split, out=split)
+
+    ends = (lo, split, hi)  # where the prefix sums are read: the sum at p is over the first p terms
+    sums = [[np.zeros(y_rows.shape) for _ in ends] for _ in (np.cos, np.sin)]
+    running = np.zeros((2, rows))  # the cos and sin sums before the tile
+    for start, stop in tiles:
+        if len(tiles) > 1:  # one tile keeps its keys from the first pass
+            keys = _cell_keys(sorted_rows, start, stop, scale)
+        tile = sorted_rows[:, start:stop]
+        opens = np.empty(keys.shape, dtype=bool)
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=opens[:, 1:])
+        opens[:, 0] = True  # each row's cells are numbered from its first column, in flat order
+        cell = np.cumsum(opens) - 1
+        anchors = tile[np.nonzero(opens)]
+        if start:  # a row whose first cell continues the last tile's keeps that cell's anchor
+            continued = keys[:, 0] == last_keys
+            anchors[cell[:: keys.shape[1]][continued]] = carry[continued]
+        last_keys = keys[:, -1].copy()
+        del keys, opens
+        theta = anchors[cell].reshape(tile.shape)
+        del cell
+        carry = theta[:, -1].copy()
+        np.subtract(tile, theta, out=theta)
+        theta /= h
+        prefix = np.empty((rows, stop - start + 1))  # column k: the sum over the first start + k terms
+        for k, trig in enumerate((np.cos, np.sin)):
+            prefix[:, 0] = running[k]
+            trig(theta, out=prefix[:, 1:])
+            np.cumsum(prefix, axis=1, out=prefix)  # sequential, as one cumsum along the row
+            running[k] = prefix[:, -1]
+            for out, end in zip(sums[k], ends):
+                column = end - start
+                inside = (column >= 0) & (column <= stop - start)
+                np.clip(column, 0, stop - start, out=column)
+                np.copyto(out, np.take_along_axis(prefix, column, axis=1), where=inside)
+        del theta, prefix
+
     total = (hi - lo).astype(float)
     filled = hi > lo
     # an empty window's phase stays 0: far from the data (y - a)/h can overflow there, and the window is masked below
     phi = np.zeros(y_rows.shape)
-    for c, i, j in ((first, lo, split), (last, split, hi)):
-        np.subtract(y_rows, anchors[c], out=phi, where=filled)
+    (c_lo, c_split, c_hi), (s_lo, s_split, s_hi) = sums
+    for cell_start, c, s in ((first, c_split - c_lo, s_split - s_lo), (last, c_hi - c_split, s_hi - s_split)):
+        np.subtract(y_rows, sorted_rows[row, cell_start], out=phi, where=filled)
         phi /= h
-        total += np.cos(phi) * (csum[row, j] - csum[row, i]) + np.sin(phi) * (ssum[row, j] - ssum[row, i])
+        total += np.cos(phi) * c + np.sin(phi) * s
     # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
     return np.where(filled, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
+
+
+def _tiles(rows: int, n: int) -> list:
+    """(start, stop) column ranges of a (rows, n) block, each at most _BLOCK_ELEMENTS values (and one column) wide."""
+    width = max(1, gof_test._BLOCK_ELEMENTS // rows)
+    return [(start, min(start + width, n)) for start in range(0, n, width)]
+
+
+def _cell_keys(sorted_rows: np.ndarray, start: int, stop: int, scale: float) -> np.ndarray:
+    """floor((Y - Y_0) / scale) of columns start .. stop - 1 of every row, Y_0 being the row's first value."""
+    return np.floor((sorted_rows[:, start:stop] - sorted_rows[:, :1]) / scale)
 
 
 def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: float | None = None):

@@ -15,9 +15,10 @@ condition is documented here rather than enforced.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -101,22 +102,43 @@ def trimming_fraction(n: int) -> float:
     return min(25.0 * math.log(math.log(n)) / n, _TRIM_CAP)
 
 
-def _evaluation_set(n: int):
+class _EvaluationSet(NamedTuple):
     """Where the statistic is evaluated, and where ghat's one-sided limits there sit.
 
-    Returns (u, grid, jumps): u is the _GRID_POINTS grid on [delta_n,
-    1-delta_n] followed by every jump u = i/n inside it, for i in the range
-    ``jumps``; ``grid`` holds the 0-based indices into the sorted sample of
-    ghat at the grid points.  At the jump i/n ghat's left limit is the order
+    Column k < grid.size is the grid point u = grid_u[k] on [delta_n,
+    1-delta_n], at which ghat is the sorted sample's value at index grid[k];
+    the columns after it are the jumps u = i/n inside the region, for i in
+    the range ``jumps``.  At the jump i/n ghat's left limit is the order
     statistic at index i - 1 and its right limit the one at index i, so the
-    limits at all jumps are two contiguous slices of the sorted sample.
+    limits at a run of jumps are two contiguous slices of the sorted sample.
     """
+
+    grid_u: np.ndarray
+    grid: np.ndarray
+    jumps: range
+    n: int
+
+    @property
+    def size(self) -> int:
+        return self.grid.size + len(self.jumps)
+
+    def u(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """u at columns start .. stop - 1 (default all); a jump's i/n is computed as it is asked for."""
+        stop = self.size if stop is None else stop
+        g, j0 = self.grid.size, self.jumps.start
+        levels = np.arange(j0 + max(start, g) - g, j0 + max(stop, g) - g) / self.n
+        return np.concatenate([self.grid_u[start:stop], levels]) if start < g else levels
+
+
+def _evaluation_set(n: int) -> _EvaluationSet:
+    """The _GRID_POINTS grid on [delta_n, 1-delta_n] and every jump i/n inside it, for an n-point sample."""
     delta = trimming_fraction(n)
     u_grid = np.linspace(delta, 1.0 - delta, _GRID_POINTS)
-    levels = np.arange(1, n) / n  # i/n for i = 1 .. n-1, increasing
-    jumps = range(1 + int(levels.searchsorted(delta, "left")), 1 + int(levels.searchsorted(1.0 - delta, "right")))
-    u = np.concatenate([u_grid, levels[jumps.start - 1 : jumps.stop - 1]])
-    return u, quantile_rank(n, u_grid) - 1, jumps
+    levels = range(n)  # i/n is rounded as numpy rounds np.arange(n) / n
+    jumps = range(
+        bisect_left(levels, delta, 1, key=lambda i: i / n), bisect_right(levels, 1.0 - delta, 1, key=lambda i: i / n)
+    )
+    return _EvaluationSet(u_grid, quantile_rank(n, u_grid) - 1, jumps, n)
 
 
 def replication_rng(seed: int, index) -> np.random.Generator:
@@ -226,48 +248,75 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
     columns; ``points`` is _evaluation_set(n).  ``law_values`` is dist's
-    (quantiles, density) at the points, computed here by
-    ``distributions.quantile_density`` when not given.  h and h' are
-    evaluated once on the (1 or rows) x points array.  The weighted gaps
-    are built in ``out``, three (R, points) float arrays with R >= rows
-    (``_block_buffers(3, R, points)``), allocated here when None.  Status 0
-    marks a defined statistic; any other status is a key of _ROW_ERRORS,
-    and that row's statistic is meaningless.  ``argmax_x`` is the x at which
-    each row's sup is attained (the first such point).
+    (quantiles, density) at all the points, computed here by
+    ``distributions.quantile_density`` when not given.  The points are
+    walked in tiles of columns: a tile's u, law values, h, h' and weighted
+    gaps are built in ``out``, three (R, width) float arrays with R >= rows
+    (``_statistic_buffers``, allocated here when None), and the row keeps a
+    running max, so no temporary grows with n.  The tiles give every value
+    bit for bit, and the max, its x and the status are those of one tile
+    over all the points.  Status 0 marks a defined statistic; any other
+    status is a key of _ROW_ERRORS, and that row's statistic is meaningless.
+    ``argmax_x`` is the x at which each row's sup is attained (the first
+    such point, or the first NaN, as np.argmax picks it).
     """
     rows, n = sorted_rows.shape
-    u, grid, jumps = points
-    x, density = quantile_density(dist, u) if law_values is None else law_values
-    bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
-    if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
-        x = np.where(bad_law[:, None], 0.0, x)
-        density = np.where(bad_law[:, None], 0.0, density)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h or h' is the row's status
-        hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
-        hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
-    status = np.where(bad_law, _BAD_LAW, 0)
-    status[~np.all(np.isfinite(hvals), axis=1)] = _BAD_H
-    status[~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)] = _BAD_DERIVATIVE
-
-    # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h)
     if out is None:
-        out = _block_buffers(3, rows, u.size)
-    gap, below, weight = out[0][:rows], out[1][:rows], out[2][: x.shape[0]]
-    grid_values = sorted_rows[:, grid]
-    g, j0, j1 = grid.size, jumps.start, jumps.stop
-    np.subtract(grid_values, hvals[:, :g], out=gap[:, :g])
-    np.subtract(sorted_rows[:, j0:j1], hvals[:, g:], out=gap[:, g:])
-    np.subtract(hvals[:, :g], grid_values, out=below[:, :g])
-    np.subtract(hvals[:, g:], sorted_rows[:, j0 - 1 : j1 - 1], out=below[:, g:])
-    np.maximum(gap, below, out=gap)
-    with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
-        np.divide(density, hprime, out=weight)
-        gap *= weight
-    where = np.argmax(gap, axis=1)
+        out = _statistic_buffers(rows, points.size)
+    grid, g, j0 = points.grid, points.grid.size, points.jumps.start
     index = np.arange(rows)
-    stats = math.sqrt(n) * gap[index, where]
-    argmax_x = x[index if x.shape[0] > 1 else 0, where]
-    return stats, np.broadcast_to(status, stats.shape), argmax_x
+    best = None
+    bad_law = bad_h = bad_derivative = np.zeros(1, dtype=bool)  # per law after the first tile
+    for start in range(0, points.size, out[0].shape[1]):
+        stop = min(start + out[0].shape[1], points.size)
+        if law_values is None:
+            x, density = quantile_density(dist, points.u(start, stop))
+        else:
+            x, density = law_values[0][:, start:stop], law_values[1][:, start:stop]
+        tile_bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
+        newly_bad, bad_law = tile_bad_law & ~bad_law, bad_law | tile_bad_law
+        if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
+            x = np.where(bad_law[:, None], 0.0, x)
+            density = np.where(bad_law[:, None], 0.0, density)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h or h' is the row's status
+            hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
+            hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
+        tile_bad_h = ~np.all(np.isfinite(hvals), axis=1)
+        tile_bad_derivative = ~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)
+        # a row whose law first fails in this tile is judged, as in one tile, by h at x = 0 alone
+        bad_h = np.where(newly_bad, tile_bad_h, bad_h | tile_bad_h)
+        bad_derivative = np.where(newly_bad, tile_bad_derivative, bad_derivative | tile_bad_derivative)
+
+        # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h); the tile's grid
+        # columns come first, then its jumps i = i0 .. i1 - 1
+        width, k = stop - start, max(0, min(stop, g) - start)
+        gap, below, weight = out[0][:rows, :width], out[1][:rows, :width], out[2][: x.shape[0], :width]
+        i0, i1 = j0 + max(start, g) - g, j0 + max(stop, g) - g
+        grid_values = sorted_rows[:, grid[start : start + k]]
+        np.subtract(grid_values, hvals[:, :k], out=gap[:, :k])
+        np.subtract(sorted_rows[:, i0:i1], hvals[:, k:], out=gap[:, k:])
+        np.subtract(hvals[:, :k], grid_values, out=below[:, :k])
+        np.subtract(hvals[:, k:], sorted_rows[:, i0 - 1 : i1 - 1], out=below[:, k:])
+        np.maximum(gap, below, out=gap)
+        with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
+            np.divide(density, hprime, out=weight)
+            gap *= weight
+        where = np.argmax(gap, axis=1)
+        tile_best, tile_x = gap[index, where], x[index if x.shape[0] > 1 else 0, where]
+        if best is None:
+            best, best_x = tile_best, tile_x
+        else:  # np.argmax keeps the first max, and a NaN beats any number
+            later = (tile_best > best) | (np.isnan(tile_best) & ~np.isnan(best))
+            best, best_x = np.where(later, tile_best, best), np.where(later, tile_x, best_x)
+    status = np.where(bad_law, _BAD_LAW, 0)
+    status[bad_h] = _BAD_H
+    status[bad_derivative] = _BAD_DERIVATIVE
+    return math.sqrt(n) * best, np.broadcast_to(status, best.shape), best_x
+
+
+def _statistic_buffers(rows: int, size: int) -> tuple:
+    """``out`` of ``_statistic_rows`` for blocks of up to ``rows`` rows: tiles of at most _BLOCK_ELEMENTS // rows columns."""
+    return _block_buffers(3, rows, min(size, max(1, _BLOCK_ELEMENTS // rows)))
 
 
 def _block_buffers(count: int, rows: int, size: int) -> tuple:
@@ -316,14 +365,13 @@ def test(
     stat = float(stats[0])
     critical = ks_sup_quantile(1.0 - alpha)
     p_value = ks_sup_tail(stat) if stat > 0.0 else 1.0
-    _, grid, jumps = points
     return TestResult(
         statistic=stat,
         critical=critical,
         p_value=p_value,
         reject=stat > critical,
         trim=trimming_fraction(sample_y.n),
-        eval_points=grid.size + 2 * len(jumps),  # a jump counts both limits
+        eval_points=points.grid.size + 2 * len(points.jumps),  # a jump counts both limits
         method="asymptotic",
         level=1.0 - alpha,
         argmax_x=float(argmax_x[0]),
@@ -383,10 +431,10 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
 
     n = data.n
     points = _evaluation_set(n)
-    size = points[0].size
-    table = gamma_quantile_table(fitted.shape, n, points[0]) if isinstance(fitted, Gamma) else None
+    size = points.size
+    table = gamma_quantile_table(fitted.shape, n, points.u()) if isinstance(fitted, Gamma) else None
     # every block writes its law values and statistic temporaries over the last block's
-    work = _block_buffers(3, _block_rows(size), size)
+    work = _statistic_buffers(_block_rows(size), size)
     law_buffer = None if table is None else _block_buffers(2, _block_rows(size), size)
     exceed = refit_failures = stat_failures = 0
     for reps, draws in replicate_blocks(seed, replications, n, size, partial(fitted.rvs, n)):

@@ -21,10 +21,10 @@ from .errors import ArgumentError, DomainError, check_alpha, check_count, check_
 from .estimator import _interior_grid, estimator_ranks
 from .gof_test import (
     HypothesisFunction,
-    _block_buffers,
     _block_rows,
     _checked_rows,
     _evaluation_set,
+    _statistic_buffers,
     replicate_blocks,
     replication_rng,
 )
@@ -345,9 +345,9 @@ def run_test_table(
     dist = Normal()
     critical = ks_sup_quantile(1.0 - alpha)
     points = _evaluation_set(n)
-    size = points[0].size
-    law_values = quantile_density(dist, points[0])
-    work = _block_buffers(3, _block_rows(size), size)  # every block's statistic temporaries
+    size = points.size
+    law_values = quantile_density(dist, points.u())
+    work = _statistic_buffers(_block_rows(size), size)  # every block's statistic temporaries
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import KnownDistribution
 from .empirical import Sample, _block_quantile_rows, block_quantiles, quantile_rank
-from .errors import ArgumentError, check_alpha, check_count
+from .errors import ArgumentError, DomainError, check_alpha, check_count
 from .estimator import estimator_ranks
 
 __all__ = ["SubsampleResult", "default_block_length", "subsample_distribution", "subsample_ci"]
@@ -67,18 +67,31 @@ def _ghat_and_deviations(sample_y: Sample, dist: KnownDistribution, x: float, b:
 
 
 def _scaled_deviations(ghat_blocks: np.ndarray, ghat, b: int) -> np.ndarray:
-    """sqrt(b)|ghat_b,i - ghat|; ``ghat`` broadcasts against the block estimates."""
-    return math.sqrt(b) * np.abs(ghat_blocks - ghat)
+    """sqrt(b)|ghat_b,i - ghat|, written over ``ghat_blocks``; ``ghat`` broadcasts against the block estimates.
+
+    Deviations that overflow a float raise DomainError.
+    """
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(ghat_blocks, ghat, out=ghat_blocks)
+            np.abs(ghat_blocks, out=ghat_blocks)
+            np.multiply(math.sqrt(b), ghat_blocks, out=ghat_blocks)
+    except FloatingPointError:
+        raise DomainError(
+            f"the scaled block deviations sqrt(b)|ghat_b,i - ghat| (b = {b}) overflow a float: no subsampling interval"
+        ) from None
+    return ghat_blocks
 
 
 def _deviation_quantile(deviations: np.ndarray, alpha: float) -> np.ndarray:
-    """d: the inf-quantile at level 1 - alpha of the deviations along the last axis.
+    """d: the inf-quantile at level 1 - alpha of the deviations along the last axis, partitioned in place.
 
-    ``np.partition`` places the order statistic at ``quantile_rank`` as a full
+    Partitioning places the order statistic at ``quantile_rank`` as a full
     sort would, so d equals ``sample_quantile`` of the deviations bit for bit.
     """
     k = int(quantile_rank(deviations.shape[-1], 1.0 - alpha)) - 1
-    return np.partition(deviations, k, axis=-1)[..., k]
+    deviations.partition(k, axis=-1)
+    return deviations[..., k]
 
 
 def _subsample_half_widths(rows: np.ndarray, ghat: np.ndarray, p: np.ndarray, b: int, alpha: float) -> np.ndarray:

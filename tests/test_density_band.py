@@ -16,7 +16,8 @@ from transferfn import (
     ks_sup_quantile,
 )
 
-from transferfn.density_band import _bandwidth, _kde_rows
+import transferfn.gof_test as gof_module
+from transferfn.density_band import _bandwidth, _kde_rows, _tiles
 
 from oracles import naive_kde
 
@@ -121,9 +122,8 @@ def test_kde_derivative_continuous_at_observations():
         assert abs(slope_right - slope_left) < 1e-3
 
 
-def test_kde_matches_dense_oracle_at_any_offset():
-    # the prefix-sum KDE must stay within 1e-9 of the 1/(n h) flag floor of
-    # the dense sum even where |Y|/h is huge, and be exactly 0 off the data
+def _dense_oracle_cases():
+    """(values, h, ys): samples at offsets where |Y|/h is huge, with queries on, across and past the data."""
     rng = np.random.default_rng(15)
     for offset in (0.0, 1e3, 1e6, 1e9):
         for rule in ("default", 0.01, 1.0):
@@ -132,10 +132,9 @@ def test_kde_matches_dense_oracle_at_any_offset():
                 h = n ** (-1.0 / 6.0) if rule == "default" else rule
                 spread = 10.0 ** rng.uniform(-1.0, 2.0)
                 values = offset + spread * rng.standard_normal(n)
-                s = Sample(values)
                 pick = rng.choice(n, size=min(n, 20), replace=False)
                 edge = math.pi * h
-                lo, hi = s.sorted_values[0], s.sorted_values[-1]
+                lo, hi = values.min(), values.max()
                 ys = np.concatenate(
                     [
                         values[pick],
@@ -145,19 +144,29 @@ def test_kde_matches_dense_oracle_at_any_offset():
                         rng.uniform(lo - edge, hi + edge, size=20),
                     ]
                 )
-                got = kde(s, ys, bandwidth=h)
-                ref = naive_kde(values, h, ys)
-                assert np.max(np.abs(got - ref)) <= 1e-9 / (n * h), (offset, rule, n, spread)
-                empty = np.min(np.abs(ys[:, None] - values[None, :]), axis=1) > edge * (1 + 1e-3)
-                assert np.all(got[empty] == 0.0)
-                assert np.all(got >= 0.0)
+                yield values, h, ys
 
 
-@pytest.mark.floor
-def test_kde_rows_match_one_row_kde_bit_for_bit():
-    # rows of one block differ in offset and scale: a one-cell row, rows of
-    # many cells and rows where |Y|/h is huge; each row's queries include
-    # windows across two cells, empty windows and windows past either end
+def test_kde_matches_dense_oracle_at_any_offset():
+    # the prefix-sum KDE must stay within 1e-9 of the 1/(n h) flag floor of
+    # the dense sum even where |Y|/h is huge, and be exactly 0 off the data
+    for values, h, ys in _dense_oracle_cases():
+        n = values.size
+        got = kde(Sample(values), ys, bandwidth=h)
+        ref = naive_kde(values, h, ys)
+        assert np.max(np.abs(got - ref)) <= 1e-9 / (n * h), (values[0], h, n)
+        empty = np.min(np.abs(ys[:, None] - values[None, :]), axis=1) > math.pi * h * (1 + 1e-3)
+        assert np.all(got[empty] == 0.0)
+        assert np.all(got >= 0.0)
+
+
+def _kde_block():
+    """(block, ys, h): rows of one block that differ in offset and scale, and 80 queries per row.
+
+    One row is a single cell, others have many cells or |Y|/h huge; each
+    row's queries include windows across two cells, empty windows and
+    windows past either end.
+    """
     rng = np.random.default_rng(16)
     n, h = 400, 400 ** (-1.0 / 6.0)
     edge, cell = math.pi * h, 4.0 * math.pi * h
@@ -172,7 +181,13 @@ def test_kde_rows_match_one_row_kde_bit_for_bit():
         picks = rng.choice(row, size=12, replace=False)
         queries.append(np.resize(np.concatenate([cell_starts - 0.5 * edge, cell_starts, ends, picks - edge, picks + edge,
                                                  rng.uniform(row[0] - edge, row[-1] + edge, 12)]), 80))
-    ys = np.stack(queries)
+    return block, np.stack(queries), h
+
+
+@pytest.mark.floor
+def test_kde_rows_match_one_row_kde_bit_for_bit():
+    block, ys, h = _kde_block()
+    n, edge, cell = block.shape[1], math.pi * h, 4.0 * math.pi * h
     got = _kde_rows(block, ys, h)
     straddles = empties = 0
     for r, row in enumerate(block):
@@ -185,6 +200,22 @@ def test_kde_rows_match_one_row_kde_bit_for_bit():
         assert np.all(got[r][hi == lo] == 0.0)
     assert np.unique(np.floor((block[0] - block[0, 0]) / cell)).size == 1  # the one-cell row
     assert straddles > 20 and empties > 20
+
+
+@pytest.mark.floor
+def test_kde_tiles_match_one_tile_bit_for_bit(monkeypatch):
+    # the prefix sums built a tile of at most 64 values at a time, with the
+    # running sums and the open cell's anchor carried across tile ends,
+    # equal the one-tile sums (every case fits one tile) bit for bit
+    cases = [(values[None, :], ys[None, :], h) for values, h, ys in _dense_oracle_cases()]
+    cases.append(_kde_block())
+    whole = [_kde_rows(np.sort(rows, axis=1), ys, h) for rows, ys, h in cases]
+    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+    tiles = 0
+    for (rows, ys, h), one in zip(cases, whole):
+        tiles += len(_tiles(*rows.shape))
+        assert np.array_equal(_kde_rows(np.sort(rows, axis=1), ys, h).view(np.int64), one.view(np.int64)), (rows[0, 0], h)
+    assert tiles > 10 * len(cases)
 
 
 def _squared_sample(n, seed):

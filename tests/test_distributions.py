@@ -302,7 +302,7 @@ _TABLE_DENSITY_REL = 10 * TABLE_REL_ERROR
 def test_gamma_quantile_table_meets_its_bound(n, shape):
     # the bootstrap's table: the evaluation set of an n-point statistic, a
     # shape band for refits of n points around the fitted shape
-    p = _evaluation_set(n)[0]
+    p = _evaluation_set(n).u()
     table = gamma_quantile_table(shape, n, p)
     assert table is not None
     if (n, shape) == (50, 0.3):
@@ -337,7 +337,7 @@ def test_gamma_quantile_table_keeps_its_log_a_nodes(n, shape, log_a_nodes):
     # tabulating along logit u too leaves the log-a grid as it was with
     # gammaincinv at every point of p: more nodes would make every refit
     # row's interpolation dearer
-    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]).log_q.shape[0] == log_a_nodes
+    assert gamma_quantile_table(shape, n, _evaluation_set(n).u()).log_q.shape[0] == log_a_nodes
 
 
 @pytest.mark.floor
@@ -347,7 +347,7 @@ def test_gamma_quantile_table_evaluations(monkeypatch, n, shape, most):
     # every point of p: ~1,100 inverse-gamma evaluations at n = 518 against
     # 15,963 with gammaincinv at all 939 points for each of 17 shapes
     evaluations = _counted_evaluations(monkeypatch)
-    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]) is not None
+    assert gamma_quantile_table(shape, n, _evaluation_set(n).u()) is not None
     assert 0 < sum(evaluations) <= most
 
 
@@ -374,7 +374,7 @@ def test_gamma_quantile_table_declines_quantiles_that_underflow(monkeypatch, n, 
     # so the first grid, 3 log-a nodes by 3 logit-u nodes, already holds
     # log q = -inf: no table, and no refinement of a grid that cannot pass
     evaluations = _counted_evaluations(monkeypatch)
-    assert gamma_quantile_table(shape, n, _evaluation_set(n)[0]) is None
+    assert gamma_quantile_table(shape, n, _evaluation_set(n).u()) is None
     assert sum(evaluations) == 9
 
 
@@ -405,7 +405,7 @@ def test_gamma_quantile_table_keeps_a_passing_piece():
 
 
 def _check_table_on_a_subsample(n, shape, count):
-    p = _evaluation_set(n)[0]
+    p = _evaluation_set(n).u()
     table = gamma_quantile_table(shape, n, p)
     assert table is not None
     pick = np.unique(np.concatenate([np.linspace(0, p.size - 1, count).astype(int), [np.argmin(p), np.argmax(p)]]))

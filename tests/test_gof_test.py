@@ -291,6 +291,90 @@ def test_statistic_rows_report_an_undefined_h_without_warning():
         gof_statistic(Sample(rows[1]), Normal(3.0, 1.0), steep)
 
 
+@pytest.mark.floor
+def test_evaluation_set_makes_each_columns_u_as_the_whole_set_does():
+    # a tile's u is the slice of the grid followed by every level i/n of
+    # np.arange(1, n) / n inside the trimmed region, bit for bit
+    for n in (16, 17, 100, 1000, 12_345):
+        delta = trimming_fraction(n)
+        levels = np.arange(1, n) / n
+        inside = (levels >= delta) & (levels <= 1.0 - delta)
+        whole = np.concatenate([np.linspace(delta, 1.0 - delta, 512), levels[inside]])
+        points = _evaluation_set(n)
+        assert points.size == whole.size and list(points.jumps) == list(np.flatnonzero(inside) + 1), n
+        assert _same_bits(points.u(), whole)
+        for start, stop in ((0, 7), (500, 519), (511, 513), (512, points.size), (points.size - 3, points.size)):
+            assert _same_bits(points.u(start, stop), whole[start:stop]), (n, start, stop)
+
+
+def _whole_and_tiled(monkeypatch, *args):
+    """``_statistic_rows(*args)`` in one tile (the points fit in one at these n), checked against tiles of at most 64 values.
+
+    The statuses agree, and so do the statistic and its x on every row with status 0 (elsewhere they are meaningless).
+    """
+    whole = gof_module._statistic_rows(*args)
+    assert args[3].size <= gof_module._BLOCK_ELEMENTS // args[0].shape[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+        tiled = gof_module._statistic_rows(*args)
+    ok = whole[1] == 0
+    assert np.array_equal(whole[1], tiled[1])
+    assert _same_bits(whole[0][ok], tiled[0][ok]) and _same_bits(whole[2][ok], tiled[2][ok])
+    return whole
+
+
+@pytest.mark.floor
+def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
+    # the statistic, where it is attained and the status, whether the walk
+    # covers the points in one tile or in many
+    rng = np.random.default_rng(29)
+    laws = [Normal(0.4, 1.3), Gamma(10.97, 0.027), Uniform(0.1, 1.0)]
+    for law, h_name in zip(laws, ("(x+4)^2", "identity", "x^3")):
+        h = get_transfer(h_name)
+        for n in (300, 1001):
+            sample = Sample(np.asarray(h.fn(law.rvs(n, rng))) + rng.normal(0.0, 0.01, n))
+            whole = gof(sample, law, h, 0.15)
+            with monkeypatch.context() as patch:
+                patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+                tiled = gof(sample, law, h, 0.15)
+            assert _same_bits(whole.statistic, tiled.statistic) and _same_bits(whole.argmax_x, tiled.argmax_x), (law, n)
+    n = 200
+    points = _evaluation_set(n)
+    rows = np.sort(rng.normal(size=(3, n)), axis=1)
+    columns = Normal(np.array([[0.0], [0.5], [-0.3]]), np.array([[1.0], [2.0], [0.7]]))
+    _whole_and_tiled(monkeypatch, rows, columns, get_transfer("(x+4)^2"), points)
+    u = points.u()
+    x, density = np.repeat(Normal().quantile(u)[None, :], 2, axis=0), np.repeat(Normal().pdf(Normal().quantile(u))[None, :], 2, axis=0)
+    assert x[0, 10] < -0.8 < x[0, 11] and x[0, 500] < 0.8 < x[0, 501]  # grid columns; the trimmed region is |x| <= 0.842
+
+    # h is infinite in the first tile of 64 columns and h' negative in the eighth: the derivative's status wins
+    bent = HypothesisFunction(
+        fn=lambda x: np.where(np.asarray(x) < -0.8, np.inf, x), deriv=lambda x: np.where(np.asarray(x) > 0.8, -1.0, 1.0)
+    )
+    _, status, _ = _whole_and_tiled(monkeypatch, rows[:1], Normal(), bent, points)
+    assert status.tolist() == [gof_module._BAD_DERIVATIVE]
+    # a row whose law fails in the last tile is judged by h at x = 0, whatever h did in the first
+    steep = HypothesisFunction(fn=lambda x: np.where(np.asarray(x) < -0.8, np.inf, x), deriv=lambda x: np.ones_like(x))
+    failing = density.copy()
+    failing[1, -5] = np.nan
+    _, status, _ = _whole_and_tiled(monkeypatch, rows[:2], Normal(), steep, points, (x, failing))
+    assert status.tolist() == [gof_module._BAD_H, gof_module._BAD_LAW]
+
+    # gaps tied at columns 70 and 330, in the second tile and the sixth: the first is the max
+    flat = HypothesisFunction(fn=lambda x: 0.0 * np.asarray(x), deriv=lambda x: np.ones_like(x))
+    tied = np.full((1, points.size), 0.5)
+    tied[0, [70, 330]] = 1.0
+    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.ones((1, n)), Normal(), flat, points, (x[:1], tied))
+    assert stats[0] == math.sqrt(n) and argmax_x[0] == x[0, 70] and status[0] == 0
+    # inf * 0 is a NaN gap at columns 200 and 400: np.argmax picks the first, and so do the tiles
+    low = HypothesisFunction(fn=lambda x: np.full_like(x, -1e308), deriv=lambda x: np.ones_like(x))
+    holes = np.ones((1, points.size))
+    holes[0, [200, 400]] = 0.0
+    with np.errstate(over="ignore"):
+        stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.full((1, n), 1e308), Normal(), low, points, (x[:1], holes))
+    assert np.isnan(stats[0]) and argmax_x[0] == x[0, 200] and status[0] == 0
+
+
 def _reference_bootstrap(data, fitter, hyp, replications, seed):
     """The parametric bootstrap one replicate at a time: (observed, replicate statistics, failures)."""
     fitted = fitter(data.values)
@@ -335,7 +419,7 @@ def test_shape_table_block_with_rows_outside_the_band_matches_exact():
     # within _TABLE_STAT_REL of the exact one, and bit for bit outside
     n = 50
     points = gof_module._evaluation_set(n)
-    table = gamma_quantile_table(2.0, n, points[0])
+    table = gamma_quantile_table(2.0, n, points.u())
     t = np.array([-1.5, -1.0, -0.7, -0.2, 0.0, 0.4, 0.9, 1.0, 1.2, 3.0])
     rng = np.random.default_rng(31)
     shape = np.exp(table.center + table.half_width * t)
@@ -360,8 +444,8 @@ def test_no_shape_table_above_the_shape_cap():
     n = 16
     points = gof_module._evaluation_set(n)
     for shape in (np.nextafter(cap, math.inf), 1e3, 1e8):
-        assert gamma_quantile_table(shape, n, points[0]) is None
-    table = gamma_quantile_table(cap, n, points[0])
+        assert gamma_quantile_table(shape, n, points.u()) is None
+    table = gamma_quantile_table(cap, n, points.u())
     rng = np.random.default_rng(17)
     t = np.concatenate([np.linspace(-1.0, 0.999, 21), rng.uniform(0.8, 0.999, 300)])
     shape = np.exp(table.center + table.half_width * t)
@@ -426,14 +510,14 @@ def _check_against_reference(monkeypatch, data, family, fitter, replications, se
 def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
     rng = np.random.default_rng(89)
     data = Sample(rng.gamma(3.0, 2.0, size=300))
-    width = gof_module._evaluation_set(300)[0].size  # the bootstrap's block width at n = 300
+    width = gof_module._evaluation_set(300).size  # the bootstrap's block width at n = 300
     assert 99 % (gof_module._BLOCK_ELEMENTS // width) != 0  # the last block is partial
     for seed in (0, 5, 17):
         with monkeypatch.context() as patch:
             exceed, failures = _check_against_reference(patch, data, "gamma", fit_gamma_mle, 99, seed)
         assert failures == 0
         assert 0 < exceed < 99  # neither extreme, so a miscounted replicate shows
-    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    monkeypatch.setattr(gof_module, "_block_rows", lambda width: 1)  # one replicate per block
     assert {len(reps) for reps, _ in gof_module.replicate_blocks(3, 101, 1, width, _random_row)} == {1}
     _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 101, 3)
 
@@ -456,7 +540,7 @@ def test_monte_carlo_without_a_shape_table_is_exact(monkeypatch):
     # check here, and every statistic is the one-replicate one bit for bit
     data = Sample(np.random.default_rng(89).gamma(3.0, 2.0, size=300))
     monkeypatch.setattr(distributions_module, "_TABLE_MAX_INTERVALS", 8)
-    u = gof_module._evaluation_set(300)[0]
+    u = gof_module._evaluation_set(300).u()
     assert gamma_quantile_table(fit_gamma_mle(data.values).shape, 300, u) is None
     exceed, failures = _check_against_reference(monkeypatch, data, "gamma", fit_gamma_mle, 99, 5)
     assert failures == 0
@@ -469,7 +553,7 @@ def test_monte_carlo_without_a_shape_table_near_shape_0_02(monkeypatch):
     # the table's check, at n = 16 and 300: every refit is scored exactly
     for n in (16, 300):
         data = Sample(np.random.default_rng(60).gamma(0.02, 1.5, size=n))
-        assert gamma_quantile_table(fit_gamma_mle(data.values).shape, n, gof_module._evaluation_set(n)[0]) is None
+        assert gamma_quantile_table(fit_gamma_mle(data.values).shape, n, gof_module._evaluation_set(n).u()) is None
         with monkeypatch.context() as patch:
             exceed, failures = _check_against_reference(patch, data, "gamma", fit_gamma_mle, 99, 1)
         assert failures == 0 and 0 < exceed < 99, n
@@ -524,12 +608,13 @@ def test_monte_carlo_drops_and_counts_failed_refits(monkeypatch):
     assert failures == 3
     exceed = int(np.count_nonzero(stats >= observed))
     # one replicate per block too, so that a block with no fitted row runs
-    for block_elements in (gof_module._BLOCK_ELEMENTS, 1):
+    for one_per_block in (False, True):
         with monkeypatch.context() as patch:
-            patch.setattr(gof_module, "_BLOCK_ELEMENTS", block_elements)
+            if one_per_block:
+                patch.setattr(gof_module, "_block_rows", lambda width: 1)
             _refits_failing_on(patch, dropped)
             p = monte_carlo_p_value(data, "gamma", idn, replications=99, seed=4)
-        assert p == (1 + exceed) / (96 + 1), block_elements
+        assert p == (1 + exceed) / (96 + 1), one_per_block
     _refits_failing_on(monkeypatch, {0, 1, 44, 45, 46, 98})
     message = "^6/99 bootstrap replicates failed: 6 refits of the gamma family and 0 statistics$"
     with pytest.raises(ConvergenceError, match=message):
@@ -628,8 +713,8 @@ def test_row_kernels_into_reused_buffers_match_allocating_calls():
     # shape table's band and a row whose law fails
     n = 50
     points = gof_module._evaluation_set(n)
-    size = points[0].size
-    table = gamma_quantile_table(2.0, n, points[0])
+    size = points.size
+    table = gamma_quantile_table(2.0, n, points.u())
     t = np.array([-1.5, -0.7, 0.0, 0.9, 1.2])
     rng = np.random.default_rng(32)
     law = Gamma(shape=np.exp(table.center + table.half_width * t)[:, None], rate=rng.uniform(0.1, 5.0, t.size)[:, None])

@@ -260,7 +260,7 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     ma_cfg = DGPConfig(transfer="(x+4)^2", n=3000, seed=23, ma_order=10, ma_decay=0.9)
     _check_study(ma_cfg, [-0.5, 0.0, 1.0], 0.05, 13, "subsample", block=55)  # blocks of 10 and 3
 
-    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    monkeypatch.setattr(gof_module, "_block_rows", lambda width: 1)  # one replicate per block
     _check_study(ci_cfg, ci_xs, 0.01, 57, "ci")
     _check_study(band_cfg, band_xs, 0.01, 5, "band")
     _check_study(ma_cfg, [0.0], 0.05, 3, "subsample", block=55)
@@ -300,7 +300,7 @@ def test_test_table_matches_per_replicate_loop(monkeypatch):
     expected = _reference_table(h_names, 200, 0.15, 60, 31)
     assert any(0.0 < c < 1.0 for c in expected.values())  # a misread repetition shows
     assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected  # blocks of 51 and 9
-    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one repetition per block
+    monkeypatch.setattr(gof_module, "_block_rows", lambda width: 1)  # one repetition per block
     assert run_test_table(h_names, n=200, repetitions=60, seed=31).cells == expected
 
 
@@ -347,7 +347,7 @@ def test_studies_redraw_domain_escapes_from_the_replicate_stream(monkeypatch):
         for r in range(80)
     ]
     assert np.array_equal(np.concatenate(recorded).view(np.int64), np.array(stats).view(np.int64))
-    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 1)  # one replicate per block
+    monkeypatch.setattr(gof_module, "_block_rows", lambda width: 1)  # one replicate per block
     _check_study(cfg, [-4.0, -3.0, -1.0], 0.05, 30, "ci")
     assert run_test_table((shifted.name,), n=30, repetitions=80, seed=43).cells == expected
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from transferfn import (
     subsample_distribution,
 )
 
+import transferfn.gof_test as gof_module
 from oracles import long_run_variance, ma_series
+from transferfn.empirical import block_quantiles
+from transferfn.estimator import estimator_ranks
+from transferfn.subsampling import _subsample_half_widths
 
 
 def test_default_block_length():
@@ -121,3 +126,38 @@ def test_snb_converges_to_normal_limit():
             errs.append(abs(ecdf(law, eta_star) - level))
         med_err[n] = float(np.median(errs))
     assert med_err[4000] <= med_err[500]
+
+
+@pytest.mark.floor
+def test_in_place_deviations_match_the_out_of_place_formula(monkeypatch):
+    # the deviations are built in the rank filter's output and partitioned
+    # in place; d is the inf-quantile of sqrt(b)|ghat_b,i - ghat| bit for
+    # bit, whatever the block bound of the tiled kernels
+    rng = np.random.default_rng(43)
+    d = Normal()
+    for n in (500, 3001):
+        s = Sample(rng.normal(size=n))
+        for b in (2, 55, default_block_length(n)):
+            for x, alpha in ((0.3, 0.01), (-1.2, 0.1)):
+                ranks = estimator_ranks(d, x, n)
+                ghat = s.sorted_values[ranks.ghat[0]]
+                deviations = math.sqrt(b) * np.abs(block_quantiles(s, b, float(ranks.p[0])) - ghat)
+                want = sample_quantile(Sample(deviations), 1.0 - alpha)
+                got = subsample_ci(s, d, x, alpha, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+                    tiled = subsample_ci(s, d, x, alpha, b)
+                assert got.d_quantile == tiled.d_quantile == want and got.ghat == ghat, (n, b, x)
+
+
+def test_overflowing_deviations_are_a_domain_error():
+    # sqrt(2) * 1.5e308 overflows: the one-row and the block kernel name it, without a warning
+    values = np.array([0.0, 0.0, 0.0, 0.0, -1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"sqrt\(b\)\|ghat_b,i - ghat\| \(b = 2\) overflow a float"):
+            subsample_ci(Sample(values), Normal(), 0.0, 0.1, b=2)
+        with pytest.raises(DomainError, match="overflow a float"):
+            _subsample_half_widths(values[None, :], np.zeros((1, 1)), np.array([0.5]), 2, 0.1)
+        # the ROADMAP's -1.27e308: d = sqrt(2) * 1.27e308 is finite
+        assert subsample_ci(Sample([0.0, 0.0, 0.0, 0.0, -1.27e308]), Normal(), 0.0, 0.1, b=2).d_quantile > 1.7e308

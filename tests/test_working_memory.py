@@ -1,0 +1,65 @@
+"""Working memory of the reader and the one-row kernels at n = 2e5.
+
+numpy reports its allocations to tracemalloc, so the traced peak of a call
+is the same on every run.  The sample is built before tracing starts, so a
+peak counts what the call itself holds: the reader's buffers and the
+kernels' temporaries.  A tiled kernel's temporaries are bounded by
+_BLOCK_ELEMENTS values each, whatever n is.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from transferfn import Normal, Sample, confidence_band, default_grid, get_transfer, subsample_ci
+from transferfn import test as gof
+from transferfn.cli import read_column
+from transferfn.gof_test import _BLOCK_ELEMENTS
+
+N = 200_000
+MIB = 1 << 20
+TILE_ARRAY = 8 * _BLOCK_ELEMENTS  # bytes of one float temporary of a tile
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """A (z, y) CSV of N rows with y = (z + 4)^2, as the CLI reads it, and the Sample of its y column."""
+    path = tmp_path_factory.mktemp("working_memory") / "d.csv"
+    z = np.random.default_rng(5).standard_normal(N)
+    y = (z + 4.0) ** 2
+    np.savetxt(path, np.column_stack([z, y]), fmt="%.17g", delimiter=",", header="z,y", comments="")
+    return str(path), Sample(y)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_column_holds_less_than_the_file(data):
+    # the checks read a regular file in chunks and numpy parses it from its path: the file is never held whole
+    path, _ = data
+    assert _traced_peak(lambda: read_column(path, "y")) < os.path.getsize(path)
+
+
+def test_statistic_walks_the_points_in_bounded_tiles(data):
+    _, sample = data
+    assert _traced_peak(lambda: gof(sample, Normal(), get_transfer("(x+4)^2"), 0.15)) < 16 * TILE_ARRAY
+
+
+def test_band_builds_its_prefix_sums_in_bounded_tiles(data):
+    _, sample = data
+    xs = default_grid(Normal(), 201, 0.01, 0.99)
+    assert _traced_peak(lambda: confidence_band(sample, Normal(), xs, 0.01)) < 8 * TILE_ARRAY
+
+
+def test_subsampling_holds_one_array_of_deviations(data):
+    # the rank filter's output becomes the deviations and is partitioned in place
+    _, sample = data
+    assert _traced_peak(lambda: subsample_ci(sample, Normal(), 0.0, 0.01)) < 8 * N + MIB
