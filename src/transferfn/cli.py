@@ -16,7 +16,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import os
 import re
@@ -94,7 +93,11 @@ def _text(data: bytes) -> io.TextIOWrapper:
 
 
 def _read_column_rows(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray:
-    """Row-by-row parse: the reference, and the only path that raises on bad data."""
+    """Row-by-row parse: the reference for every value and error of ``read_column``.
+
+    It parses all that numpy's route declines; only an unquoted header's
+    error is raised before it, by ``_head``.
+    """
     reader = csv.reader(_text(data), delimiter=delimiter)
     # (physical line on which the record ends, record)
     records = [(reader.line_num, row) for row in reader if _is_record(row)]
@@ -129,23 +132,28 @@ def _unchanged(path: str, stat: os.stat_result, size: int) -> bool:
     return (now.st_dev, now.st_ino, now.st_size, now.st_mtime_ns) == (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
 
 
-def _head(lines, selector: str, delimiter: str, path: str):
-    """The text before the body of ``lines``, or None when no line is a record.
+def _head(fh, encoding: str, selector: str, delimiter: str, path: str):
+    """The text before the body of the binary input ``fh``, or None when no line is a record.
 
-    Returns (head, skip, idx, has_header, line): head is the text before the
-    body, skip the number of lines before the first record ``line``, and
-    idx and has_header are ``_locate_column``'s on that record.
+    ``fh`` is decoded from its start as ``open(path, newline="")`` decodes
+    it.  Returns (head, skip, idx, has_header): head is the text before the
+    body, skip the number of lines before the first record, and idx and
+    has_header are ``_locate_column``'s on that record.
     """
-    head = ""
-    for skip, line in enumerate(lines):
-        first_row = next(csv.reader([line], delimiter=delimiter), [])
-        if _is_record(first_row):
-            break
-        head += line
-    else:
-        return None
+    fh.seek(0)
+    lines, head = io.TextIOWrapper(fh, encoding=encoding, newline=""), ""
+    try:
+        for skip, line in enumerate(lines):
+            first_row = next(csv.reader([line], delimiter=delimiter), [])
+            if _is_record(first_row):
+                break
+            head += line
+        else:
+            return None
+    finally:
+        lines.detach()  # fh stays open
     idx, has_header = _locate_column(first_row, selector, path)
-    return head + line if has_header else head, skip, idx, has_header, line
+    return head + line if has_header else head, skip, idx, has_header
 
 
 def _load(source, idx: int, delimiter: str, **kwargs) -> np.ndarray | None:
@@ -159,41 +167,12 @@ def _load(source, idx: int, delimiter: str, **kwargs) -> np.ndarray | None:
     return values
 
 
-def _read_column_fast(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray | None:
-    """numpy's C parser on the records after the header, or None to defer to the row parser.
-
-    It declines whatever the row parser treats specially: a quote anywhere,
-    any '#' after the header (a comment line may follow), a blank body,
-    tokens it cannot parse (missing tokens included), non-finite values and
-    fewer than 2 values.  '"' and '#' are one byte in the ASCII-compatible
-    encodings a locale uses, so ``data`` is searched for them undecoded.
-    """
-    if b'"' in data:
-        return None
-    lines = _text(data)
-    layout = _head(lines, selector, delimiter, path)
-    if layout is None:
-        return None
-    head, _, idx, has_header, line = layout
-    body_start = len(head.encode(lines.encoding))
-    if data.find(b"#", body_start) >= 0 or _NON_BLANK.search(data, body_start) is None:
-        return None
-    return _load(lines if has_header else itertools.chain([line], lines), idx, delimiter)
-
-
-def _read_buffer(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray:
-    """The column of input read whole into ``data``: numpy's C parser, or the row parser where it declines."""
-    data = data.removeprefix(codecs.BOM_UTF8)  # not by decoding as utf-8-sig: the body offset counts the locale's bytes
-    values = _read_column_fast(data, path, selector, delimiter)
-    return _read_column_rows(data, path, selector, delimiter) if values is None else values
-
-
 def _path_encoding(fh, real: str, stat: os.stat_result) -> str | None:
-    """The encoding numpy rereads the file ``fh`` from its path ``real`` with, or None to read ``fh`` whole.
+    """The encoding numpy rereads the file ``fh`` from its path ``real`` with, or None to read ``fh`` into a buffer.
 
     numpy can reread a regular file whose path has no suffix it would
     decompress.  A UTF-8 byte-order mark is dropped by decoding as
-    utf-8-sig, which matches the buffered route only in a UTF-8 locale.
+    utf-8-sig, which matches the buffer's decoding only in a UTF-8 locale.
     """
     if not stat_mode.S_ISREG(stat.st_mode) or real.endswith(_COMPRESSED):
         return None
@@ -205,8 +184,13 @@ def _path_encoding(fh, real: str, stat: os.stat_result) -> str | None:
     return "utf-8-sig" if codecs.lookup(encoding).name == "utf-8" else None
 
 
+def _buffer(data: bytes) -> io.BytesIO:
+    """``data`` as ``_read_input``'s buffer, without its leading UTF-8 byte-order mark."""
+    return io.BytesIO(data.removeprefix(codecs.BOM_UTF8))  # not by decoding as utf-8-sig: the body offset counts the locale's bytes
+
+
 def _chunks(fh):
-    """(chunk, count): the file ``fh`` from its start, read _CHUNK bytes at a time into one buffer, valid up to count."""
+    """(chunk, count): the input ``fh`` from its start, read _CHUNK bytes at a time into one buffer, valid up to count."""
     fh.seek(0)
     chunk = bytearray(_CHUNK)
     while count := fh.readinto(chunk):
@@ -214,9 +198,12 @@ def _chunks(fh):
 
 
 def _checked_size(fh, body_start: int) -> int | None:
-    """The size of the file ``fh`` if its bytes pass ``_read_column_fast``'s checks, else None.
+    """The size of the input ``fh`` if numpy's parser may read it, else None.
 
-    No quote anywhere, no '#' at or after ``body_start`` and a non-blank byte there.
+    It declines what the row parser treats specially: a quote anywhere, a
+    '#' at or after ``body_start`` (a comment line may follow the header)
+    and a blank body.  '"' and '#' are one byte in the ASCII-compatible
+    encodings a locale uses, so the bytes are searched undecoded.
     """
     size, body = 0, False
     for chunk, count in _chunks(fh):
@@ -228,43 +215,40 @@ def _checked_size(fh, body_start: int) -> int | None:
     return size if body else None
 
 
-def _read_column_path(
-    fh, real: str, encoding: str, path: str, selector: str, delimiter: str, stat: os.stat_result
-) -> np.ndarray:
-    """The column of a regular file, parsed by numpy from its path ``real`` when the file is clean.
+def _read_input(fh, path: str, selector: str, delimiter: str, file=None) -> np.ndarray:
+    """The column of the binary input ``fh``: numpy's C parser when its bytes pass the checks, else the row parser.
 
-    numpy reads a path in chunks but a stream line by line.  The checks of
-    ``_read_column_fast`` read the file in chunks, so it is never held
-    whole; a file they or numpy decline is read whole by the row parser.  A
-    file that changed between the checks and numpy's parse is read whole
-    into one buffer, as a pipe is, so the values always come from one read.
+    ``file`` is (real, stat, encoding) when ``fh`` is a regular file numpy
+    rereads from its path ``real``, guarded by ``_unchanged``; a file that
+    changes meanwhile is read again, whole into a buffer, so the values
+    always come from one read.  Otherwise ``fh`` is a ``_buffer``, which
+    numpy parses from a handle past the same ``skip`` lines.
     """
-    lines = io.TextIOWrapper(fh, encoding=encoding, newline="")
+    real, stat, encoding = file or (None, None, _text(b"").encoding)
     try:
-        layout = _head(lines, selector, delimiter, path)
-    except DataError:  # as in _read_column_fast, a quote anywhere leaves the header to the row parser
+        layout = _head(fh, encoding, selector, delimiter, path)
+    except DataError:  # a quote anywhere leaves the header to the row parser
         if not any(chunk.find(b'"', 0, count) >= 0 for chunk, count in _chunks(fh)):
             raise
         layout = None
-    finally:
-        lines.detach()
     if layout is not None:
-        head, skip, idx, has_header, _ = layout
+        head, skip, idx, has_header = layout
         size = _checked_size(fh, len(head.encode(encoding)))  # utf-8-sig counts the byte-order mark
-        if size is not None:
-            values = None
-            if _unchanged(real, stat, size):
-                with contextlib.suppress(OSError):
-                    values = _load(real, idx, delimiter, skiprows=skip + has_header, encoding=encoding)
-            if not _unchanged(real, stat, size):  # numpy may have read other bytes than the checks saw
-                return _read_buffer(_reread(fh), path, selector, delimiter)
-            if values is not None:
-                return values
-    return _read_column_rows(_reread(fh).removeprefix(codecs.BOM_UTF8), path, selector, delimiter)
+        values = None
+        if size is not None and (not real or _unchanged(real, stat, size)):
+            with contextlib.suppress(OSError):
+                source = real or _text(fh.getvalue())  # a buffer's bytes, not copied
+                values = _load(source, idx, delimiter, skiprows=skip + has_header, encoding=encoding)
+        if size is not None and real and not _unchanged(real, stat, size):  # numpy may have read other bytes than the checks saw
+            return _read_input(_buffer(_reread(fh)), path, selector, delimiter)
+        if values is not None:
+            return values
+    data = _reread(fh)  # a buffer has dropped its one byte-order mark already
+    return _read_column_rows(data.removeprefix(codecs.BOM_UTF8) if real else data, path, selector, delimiter)
 
 
 def _reread(fh) -> bytes:
-    """All of the file ``fh``, read again from its start."""
+    """All of the input ``fh``, read again from its start."""
     fh.seek(0)
     return fh.read()
 
@@ -274,12 +258,14 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
 
     ``selector`` is a 0-based index or a header name.  Rows whose selected
     field is a missing token ('?', empty, NA, nan) are dropped; any other
-    non-numeric field is a data error.  Clean input goes through numpy's C
-    parser, and anything it declines is parsed row by row, with identical
-    values and errors either way.  A regular file is checked in chunks and
-    parsed by numpy from its path; a pipe is read once, into one buffer.  A
-    leading UTF-8 byte-order mark is dropped.  Input that cannot be read or
-    decoded in the locale's encoding is a data error too.
+    non-numeric field is a data error.  The input is opened once and takes
+    one checked route (``_read_input``): clean input goes through numpy's C
+    parser and the rest is parsed row by row, with identical values and
+    errors either way.  numpy parses a regular file from its path; a pipe,
+    a file with a compressed suffix and, outside a UTF-8 locale, a file
+    with a byte-order mark are read once into a buffer.  A leading UTF-8
+    byte-order mark is dropped.  Input that cannot be read or decoded in
+    the locale's encoding is a data error too.
     """
     try:
         with open(path, "rb") as fh:
@@ -287,8 +273,8 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
             real = os.path.realpath(path)  # the file itself: no '..' past a symlink, and nothing numpy takes for a URL
             encoding = _path_encoding(fh, real, stat)
             if encoding is None:
-                return _read_buffer(fh.read(), path, selector, delimiter)
-            return _read_column_path(fh, real, encoding, path, selector, delimiter, stat)
+                return _read_input(_buffer(fh.read()), path, selector, delimiter)
+            return _read_input(fh, path, selector, delimiter, (real, stat, encoding))
     except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

@@ -98,14 +98,16 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     global anchor loses the phase to rounding as |Y|/h grows).  A window of
     width 2 pi h overlaps at most two consecutive cells of its row.
 
-    The block is walked in tiles of at most _BLOCK_ELEMENTS values
+    The block is walked once, in tiles of at most _BLOCK_ELEMENTS values
     (``_tiles``), so no temporary grows with n.  A cell's key floor((Y -
-    Y_0)/(4 pi h)) never decreases along a row, so a first pass counts, per
-    window, where its cells start; the second builds the prefix sums tile by
-    tile, the running sum added to each tile's first term as a sequential
-    cumsum adds it, and keeps them only at the window ends.  The cell open at
-    a tile's end carries its anchor into the next tile.  Every row equals the
-    one-row result, and every tiling the one-tile result, bit for bit.
+    Y_0)/(4 pi h)) never decreases along a row, so each tile's keys add to
+    the counts, per window, of where its cells start.  The same tile's
+    prefix sums are built with the running sum added to its first term, as
+    a sequential cumsum adds it, and kept only at the window ends: ``split``
+    is read at its count so far, and its last read lands in the tile where
+    the count stops.  The cell open at a tile's end carries its anchor into
+    the next tile.  Every row equals the one-row result, and every tiling
+    the one-tile result, bit for bit.
     """
     rows, n = sorted_rows.shape
     scale = 4.0 * math.pi * h
@@ -122,23 +124,16 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     first = np.zeros(y_rows.shape, dtype=np.intp)  # where the first value's cell starts
     split = np.zeros(y_rows.shape, dtype=np.intp)  # where the cell after it starts (n past the last)
     last = np.zeros(y_rows.shape, dtype=np.intp)  # where the last value's cell starts
-    tiles = _tiles(rows, n)
-    for start, stop in tiles:
-        keys = _cell_keys(sorted_rows, start, stop, scale)
+    ends = (lo, split, hi)  # where the prefix sums are read: the sum at p is over the first p terms
+    sums = [[np.zeros(y_rows.shape) for _ in ends] for _ in (np.cos, np.sin)]
+    running = np.zeros((2, rows))  # the cos and sin sums before the tile
+    for start, stop in _tiles(rows, n):
+        tile = sorted_rows[:, start:stop]
+        keys = np.floor((tile - sorted_rows[:, :1]) / scale)
         for r in range(rows):
             first[r] += np.searchsorted(keys[r], first_key[r], side="left")
             split[r] += np.searchsorted(keys[r], first_key[r], side="right")
             last[r] += np.searchsorted(keys[r], last_key[r], side="left")
-    del first_key, last_key
-    np.minimum(hi, split, out=split)
-
-    ends = (lo, split, hi)  # where the prefix sums are read: the sum at p is over the first p terms
-    sums = [[np.zeros(y_rows.shape) for _ in ends] for _ in (np.cos, np.sin)]
-    running = np.zeros((2, rows))  # the cos and sin sums before the tile
-    for start, stop in tiles:
-        if len(tiles) > 1:  # one tile keeps its keys from the first pass
-            keys = _cell_keys(sorted_rows, start, stop, scale)
-        tile = sorted_rows[:, start:stop]
         opens = np.empty(keys.shape, dtype=bool)
         np.not_equal(keys[:, 1:], keys[:, :-1], out=opens[:, 1:])
         opens[:, 0] = True  # each row's cells are numbered from its first column, in flat order
@@ -166,6 +161,8 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
                 np.clip(column, 0, stop - start, out=column)
                 np.copyto(out, np.take_along_axis(prefix, column, axis=1), where=inside)
         del theta, prefix
+    for _, at_split, at_hi in sums:  # a window that ends in its first value's cell: the cell's part ends at hi
+        np.copyto(at_split, at_hi, where=split > hi)
 
     total = (hi - lo).astype(float)
     filled = hi > lo
@@ -184,11 +181,6 @@ def _tiles(rows: int, n: int) -> list:
     """(start, stop) column ranges of a (rows, n) block, each at most _BLOCK_ELEMENTS values (and one column) wide."""
     width = max(1, gof_test._BLOCK_ELEMENTS // rows)
     return [(start, min(start + width, n)) for start in range(0, n, width)]
-
-
-def _cell_keys(sorted_rows: np.ndarray, start: int, stop: int, scale: float) -> np.ndarray:
-    """floor((Y - Y_0) / scale) of columns start .. stop - 1 of every row, Y_0 being the row's first value."""
-    return np.floor((sorted_rows[:, start:stop] - sorted_rows[:, :1]) / scale)
 
 
 def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: float | None = None):

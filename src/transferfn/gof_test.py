@@ -273,19 +273,15 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
             x, density = quantile_density(dist, points.u(start, stop))
         else:
             x, density = law_values[0][:, start:stop], law_values[1][:, start:stop]
-        tile_bad_law = ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
-        newly_bad, bad_law = tile_bad_law & ~bad_law, bad_law | tile_bad_law
+        bad_law = bad_law | ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
         if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
             x = np.where(bad_law[:, None], 0.0, x)
             density = np.where(bad_law[:, None], 0.0, density)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h or h' is the row's status
             hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
             hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
-        tile_bad_h = ~np.all(np.isfinite(hvals), axis=1)
-        tile_bad_derivative = ~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)
-        # a row whose law first fails in this tile is judged, as in one tile, by h at x = 0 alone
-        bad_h = np.where(newly_bad, tile_bad_h, bad_h | tile_bad_h)
-        bad_derivative = np.where(newly_bad, tile_bad_derivative, bad_derivative | tile_bad_derivative)
+        bad_h = bad_h | ~np.all(np.isfinite(hvals), axis=1)
+        bad_derivative = bad_derivative | ~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)
 
         # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h); the tile's grid
         # columns come first, then its jumps i = i0 .. i1 - 1
@@ -308,9 +304,8 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
         else:  # np.argmax keeps the first max, and a NaN beats any number
             later = (tile_best > best) | (np.isnan(tile_best) & ~np.isnan(best))
             best, best_x = np.where(later, tile_best, best), np.where(later, tile_x, best_x)
-    status = np.where(bad_law, _BAD_LAW, 0)
-    status[bad_h] = _BAD_H
-    status[bad_derivative] = _BAD_DERIVATIVE
+    # a failed law is the reason, whatever h did at the x = 0 its row is scored at; then h', then h
+    status = np.select([bad_law, bad_derivative, bad_h], [_BAD_LAW, _BAD_DERIVATIVE, _BAD_H], 0)
     return math.sqrt(n) * best, np.broadcast_to(status, best.shape), best_x
 
 

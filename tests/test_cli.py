@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
-from transferfn.cli import _read_column_fast, _read_column_rows
+from transferfn.cli import _buffer, _read_column_rows, _read_input
 from transferfn import (
     DGPConfig,
     Gamma,
@@ -110,8 +110,8 @@ def test_read_column_missing_policy(tmp_path):
 def _ingestion_corpus():
     """(name, text, selectors, fast): small files covering every row-parser rule.
 
-    ``fast`` marks clean files that numpy's parser must accept itself rather
-    than defer to the row parser.
+    ``fast`` marks clean files that numpy's parser must read with the row
+    parser refused.
     """
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal(40) * 10.0 ** rng.uniform(-5, 5, 40), rng.gamma(2.0, 3.0, 40)
@@ -161,32 +161,51 @@ def _ingestion_corpus():
     ]
 
 
-def _outcome(reader, path, selector, delimiter):
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)  # as read_column hands it to its parsers
+def _outcome(read, *args):
+    """The values ``read(*args)`` returns, or the message of the DataError it raises."""
     try:
-        return reader(data, path, selector, delimiter)
+        return read(*args)
     except DataError as exc:
         return str(exc)
 
 
-def test_read_column_fast_path_matches_row_parser(tmp_path):
+def _reference(path, selector, delimiter):
+    """The row parser's outcome on the file ``path``, its byte-order mark dropped as read_column drops it."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    return _outcome(_read_column_rows, data, str(path), selector, delimiter)
+
+
+def _sources(path, selector, delimiter):
+    """read_column's outcome on the file ``path`` from its path and from the buffer a pipe is read into."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {
+        "path": _outcome(read_column, str(path), selector, delimiter),
+        "buffer": _outcome(_read_input, _buffer(data), str(path), selector, delimiter),
+    }
+
+
+def _same_outcome(got, ref) -> bool:
+    """Whether ``got`` is the message ``ref`` is, or holds the very bits of ``ref``'s values."""
+    if isinstance(ref, str):
+        return got == ref
+    return isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.floor
+def test_read_column_fast_path_matches_row_parser(tmp_path, monkeypatch):
     for k, (name, text, selectors, fast) in enumerate(_ingestion_corpus()):
         path = tmp_path / f"case{k}.csv"
         path.write_bytes(text.encode())
         delimiter = "\t" if "tab" in name else ","
         for selector in selectors:
-            ref = _outcome(_read_column_rows, str(path), selector, delimiter)
-            try:
-                got = read_column(str(path), selector, delimiter)
-            except DataError as exc:
-                got = str(exc)
-            if isinstance(ref, str):
-                assert isinstance(got, str) and got == ref, (name, selector)
-            else:
-                assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64)), (name, selector)
-            if fast:
-                assert _outcome(_read_column_fast, str(path), selector, delimiter) is not None, (name, selector)
+            ref = _reference(path, selector, delimiter)
+            with monkeypatch.context() as patch:
+                if fast:
+                    patch.setattr("transferfn.cli._read_column_rows", _refuse_row_parser)
+                for source, got in _sources(path, selector, delimiter).items():
+                    assert _same_outcome(got, ref), (name, selector, source)
 
 
 @st.composite
@@ -212,27 +231,24 @@ def _delimited_files(draw):
     return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode(), delimiter
 
 
+@pytest.mark.floor
 @settings(
     max_examples=300, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_delimited_files(), st.sampled_from(["y", "z", "0", "1", "-1"]))
 def test_read_column_matches_the_row_parser_on_generated_files(tmp_path, file, selector):
-    # LF, CRLF and CR ends, a BOM, top comments, blank and whitespace-only rows, quotes,
-    # '#', tabs and missing tokens: every file reads as the row parser reads it, bit for bit
+    # LF, CRLF and CR ends, a BOM, top comments, blank and whitespace-only rows, quotes, '#', tabs
+    # and missing tokens: every file reads as the row parser reads it, bit for bit, from its path
+    # and from a pipe's buffer
     data, delimiter = file
     path = tmp_path / "generated.csv"
     path.write_bytes(data)
-    ref = _outcome(_read_column_rows, str(path), selector, delimiter)
-    try:
-        got = read_column(str(path), selector, delimiter)
-    except DataError as exc:
-        got = str(exc)
-    if isinstance(ref, str):
-        assert got == ref
-    else:
-        assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.int64), ref.view(np.int64))
+    ref = _reference(path, selector, delimiter)
+    for source, got in _sources(path, selector, delimiter).items():
+        assert _same_outcome(got, ref), source
 
 
+@pytest.mark.floor
 def test_read_column_gives_numpy_a_regular_files_path(tmp_path, monkeypatch):
     # numpy's C reader pulls a path in chunks but a stream line by line
     seen = []
@@ -292,9 +308,10 @@ def test_read_column_reads_fields_of_any_length(tmp_path):
         path = tmp_path / f"long{k}.csv"
         path.write_text(text)
         assert read_column(str(path), "y").tolist() == [1.0, 2.0, 3.0]
-        assert _outcome(_read_column_rows, str(path), "y", ",").tolist() == [1.0, 2.0, 3.0]
+        assert _reference(path, "y", ",").tolist() == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.floor
 def test_read_column_drops_a_byte_order_mark(tmp_path, monkeypatch):
     # a UTF-8 byte-order mark is neither part of the first value nor of the
     # header: the file reads as it does without one, on either parser
@@ -321,19 +338,28 @@ def _refuse_row_parser(*args):
     raise AssertionError("row parser used")
 
 
-def test_read_column_fast_path_body_starts_after_the_header(tmp_path):
-    # a '#' before the body (comment lines, the header) leaves the fast path open
+def _refuse_numpy(*args, **kwargs):
+    raise AssertionError("numpy's parser used")
+
+
+@pytest.mark.floor
+def test_read_column_fast_path_body_starts_after_the_header(tmp_path, monkeypatch):
+    # a '#' before the body (comment lines, the header) leaves numpy's parser open
     path = tmp_path / "hash_header.csv"
     path.write_bytes(b"# note #1\nid#,y\n1,2\n3,4\n")
-    assert _outcome(_read_column_fast, str(path), "y", ",").tolist() == [2.0, 4.0]
+    with monkeypatch.context() as patch:
+        patch.setattr("transferfn.cli._read_column_rows", _refuse_row_parser)
+        assert [got.tolist() for got in _sources(path, "y", ",").values()] == [[2.0, 4.0]] * 2
     # a header with no body is declined before numpy sees it, without a warning
     path = tmp_path / "header_only.csv"
     path.write_bytes(b"y,z\n \n")
+    monkeypatch.setattr(np, "loadtxt", _refuse_numpy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _outcome(_read_column_fast, str(path), "y", ",") is None
+        assert list(_sources(path, "y", ",").values()) == [_reference(path, "y", ",")] * 2
 
 
+@pytest.mark.floor
 def test_read_column_errors_name_the_physical_line(tmp_path):
     cases = [
         ("y\n# c\n\n1\nxyz\n", 5),
@@ -362,6 +388,7 @@ def test_negative_column_selector(tmp_path, capsys):
     assert "out of range" in err and "Traceback" not in err
 
 
+@pytest.mark.floor
 def test_read_column_from_pipe(tmp_path):
     # a pipe is read like a file: a clean one goes through numpy's parser, bit for bit
     text = "z,y\n" + "".join(f"{v:.17g},{np.sqrt(v):.17g}\n" for v in np.linspace(0.1, 9.9, 50))

@@ -148,6 +148,9 @@ def test_statistic_domain_errors():
     # the rejected row's weight density/h' is never formed, so it cannot overflow and warn first
     with pytest.raises(DomainError, match="density is not finite"):
         gof_statistic(Sample(rng.gamma(0.5, 1e-308, size=100)), Gamma(0.5, 1e308), get_transfer("log(x+5)"))
+    # the law is the reason even for an h whose derivative vanishes at the x = 0 a failed row is scored at
+    with pytest.raises(DomainError, match="density is not finite"):
+        gof_statistic(Sample(np.random.default_rng(0).gamma(0.5, 1e-308, 100)), Gamma(0.5, 1e308), get_transfer("x^3"))
 
 
 def test_result_contract(monkeypatch):
@@ -353,7 +356,7 @@ def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
     )
     _, status, _ = _whole_and_tiled(monkeypatch, rows[:1], Normal(), bent, points)
     assert status.tolist() == [gof_module._BAD_DERIVATIVE]
-    # a row whose law fails in the last tile is judged by h at x = 0, whatever h did in the first
+    # a row whose law fails in the last tile reports the law, whatever h did in the first
     steep = HypothesisFunction(fn=lambda x: np.where(np.asarray(x) < -0.8, np.inf, x), deriv=lambda x: np.ones_like(x))
     failing = density.copy()
     failing[1, -5] = np.nan
