@@ -11,12 +11,15 @@ downstream readers can pin the column layout.
 from __future__ import annotations
 
 import argparse
+from array import array
 import codecs
 import contextlib
 import csv
 import dataclasses
 import io
 import json
+import locale
+import math
 import os
 import re
 import stat as stat_mode
@@ -59,15 +62,14 @@ class DataError(Exception):
 
 def _parse_float(token: str):
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         return None
-    return value
 
 
 def _is_record(row) -> bool:
     """A csv row that carries data: not blank, not whitespace only, not a '#' comment."""
-    return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
+    return bool("".join(row).strip()) and not row[0].lstrip().startswith("#")
 
 
 def _locate_column(first_row, selector: str, path: str) -> tuple[int, bool]:
@@ -87,38 +89,58 @@ def _locate_column(first_row, selector: str, path: str) -> tuple[int, bool]:
     return idx, has_header
 
 
-def _text(data: bytes) -> io.TextIOWrapper:
-    """``data`` as the text stream ``open(path, newline="")`` gives: the same encoding and line ends."""
-    return io.TextIOWrapper(io.BytesIO(data), newline="")
+@contextlib.contextmanager
+def _lines(fh, encoding: str):
+    """The binary input ``fh`` as text from its start, as ``open(path, newline="")`` decodes it; ``fh`` stays open.
+
+    ``encoding`` is the locale's, or utf-8-sig for a file that starts with a
+    UTF-8 byte-order mark: the mark is skipped and the rest decoded as UTF-8,
+    so an undecodable byte's position counts from the mark's end, as in a buffer without it.
+    """
+    fh.seek(len(codecs.BOM_UTF8) if encoding == "utf-8-sig" else 0)
+    lines = io.TextIOWrapper(fh, encoding=encoding.removesuffix("-sig"), newline="")
+    try:
+        yield lines
+    finally:
+        lines.detach()
 
 
-def _read_column_rows(data: bytes, path: str, selector: str, delimiter: str) -> np.ndarray:
-    """Row-by-row parse: the reference for every value and error of ``read_column``.
+def _read_column_rows(fh, encoding: str, path: str, selector: str, delimiter: str) -> np.ndarray:
+    """Record-by-record parse of the binary input ``fh``: the reference for every value and error of ``read_column``.
 
     It parses all that numpy's route declines; only an unquoted header's
-    error is raised before it, by ``_head``.
+    error is raised before it, by ``_head``.  The records stream from
+    ``_lines(fh, encoding)`` and only the kept values are held.  A data error
+    waits until the rest of the input is parsed, so an undecodable byte anywhere wins.
     """
-    reader = csv.reader(_text(data), delimiter=delimiter)
-    # (physical line on which the record ends, record)
-    records = [(reader.line_num, row) for row in reader if _is_record(row)]
-    if not records:
+    values, idx = array("d"), None
+    with _lines(fh, encoding) as lines:
+        reader = csv.reader(lines, delimiter=delimiter)
+        try:
+            for row in reader:
+                if not _is_record(row):
+                    continue
+                if idx is None:
+                    idx, has_header = _locate_column(row, selector, path)
+                    if has_header:
+                        continue
+                if not -len(row) <= idx < len(row):
+                    raise DataError(f"{path}:{reader.line_num}: row has no column {idx}")
+                token = row[idx].strip()
+                if token not in MISSING_TOKENS:
+                    value = _parse_float(token)
+                    if value is None or not math.isfinite(value):
+                        raise DataError(f"{path}:{reader.line_num}: cannot parse {token!r} as a finite real")
+                    values.append(value)
+        except DataError:
+            for _ in reader:
+                pass
+            raise
+    if idx is None:
         raise DataError(f"{path} is empty")
-    idx, has_header = _locate_column(records[0][1], selector, path)
-
-    out = []
-    for lineno, row in records[1:] if has_header else records:
-        if not -len(row) <= idx < len(row):
-            raise DataError(f"{path}:{lineno}: row has no column {idx}")
-        token = row[idx].strip()
-        if token in MISSING_TOKENS:
-            continue
-        value = _parse_float(token)
-        if value is None or not np.isfinite(value):
-            raise DataError(f"{path}:{lineno}: cannot parse {token!r} as a finite real")
-        out.append(value)
-    if len(out) < 2:
+    if len(values) < 2:
         raise DataError(f"{path}: fewer than 2 usable rows in column {selector!r}")
-    return np.asarray(out, dtype=float)
+    return np.frombuffer(values)
 
 
 def _unchanged(path: str, stat: os.stat_result, size: int) -> bool:
@@ -133,16 +155,14 @@ def _unchanged(path: str, stat: os.stat_result, size: int) -> bool:
 
 
 def _head(fh, encoding: str, selector: str, delimiter: str, path: str):
-    """The text before the body of the binary input ``fh``, or None when no line is a record.
+    """The text before the body of the binary input ``fh``, decoded by ``_lines``, or None when no line is a record.
 
-    ``fh`` is decoded from its start as ``open(path, newline="")`` decodes
-    it.  Returns (head, skip, idx, has_header): head is the text before the
+    Returns (head, skip, idx, has_header): head is the text before the
     body, skip the number of lines before the first record, and idx and
     has_header are ``_locate_column``'s on that record.
     """
-    fh.seek(0)
-    lines, head = io.TextIOWrapper(fh, encoding=encoding, newline=""), ""
-    try:
+    head = ""
+    with _lines(fh, encoding) as lines:
         for skip, line in enumerate(lines):
             first_row = next(csv.reader([line], delimiter=delimiter), [])
             if _is_record(first_row):
@@ -150,8 +170,6 @@ def _head(fh, encoding: str, selector: str, delimiter: str, path: str):
             head += line
         else:
             return None
-    finally:
-        lines.detach()  # fh stays open
     idx, has_header = _locate_column(first_row, selector, path)
     return head + line if has_header else head, skip, idx, has_header
 
@@ -162,9 +180,7 @@ def _load(source, idx: int, delimiter: str, **kwargs) -> np.ndarray | None:
         values = np.loadtxt(source, dtype=float, delimiter=delimiter, usecols=idx, comments=None, ndmin=1, **kwargs)
     except ValueError:
         return None
-    if values.size < 2 or not np.all(np.isfinite(values)):
-        return None
-    return values
+    return values if values.size >= 2 and np.all(np.isfinite(values)) else None
 
 
 def _path_encoding(fh, real: str, stat: os.stat_result) -> str | None:
@@ -176,12 +192,10 @@ def _path_encoding(fh, real: str, stat: os.stat_result) -> str | None:
     """
     if not stat_mode.S_ISREG(stat.st_mode) or real.endswith(_COMPRESSED):
         return None
-    encoding = _text(b"").encoding
+    encoding = locale.getpreferredencoding(False)
     marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
     fh.seek(0)
-    if not marked:
-        return encoding
-    return "utf-8-sig" if codecs.lookup(encoding).name == "utf-8" else None
+    return encoding if not marked else "utf-8-sig" if codecs.lookup(encoding).name == "utf-8" else None
 
 
 def _buffer(data: bytes) -> io.BytesIO:
@@ -222,9 +236,10 @@ def _read_input(fh, path: str, selector: str, delimiter: str, file=None) -> np.n
     rereads from its path ``real``, guarded by ``_unchanged``; a file that
     changes meanwhile is read again, whole into a buffer, so the values
     always come from one read.  Otherwise ``fh`` is a ``_buffer``, which
-    numpy parses from a handle past the same ``skip`` lines.
+    numpy parses from ``_lines`` past the same ``skip`` lines.  The row
+    parser reads ``fh`` itself, from its start.
     """
-    real, stat, encoding = file or (None, None, _text(b"").encoding)
+    real, stat, encoding = file or (None, None, locale.getpreferredencoding(False))
     try:
         layout = _head(fh, encoding, selector, delimiter, path)
     except DataError:  # a quote anywhere leaves the header to the row parser
@@ -236,21 +251,14 @@ def _read_input(fh, path: str, selector: str, delimiter: str, file=None) -> np.n
         size = _checked_size(fh, len(head.encode(encoding)))  # utf-8-sig counts the byte-order mark
         values = None
         if size is not None and (not real or _unchanged(real, stat, size)):
-            with contextlib.suppress(OSError):
-                source = real or _text(fh.getvalue())  # a buffer's bytes, not copied
-                values = _load(source, idx, delimiter, skiprows=skip + has_header, encoding=encoding)
+            with contextlib.suppress(OSError), _lines(fh, encoding) as lines:  # a file is reread from its path
+                values = _load(real or lines, idx, delimiter, skiprows=skip + has_header, encoding=encoding)
         if size is not None and real and not _unchanged(real, stat, size):  # numpy may have read other bytes than the checks saw
-            return _read_input(_buffer(_reread(fh)), path, selector, delimiter)
+            fh.seek(0)
+            return _read_input(_buffer(fh.read()), path, selector, delimiter)
         if values is not None:
             return values
-    data = _reread(fh)  # a buffer has dropped its one byte-order mark already
-    return _read_column_rows(data.removeprefix(codecs.BOM_UTF8) if real else data, path, selector, delimiter)
-
-
-def _reread(fh) -> bytes:
-    """All of the input ``fh``, read again from its start."""
-    fh.seek(0)
-    return fh.read()
+    return _read_column_rows(fh, encoding, path, selector, delimiter)
 
 
 def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
@@ -260,8 +268,9 @@ def read_column(path: str, selector: str, delimiter: str = ",") -> np.ndarray:
     field is a missing token ('?', empty, NA, nan) are dropped; any other
     non-numeric field is a data error.  The input is opened once and takes
     one checked route (``_read_input``): clean input goes through numpy's C
-    parser and the rest is parsed row by row, with identical values and
-    errors either way.  numpy parses a regular file from its path; a pipe,
+    parser and the rest is parsed record by record from the same open
+    input, which holds only the values it keeps; values and errors are
+    identical either way.  numpy parses a regular file from its path; a pipe,
     a file with a compressed suffix and, outside a UTF-8 locale, a file
     with a byte-order mark are read once into a buffer.  A leading UTF-8
     byte-order mark is dropped.  Input that cannot be read or decoded in
@@ -343,25 +352,15 @@ def _print_payload(payload: dict, as_json: bool, keys=None) -> None:
 
 
 def _dgp_config(args) -> DGPConfig:
-    return DGPConfig(
-        transfer=args.transfer,
-        n=args.n,
-        seed=args.seed,
-        ma_order=args.ma_order,
-        ma_decay=args.ma_decay,
-    )
+    return DGPConfig(transfer=args.transfer, n=args.n, seed=args.seed, ma_order=args.ma_order, ma_decay=args.ma_decay)
 
 
 def _write_rows(path, schema: str, header, rows, delimiter: str = ","):
-    fh = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # ---------------------------------------------------------------- commands

@@ -58,11 +58,12 @@ _BLOCK_ELEMENTS = 1 << 15
 # 1e5, shapes 0.3 to 60), so the window is 1e4 times a 100-fold bound.
 _RESCORE_REL = 1e6 * TABLE_REL_ERROR
 
-_BAD_LAW, _BAD_DERIVATIVE, _BAD_H = 1, 2, 3
+_BAD_LAW, _BAD_DERIVATIVE, _BAD_H, _OVERFLOW = 1, 2, 3, 4
 _ROW_ERRORS = {
     _BAD_LAW: "the input law's quantile or density is not finite on the trimmed region",
     _BAD_H: "h must be finite on the trimmed region",
     _BAD_DERIVATIVE: "h must have a positive derivative on the trimmed region",
+    _OVERFLOW: "the weighted statistic sqrt(n) sup (f_Z/h') |ghat - h| overflows a float",
 }
 
 
@@ -277,24 +278,23 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
         if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
             x = np.where(bad_law[:, None], 0.0, x)
             density = np.where(bad_law[:, None], 0.0, density)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h or h' is the row's status
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite h, h' or gap is a row status
             hprime = np.broadcast_to(np.asarray(hyp.deriv(x), dtype=float), x.shape)
             hvals = np.broadcast_to(np.asarray(hyp.fn(x), dtype=float), x.shape)
-        bad_h = bad_h | ~np.all(np.isfinite(hvals), axis=1)
-        bad_derivative = bad_derivative | ~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)
+            bad_h = bad_h | ~np.all(np.isfinite(hvals), axis=1)
+            bad_derivative = bad_derivative | ~np.all((hprime > 0.0) & (hprime < math.inf), axis=1)
 
-        # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h); the tile's grid
-        # columns come first, then its jumps i = i0 .. i1 - 1
-        width, k = stop - start, max(0, min(stop, g) - start)
-        gap, below, weight = out[0][:rows, :width], out[1][:rows, :width], out[2][: x.shape[0], :width]
-        i0, i1 = j0 + max(start, g) - g, j0 + max(stop, g) - g
-        grid_values = sorted_rows[:, grid[start : start + k]]
-        np.subtract(grid_values, hvals[:, :k], out=gap[:, :k])
-        np.subtract(sorted_rows[:, i0:i1], hvals[:, k:], out=gap[:, k:])
-        np.subtract(hvals[:, :k], grid_values, out=below[:, :k])
-        np.subtract(hvals[:, k:], sorted_rows[:, i0 - 1 : i1 - 1], out=below[:, k:])
-        np.maximum(gap, below, out=gap)
-        with np.errstate(divide="ignore", invalid="ignore"):  # h' = 0 only on a failed row
+            # ghat is sorted, so max(|left - h|, |right - h|) = max(h - left, right - h); the tile's grid
+            # columns come first, then its jumps i = i0 .. i1 - 1
+            width, k = stop - start, max(0, min(stop, g) - start)
+            gap, below, weight = out[0][:rows, :width], out[1][:rows, :width], out[2][: x.shape[0], :width]
+            i0, i1 = j0 + max(start, g) - g, j0 + max(stop, g) - g
+            grid_values = sorted_rows[:, grid[start : start + k]]
+            np.subtract(grid_values, hvals[:, :k], out=gap[:, :k])
+            np.subtract(sorted_rows[:, i0:i1], hvals[:, k:], out=gap[:, k:])
+            np.subtract(hvals[:, :k], grid_values, out=below[:, :k])
+            np.subtract(hvals[:, k:], sorted_rows[:, i0 - 1 : i1 - 1], out=below[:, k:])
+            np.maximum(gap, below, out=gap)
             np.divide(density, hprime, out=weight)
             gap *= weight
         where = np.argmax(gap, axis=1)
@@ -304,9 +304,11 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
         else:  # np.argmax keeps the first max, and a NaN beats any number
             later = (tile_best > best) | (np.isnan(tile_best) & ~np.isnan(best))
             best, best_x = np.where(later, tile_best, best), np.where(later, tile_x, best_x)
-    # a failed law is the reason, whatever h did at the x = 0 its row is scored at; then h', then h
-    status = np.select([bad_law, bad_derivative, bad_h], [_BAD_LAW, _BAD_DERIVATIVE, _BAD_H], 0)
-    return math.sqrt(n) * best, np.broadcast_to(status, best.shape), best_x
+    with np.errstate(over="ignore"):
+        stats = math.sqrt(n) * best
+    # a failed law is the reason, whatever h did at the x = 0 its row is scored at; then h', then h, then an overflow
+    status = np.select([bad_law, bad_derivative, bad_h, ~np.isfinite(stats)], [_BAD_LAW, _BAD_DERIVATIVE, _BAD_H, _OVERFLOW], 0)
+    return stats, status, best_x
 
 
 def _statistic_buffers(rows: int, size: int) -> tuple:
@@ -451,7 +453,6 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
             near = np.flatnonzero((status == 0) & (np.abs(stats - observed) <= _RESCORE_REL * observed))
             if near.size:
                 exact = Gamma(shape=refits.shape[near], rate=refits.rate[near])
-                status = status.copy()
                 stats[near], status[near], _ = _statistic_rows(rows[near], exact, hyp, points, out=work)
         failed = np.flatnonzero(status)
         if failed.size and not stat_failures:

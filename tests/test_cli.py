@@ -2,6 +2,7 @@ import codecs
 import csv
 import io
 import json
+import locale
 import math
 import os
 import re
@@ -170,10 +171,10 @@ def _outcome(read, *args):
 
 
 def _reference(path, selector, delimiter):
-    """The row parser's outcome on the file ``path``, its byte-order mark dropped as read_column drops it."""
+    """The row parser's outcome on the file ``path``, read into a ``_buffer`` (byte-order mark dropped) as a pipe is."""
     with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-    return _outcome(_read_column_rows, data, str(path), selector, delimiter)
+        data = fh.read()
+    return _outcome(_read_column_rows, _buffer(data), locale.getpreferredencoding(False), str(path), selector, delimiter)
 
 
 def _sources(path, selector, delimiter):

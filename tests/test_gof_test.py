@@ -151,6 +151,11 @@ def test_statistic_domain_errors():
     # the law is the reason even for an h whose derivative vanishes at the x = 0 a failed row is scored at
     with pytest.raises(DomainError, match="density is not finite"):
         gof_statistic(Sample(np.random.default_rng(0).gamma(0.5, 1e-308, 100)), Gamma(0.5, 1e308), get_transfer("x^3"))
+    # sqrt(n) (f_Z/h') |ghat - h| overflows: f_Z peaks at ~4e299 and |ghat - h| reaches 1e180
+    overflowing = Sample(np.linspace(-1e180, 1e180, 16))
+    for call in (gof_statistic, lambda *args: gof(*args, 0.15)):
+        with pytest.raises(DomainError, match="overflows a float"):
+            call(overflowing, Normal(0, 1e-300), get_transfer("identity"))
 
 
 def test_result_contract(monkeypatch):
@@ -369,13 +374,13 @@ def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
     tied[0, [70, 330]] = 1.0
     stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.ones((1, n)), Normal(), flat, points, (x[:1], tied))
     assert stats[0] == math.sqrt(n) and argmax_x[0] == x[0, 70] and status[0] == 0
-    # inf * 0 is a NaN gap at columns 200 and 400: np.argmax picks the first, and so do the tiles
+    # inf * 0 is a NaN gap at columns 200 and 400: np.argmax picks the first, and so do the tiles; the
+    # overflowing gap is the row's status, without a warning
     low = HypothesisFunction(fn=lambda x: np.full_like(x, -1e308), deriv=lambda x: np.ones_like(x))
     holes = np.ones((1, points.size))
     holes[0, [200, 400]] = 0.0
-    with np.errstate(over="ignore"):
-        stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.full((1, n), 1e308), Normal(), low, points, (x[:1], holes))
-    assert np.isnan(stats[0]) and argmax_x[0] == x[0, 200] and status[0] == 0
+    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.full((1, n), 1e308), Normal(), low, points, (x[:1], holes))
+    assert np.isnan(stats[0]) and argmax_x[0] == x[0, 200] and status[0] == gof_module._OVERFLOW
 
 
 def _reference_bootstrap(data, fitter, hyp, replications, seed):

@@ -48,6 +48,16 @@ def test_read_column_holds_less_than_the_file(data):
     assert _traced_peak(lambda: read_column(path, "y")) < os.path.getsize(path)
 
 
+def test_row_parser_holds_less_than_the_file(data, tmp_path):
+    # one missing token sends the file to the row parser, which streams its records and holds only the values
+    path, _ = data
+    with open(path) as fh:
+        header = fh.readline()
+        missing = tmp_path / "missing.csv"
+        missing.write_text(header + "?,?\n" + fh.read())
+    assert _traced_peak(lambda: read_column(str(missing), "y")) < os.path.getsize(missing)
+
+
 def test_statistic_walks_the_points_in_bounded_tiles(data):
     _, sample = data
     assert _traced_peak(lambda: gof(sample, Normal(), get_transfer("(x+4)^2"), 0.15)) < 16 * TILE_ARRAY
