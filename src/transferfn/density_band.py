@@ -114,9 +114,10 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     row = np.arange(rows)[:, None]
     lo = np.empty(y_rows.shape, dtype=np.intp)
     hi = np.empty(y_rows.shape, dtype=np.intp)
-    for r in range(rows):
-        lo[r] = np.searchsorted(sorted_rows[r], y_rows[r] - math.pi * h, side="left")
-        hi[r] = np.searchsorted(sorted_rows[r], y_rows[r] + math.pi * h, side="right")
+    with np.errstate(over="ignore"):  # a window edge past the largest float is +-inf, which holds every value on its side
+        for r in range(rows):
+            lo[r] = np.searchsorted(sorted_rows[r], y_rows[r] - math.pi * h, side="left")
+            hi[r] = np.searchsorted(sorted_rows[r], y_rows[r] + math.pi * h, side="right")
     # the cells of a window's first and last values: their keys, and the first positions at or past them
     first_key, last_key = (
         np.floor((sorted_rows[row, end] - sorted_rows[:, :1]) / scale) for end in (np.minimum(lo, n - 1), np.maximum(hi - 1, 0))
@@ -201,9 +202,9 @@ def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: fl
 
 def _band_edges(ghat: np.ndarray, fhat: np.ndarray, critical: float, n: int, h: float):
     """(band_lo, band_hi, flagged): ghat -+ critical / (sqrt(n) fhat), and fhat below the 1/(n h) floor."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # fhat = 0, or an edge past the largest float, gives an infinite edge
         half = critical / (math.sqrt(n) * fhat)
-    return ghat - half, ghat + half, fhat < 1.0 / (n * h)
+        return ghat - half, ghat + half, fhat < 1.0 / (n * h)
 
 
 def confidence_band(

@@ -184,7 +184,7 @@ def _finite_pair(draw, rng, g: HypothesisFunction, law):
     """(z, y) of the first of up to 100 draws z = ``draw(rng)`` whose transfer y = g(z) is finite."""
     for _ in range(100):
         z = draw(rng)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             y = np.asarray(g.fn(z), dtype=float)
         if np.all(np.isfinite(y)):
             return z, y
@@ -198,7 +198,7 @@ def _finite_blocks(seed: int, replications: int, n: int, width: int, draw, g: Hy
     of its stream, which redraws exactly as the one-replicate ``generate`` does.
     """
     for reps, zs in replicate_blocks(seed, replications, n, width, draw, key):
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ys = np.asarray(g.fn(zs), dtype=float)
         for i in np.flatnonzero(~np.all(np.isfinite(ys), axis=1)):
             ys[i] = _finite_pair(draw, replication_rng(seed, (*key, reps[i])), g, law)[1]
@@ -266,7 +266,7 @@ def run_coverage_study(
     if np.unique(xs).size != xs.size:  # the report holds one cell per point; -0.0 and 0.0 are one point
         raise ArgumentError(f"evaluation points must be distinct (got {xs.tolist()})")
     g = get_transfer(config.transfer)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         g_true = np.asarray(g.fn(xs), dtype=float)
     bad = ~np.isfinite(g_true)
     if np.any(bad):
