@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gof_test  # its _BLOCK_ELEMENTS bounds the KDE's tiles too
+from . import gof_test  # its _tile_width sets the KDE's tiles too
 from .distributions import KnownDistribution
 from .empirical import Sample
 from .errors import ArgumentError, DomainError, check_alpha
@@ -98,8 +98,8 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     global anchor loses the phase to rounding as |Y|/h grows).  A window of
     width 2 pi h overlaps at most two consecutive cells of its row.
 
-    The block is walked once, in tiles of at most _BLOCK_ELEMENTS values
-    (``_tiles``), so no temporary grows with n.  A cell's key floor((Y -
+    The block is walked once, in tiles of ``gof_test._tile_width(rows)``
+    columns (``_tiles``), so no temporary grows with n.  A cell's key floor((Y -
     Y_0)/(4 pi h)) never decreases along a row, so each tile's keys add to
     the counts, per window, of where its cells start.  The same tile's
     prefix sums are built with the running sum added to its first term, as
@@ -179,8 +179,8 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
 
 
 def _tiles(rows: int, n: int) -> list:
-    """(start, stop) column ranges of a (rows, n) block, each at most _BLOCK_ELEMENTS values (and one column) wide."""
-    width = max(1, gof_test._BLOCK_ELEMENTS // rows)
+    """(start, stop) column ranges of a (rows, n) block, each ``gof_test._tile_width(rows)`` columns wide but the last."""
+    width = gof_test._tile_width(rows)
     return [(start, min(start + width, n)) for start in range(0, n, width)]
 
 

@@ -50,6 +50,14 @@ _GRID_POINTS = 512  # grid points of the evaluation set, besides ghat's jumps
 # into buffers allocated once per call.  Smaller blocks also avoid the
 # faults, but pay the fixed cost of a block (~0.4 ms there) more often.
 _BLOCK_ELEMENTS = 1 << 15
+# Columns in one tile of a block kernel.  A block of two or more rows has
+# tiles this narrow already; the cap bounds the one-row calls behind every
+# CLI `test` and `estimate --band`, whose (1, width) temporaries are then
+# 128 KiB, not 256 KiB.  At n = 1e5 that halves the traced peaks of `test`
+# and the band, and takes the band's minor page faults per call from ~480
+# to none and the test's from ~860 to ~200-400.  2^13 columns would remove
+# the test's too, but adds ~0.8 ms to a 4.7 ms band.
+_TILE_COLUMNS = 1 << 14
 
 # A bootstrap statistic computed from a gamma shape table is re-scored with
 # exact quantiles and density when it lies within this relative distance of
@@ -209,6 +217,11 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _tile_width(rows: int) -> int:
+    """Columns in one tile of a block kernel over ``rows`` rows: at most _BLOCK_ELEMENTS values and _TILE_COLUMNS columns, and at least one."""
+    return min(_TILE_COLUMNS, max(1, _BLOCK_ELEMENTS // rows))
+
+
 def _block_rows(width: int) -> int:
     """Rows in a block of ``replicate_blocks`` whose widest per-block temporary has ``width`` columns."""
     return max(1, _BLOCK_ELEMENTS // width)
@@ -312,8 +325,8 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
 
 
 def _statistic_buffers(rows: int, size: int) -> tuple:
-    """``out`` of ``_statistic_rows`` for blocks of up to ``rows`` rows: tiles of at most _BLOCK_ELEMENTS // rows columns."""
-    return _block_buffers(3, rows, min(size, max(1, _BLOCK_ELEMENTS // rows)))
+    """``out`` of ``_statistic_rows`` for blocks of up to ``rows`` rows: tiles of ``_tile_width(rows)`` columns."""
+    return _block_buffers(3, rows, min(size, _tile_width(rows)))
 
 
 def _block_buffers(count: int, rows: int, size: int) -> tuple:

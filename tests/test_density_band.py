@@ -210,6 +210,17 @@ def test_kde_tiles_match_one_tile_bit_for_bit(monkeypatch):
     cases = [(values[None, :], ys[None, :], h) for values, h, ys in _dense_oracle_cases()]
     cases.append(_kde_block())
     whole = [_kde_rows(np.sort(rows, axis=1), ys, h) for rows, ys, h in cases]
+    # one row at n = 40,000, where the column cap binds: production's tiles against one tile with the cap lifted
+    n = 40_000
+    row = np.sort(1e3 + 2.0 * np.random.default_rng(17).standard_normal((1, n)), axis=1)
+    ys = np.concatenate([row[0, ::199], np.linspace(row[0, 0] - 1.0, row[0, -1] + 1.0, 301)])[None, :]
+    h = n ** (-1.0 / 6.0)
+    assert len(_tiles(1, n)) > 1
+    tiled = _kde_rows(row, ys, h)
+    with monkeypatch.context() as patch:
+        patch.setattr(gof_module, "_tile_width", lambda rows: n)
+        assert len(_tiles(1, n)) == 1
+        assert np.array_equal(_kde_rows(row, ys, h).view(np.int64), tiled.view(np.int64))
     monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
     tiles = 0
     for (rows, ys, h), one in zip(cases, whole):

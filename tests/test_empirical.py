@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -149,6 +153,51 @@ def test_block_quantile_rows_match_per_row_sweeps_and_oracle():
                 one = block_quantiles(Sample(values), b, p)
                 assert np.array_equal(rows[r], one), (b, p, r)
                 assert np.array_equal(rows[r], naive_window_quantiles(values, b, p)), (b, p, r)
+
+
+_SWEEP = """
+import numpy as np
+from transferfn import Normal, Sample, subsample_ci
+y = np.random.default_rng(3).gamma(10.97, 1 / 0.027, 200)
+print(repr(subsample_ci(Sample(y), Normal(400.0, 120.0), 400.0, 0.05)))
+"""
+
+
+def _last_line(code: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_only_a_window_sweep_loads_scipy_ndimage():
+    # in a fresh interpreter: the package, every other CLI command, the bootstrap,
+    # Table 2 and the ci and band studies never load scipy.ndimage; the first
+    # sweep does, with the result of a process that had it loaded up front
+    others = textwrap.dedent("""
+        import os, sys, tempfile
+        import numpy as np
+        import transferfn, transferfn.cli
+        from transferfn import DGPConfig, Sample, get_transfer, monte_carlo_p_value, run_coverage_study, run_test_table
+        y = np.random.default_rng(3).gamma(10.97, 1 / 0.027, 200)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "y.csv")
+            np.savetxt(path, y, header="y", comments="")
+            data = ["--data", path, "--y-col", "y", "--dist"]
+            for argv in (["fit", "--data", path, "--y-col", "y", "--family", "gamma"],
+                         ["test", *data, "gamma:10.97,rate=0.027", "--h", "identity"],
+                         ["test", *data, "gamma", "--h", "identity", "--mc-reps", "99"],
+                         ["estimate", *data, "gamma:10.97,rate=0.027", "--band"]):
+                assert transferfn.cli.main(argv) == 0, argv
+        monte_carlo_p_value(Sample(y), "gamma", get_transfer("identity"), 99, seed=0)
+        run_test_table(n=100, repetitions=2)
+        for method in ("ci", "band"):
+            run_coverage_study(DGPConfig("(x+4)^2", 200, seed=1), [-1.0, 0.0, 1.0], 0.05, 2, method)
+        assert "scipy.ndimage" not in sys.modules, "loaded before any sweep"
+    """)
+    loaded = "\nimport sys\nassert 'scipy.ndimage' in sys.modules, 'not loaded by the sweep'"
+    swept = _last_line(others + _SWEEP + loaded)
+    assert swept.startswith("SubsampleResult(")
+    assert swept == _last_line("import scipy.ndimage" + _SWEEP)
 
 
 def test_block_quantiles_domain():

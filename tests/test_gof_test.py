@@ -321,7 +321,7 @@ def _whole_and_tiled(monkeypatch, *args):
     The statuses agree, and so do the statistic and its x on every row with status 0 (elsewhere they are meaningless).
     """
     whole = gof_module._statistic_rows(*args)
-    assert args[3].size <= gof_module._BLOCK_ELEMENTS // args[0].shape[0]
+    assert args[3].size <= gof_module._tile_width(args[0].shape[0])
     with monkeypatch.context() as patch:
         patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
         tiled = gof_module._statistic_rows(*args)
@@ -346,6 +346,18 @@ def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
                 patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
                 tiled = gof(sample, law, h, 0.15)
             assert _same_bits(whole.statistic, tiled.statistic) and _same_bits(whole.argmax_x, tiled.argmax_x), (law, n)
+    # one row at n = 40,000, where the column cap binds: production's tiles against one tile with the cap lifted
+    big = np.random.default_rng(31)
+    for law, h_name in zip(laws, ("(x+4)^2", "identity", "x^3")):
+        h = get_transfer(h_name)
+        sample = Sample(np.asarray(h.fn(law.rvs(40_000, big))) + big.normal(0.0, 0.01, 40_000))
+        size = _evaluation_set(sample.n).size
+        assert gof_module._statistic_buffers(1, size)[0].shape[1] < size
+        tiled = gof(sample, law, h, 0.15)
+        with monkeypatch.context() as patch:
+            patch.setattr(gof_module, "_tile_width", lambda rows: size)
+            whole = gof(sample, law, h, 0.15)
+        assert _same_bits(whole.statistic, tiled.statistic) and _same_bits(whole.argmax_x, tiled.argmax_x), law
     n = 200
     points = _evaluation_set(n)
     rows = np.sort(rng.normal(size=(3, n)), axis=1)

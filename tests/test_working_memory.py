@@ -3,8 +3,8 @@
 numpy reports its allocations to tracemalloc, so the traced peak of a call
 is the same on every run.  The sample is built before tracing starts, so a
 peak counts what the call itself holds: the reader's buffers and the
-kernels' temporaries.  A tiled kernel's temporaries are bounded by
-_BLOCK_ELEMENTS values each, whatever n is.
+kernels' temporaries.  A one-row tiled kernel's temporaries are bounded by
+_TILE_COLUMNS values each, whatever n is.
 """
 
 import os
@@ -12,15 +12,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage  # noqa: F401  (imported before any tracing: see test_subsampling_holds_one_array_of_deviations)
 
 from transferfn import Normal, Sample, confidence_band, default_grid, get_transfer, subsample_ci
 from transferfn import test as gof
 from transferfn.cli import read_column
-from transferfn.gof_test import _BLOCK_ELEMENTS
+from transferfn.gof_test import _TILE_COLUMNS
 
 N = 200_000
 MIB = 1 << 20
-TILE_ARRAY = 8 * _BLOCK_ELEMENTS  # bytes of one float temporary of a tile
+TILE_ARRAY = 8 * _TILE_COLUMNS  # bytes of one float temporary of a one-row tile: 128 KiB
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +61,17 @@ def test_row_parser_holds_less_than_the_file(data, tmp_path):
 
 def test_statistic_walks_the_points_in_bounded_tiles(data):
     _, sample = data
-    assert _traced_peak(lambda: gof(sample, Normal(), get_transfer("(x+4)^2"), 0.15)) < 16 * TILE_ARRAY
+    assert _traced_peak(lambda: gof(sample, Normal(), get_transfer("(x+4)^2"), 0.15)) < 16 * TILE_ARRAY  # 2 MiB
 
 
 def test_band_builds_its_prefix_sums_in_bounded_tiles(data):
     _, sample = data
     xs = default_grid(Normal(), 201, 0.01, 0.99)
-    assert _traced_peak(lambda: confidence_band(sample, Normal(), xs, 0.01)) < 8 * TILE_ARRAY
+    assert _traced_peak(lambda: confidence_band(sample, Normal(), xs, 0.01)) < 4 * TILE_ARRAY  # 512 KiB
 
 
 def test_subsampling_holds_one_array_of_deviations(data):
-    # the rank filter's output becomes the deviations and is partitioned in place
+    # the rank filter's output becomes the deviations and is partitioned in place; the
+    # bound covers the sweep's arrays, not scipy.ndimage's one-time import (imported above)
     _, sample = data
     assert _traced_peak(lambda: subsample_ci(sample, Normal(), 0.0, 0.01)) < 8 * N + MIB
