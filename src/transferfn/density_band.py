@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gof_test  # its _tile_width sets the KDE's tiles too
 from .distributions import KnownDistribution
-from .empirical import Sample
+from .empirical import Sample, _tile_width, _tiles
 from .errors import ArgumentError, DomainError, check_alpha
 from .estimator import _interior_grid, estimate
 from .ks_distribution import ks_sup_quantile
@@ -26,15 +25,14 @@ from .ks_distribution import ks_sup_quantile
 __all__ = ["BandResult", "kde", "confidence_band"]
 
 
-def _bandwidth(n: int, bandwidth: float | None = None, span: float = 0.0) -> float:
+def _bandwidth(n: int, bandwidth: float | None = None) -> float:
     """The KDE bandwidth for n observations: ``bandwidth`` if given, else h = n^(-1/6).
 
     The default satisfies the admissibility conditions (loglog n)^(1/2) h -> 0
     and sqrt(n) h^2 / loglog n -> inf.  A given bandwidth must be positive
     and finite, and large enough that the kernel's peak 1/(pi h), which
-    bounds the estimate and its normaliser 1/(2 pi n h), and the cell keys
-    span/(4 pi h) of values spanning ``span`` stay finite (ArgumentError
-    otherwise): below that the estimate is inf or NaN.
+    bounds the estimate and its normaliser 1/(2 pi n h), stays finite
+    (ArgumentError otherwise): below that the estimate is inf or NaN.
     """
     if bandwidth is None:
         return float(n) ** (-1.0 / 6.0)
@@ -43,8 +41,6 @@ def _bandwidth(n: int, bandwidth: float | None = None, span: float = 0.0) -> flo
     h = float(bandwidth)
     if not math.isfinite(1.0 / (math.pi * h)):
         raise ArgumentError(f"bandwidth {h} is too small: the kernel's peak 1/(pi h) overflows")
-    if not math.isfinite(span / (4.0 * math.pi * h)):
-        raise ArgumentError(f"bandwidth {h} is too small for values spanning {span}: the cell keys span/(4 pi h) overflow")
     return h
 
 
@@ -71,16 +67,12 @@ def kde(sample_y: Sample, y, bandwidth: float | None = None):
 
     K is the raised cosine K(u) = (1 + cos u) / (2 pi) on [-pi, pi], zero
     outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
-    when it is None.  This is the one-row call of ``_kde_rows``.  Data
-    whose range overflows a float raise DomainError.
+    when it is None.  This is the one-row call of ``_kde_rows``, which
+    checks the data against h.
     """
-    values = sample_y.sorted_values
-    lo, hi = float(values[0]), float(values[-1])
-    if not math.isfinite(hi - lo):  # Python floats: the overflow is inf, not a RuntimeWarning
-        raise DomainError(f"the data range [{lo!r}, {hi!r}] is wider than the largest float: no density estimate")
-    h = _bandwidth(sample_y.n, bandwidth, hi - lo)
+    h = _bandwidth(sample_y.n, bandwidth)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    out = _kde_rows(values[None, :], ys[None, :], h)[0]
+    out = _kde_rows(sample_y.sorted_values[None, :], ys[None, :], h)[0]
     if np.ndim(y) == 0:
         return float(out[0])
     return out
@@ -98,19 +90,29 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     global anchor loses the phase to rounding as |Y|/h grows).  A window of
     width 2 pi h overlaps at most two consecutive cells of its row.
 
-    The block is walked once, in tiles of ``gof_test._tile_width(rows)``
-    columns (``_tiles``), so no temporary grows with n.  A cell's key floor((Y -
-    Y_0)/(4 pi h)) never decreases along a row, so each tile's keys add to
-    the counts, per window, of where its cells start.  The same tile's
+    The block is walked once, in tiles of ``_tile_width(rows)`` columns, so
+    no temporary grows with n.  A cell's key floor((Y - Y_0)/(4 pi h))
+    never decreases along a row, so each tile's keys add to the counts, per
+    window, of where its cells start.  The same tile's
     prefix sums are built with the running sum added to its first term, as
     a sequential cumsum adds it, and kept only at the window ends: ``split``
     is read at its count so far, and its last read lands in the tile where
     the count stops.  The cell open at a tile's end carries its anchor into
     the next tile.  Every row equals the one-row result, and every tiling
     the one-tile result, bit for bit.
+
+    A row whose range overflows a float raises DomainError; then a row whose
+    cell keys span/(4 pi h) overflow raises ArgumentError (h is too small).
     """
     rows, n = sorted_rows.shape
     scale = 4.0 * math.pi * h
+    with np.errstate(over="ignore"):
+        span = sorted_rows[:, -1] - sorted_rows[:, 0]
+    if not np.all(np.isfinite(span)):
+        lo, hi = sorted_rows[np.argmin(np.isfinite(span)), [0, -1]].tolist()
+        raise DomainError(f"the data range [{lo!r}, {hi!r}] is wider than the largest float: no density estimate")
+    if not math.isfinite(float(np.max(span)) / scale):  # Python floats: the overflow is inf, not a RuntimeWarning
+        raise ArgumentError(f"bandwidth {h} is too small for values spanning {np.max(span)}: the cell keys span/(4 pi h) overflow")
     row = np.arange(rows)[:, None]
     lo = np.empty(y_rows.shape, dtype=np.intp)
     hi = np.empty(y_rows.shape, dtype=np.intp)
@@ -128,7 +130,7 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     ends = (lo, split, hi)  # where the prefix sums are read: the sum at p is over the first p terms
     sums = [[np.zeros(y_rows.shape) for _ in ends] for _ in (np.cos, np.sin)]
     running = np.zeros((2, rows))  # the cos and sin sums before the tile
-    for start, stop in _tiles(rows, n):
+    for start, stop in _tiles(n, _tile_width(rows)):
         tile = sorted_rows[:, start:stop]
         keys = np.floor((tile - sorted_rows[:, :1]) / scale)
         for r in range(rows):
@@ -176,12 +178,6 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
         total += np.cos(phi) * c + np.sin(phi) * s
     # every term is >= 0; an empty window is exactly 0 and rounding never goes below it
     return np.where(filled, np.maximum(total, 0.0), 0.0) / (2.0 * math.pi * n * h)
-
-
-def _tiles(rows: int, n: int) -> list:
-    """(start, stop) column ranges of a (rows, n) block, each ``gof_test._tile_width(rows)`` columns wide but the last."""
-    width = gof_test._tile_width(rows)
-    return [(start, min(start + width, n)) for start in range(0, n, width)]
 
 
 def _band_setup(dist: KnownDistribution, xs, n: int, alpha: float, bandwidth: float | None = None):

@@ -25,6 +25,7 @@ from scipy.special import (
     zeta,
 )
 
+from .empirical import _tile_width, _tiles
 from .errors import ConvergenceError, DomainError, check_name
 
 __all__ = ["KnownDistribution", "Normal", "Gamma", "Uniform", "fit_gamma_mle", "fit_normal", "fit_uniform", "FAMILIES"]
@@ -276,22 +277,27 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
         self.p = p
         self.log_q = log_q  # (intervals + 1, p.size)
 
-    def quantile_density(self, law: Gamma, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``quantile_density(law, p)`` for a law with (rows, 1) parameter columns, from the table.
+    def quantile_density(self, law: Gamma, start: int = 0, stop: int | None = None, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """``quantile_density(law, p[start:stop])`` for a law with (rows, 1) parameter columns, from the table.
 
         With L = log gammaincinv(a, p) interpolated, x = e^L / rate and
         log f(x) = log rate + (a - 1) L - e^L - lgamma(a).  A row whose
-        shape is outside the band gets ``quantile_density`` itself.  x and
-        the density are written into the first rows of ``out``, a pair of
-        (R, p.size) float arrays with R >= rows, allocated here when None.
+        shape is outside the band gets ``quantile_density`` itself.  The
+        columns default to all of p.  x and the density are written into the
+        leading (rows, stop - start) corner of ``out``, a pair of float
+        arrays at least that large, allocated here when None.  The bootstrap
+        asks a block of two or more rows for all of p at once, and a one-row
+        block in tiles of ``_tile_width(1)`` columns, which give the bits of
+        one single-threaded call over all of p.
         """
+        stop = self.p.size if stop is None else stop
         shape, rate = law.shape[:, 0], law.rate[:, 0]
         if out is None:
-            out = (np.empty((shape.size, self.p.size)), np.empty((shape.size, self.p.size)))
-        x, density = out[0][: shape.size], out[1][: shape.size]
+            out = np.empty((2, shape.size, stop - start))
+        x, density = out[0][: shape.size, : stop - start], out[1][: shape.size, : stop - start]
         t = (np.log(shape) - self.center) / self.half_width
         inside = np.abs(t) <= 1.0
-        log_q = _barycentric(np.where(inside, t, 0.0), self.log_q, out=density)  # a row outside is overwritten below
+        log_q = _barycentric(np.where(inside, t, 0.0), self.log_q[:, start:stop], out=density)  # a row outside is overwritten below
         np.exp(log_q, out=x)
         log_q *= (shape - 1.0)[:, None]
         log_q += (np.log(rate) - gammaln(shape))[:, None]
@@ -301,7 +307,7 @@ class GammaQuantileTable:  # a plain class: a frozen dataclass adds ~1 ms to eve
         x /= law.rate
         if not np.all(inside):
             outside = Gamma(shape=law.shape[~inside], rate=law.rate[~inside])
-            x[~inside], density[~inside] = quantile_density(outside, self.p)
+            x[~inside], density[~inside] = quantile_density(outside, self.p[start:stop])
         return x, density
 
 
@@ -396,8 +402,8 @@ def gamma_quantile_table(shape: float, n: int, p) -> GammaQuantileTable | None:
     for k, (mid, half, values) in enumerate(pieces):
         nodes = values[0::2, 0::2].T
         points = np.flatnonzero(which == k)
-        # a chunk's barycentric temporaries stay near 1 MB however large p is
-        for chunk in np.array_split(points, 1 + points.size * nodes.shape[0] // (1 << 17)):
+        for start, stop in _tiles(points.size, _tile_width(nodes.shape[0])):  # (tile, nodes) barycentric temporaries
+            chunk = points[start:stop]
             log_q[:, chunk] = _barycentric((t[chunk] - mid) / half, nodes).T
     return GammaQuantileTable(center, half_width, p, log_q)
 

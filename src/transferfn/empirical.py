@@ -15,6 +15,38 @@ from .errors import ArgumentError, DomainError, check_count
 
 __all__ = ["Sample", "ecdf", "sample_quantile", "block_quantiles"]
 
+# The working-memory budget of every block kernel: at most this many values
+# in one (rows x width) temporary.  Such a temporary is 256 KiB, above
+# glibc's 128 KiB mmap threshold, so one allocated per block is mapped,
+# faulted in and unmapped every block (~6,600 minor page faults in a
+# 999-replication bootstrap at n = 518); the block kernels therefore write
+# into buffers allocated once per call.  Smaller blocks also avoid the
+# faults, but pay the fixed cost of a block (~0.4 ms there) more often.  A
+# one-row tile counts as two rows, so its temporaries are 128 KiB: at
+# n = 1e5 that takes the band's minor page faults per call from ~480 to
+# none and the test's from ~860 to ~200-400.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _tile_width(rows: int) -> int:
+    """Columns in one tile of a block kernel over ``rows`` rows: at most _BLOCK_ELEMENTS values over max(rows, 2) rows, and at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(rows, 2))
+
+
+def _tiles(size: int, width: int) -> list:
+    """(start, stop) ranges of ``size`` columns, each ``width`` wide but the last."""
+    return [(start, min(start + width, size)) for start in range(0, size, width)]
+
+
+def _block_rows(width: int) -> int:
+    """Rows in a block of replicates whose widest per-block temporary has ``width`` columns."""
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
+def _block_buffers(count: int, rows: int, size: int) -> tuple:
+    """``count`` separate (rows, width) float arrays: one tile of ``rows`` rows over ``size`` columns, for a block kernel's ``out``."""
+    return tuple(np.empty((rows, min(size, _tile_width(rows)))) for _ in range(count))
+
 
 class Sample:
     """Immutable ordered view of observations.

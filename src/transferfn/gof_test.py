@@ -4,8 +4,10 @@ The statistic is  sup sqrt(n) (f_Z(x)/h'(x)) |ghat(x) - h(x)|  over the
 probability-trimmed region delta_n <= F_Z(x) <= 1 - delta_n, with
 delta_n = 25 loglog(n) / n.  Under the null it converges to the supremum of
 the absolute Brownian bridge, so critical values and asymptotic p-values
-come from ks_distribution.  A parametric-bootstrap (Monte-Carlo) p-value is
-provided for composite nulls where the input law itself was fitted.
+come from ks_distribution.  A parametric-bootstrap (Monte-Carlo) p-value
+refits the input family per draw; it draws Y from the law fitted to Y
+itself, so it tests g = h correctly only for h = identity (not yet the
+composite null of a fitted input law under any h).
 
 The local-alternatives theory additionally assumes the perturbation s has
 nonnegative derivative; nothing about s is observable at test time, so that
@@ -25,7 +27,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import FIT_BAD_DATA, FIT_OK, TABLE_REL_ERROR, Gamma, KnownDistribution, family_fitter
 from .distributions import gamma_quantile_table, quantile_density
-from .empirical import Sample, quantile_rank
+from .empirical import Sample, _block_buffers, _block_rows, _tiles, quantile_rank
 from .errors import ConvergenceError, DomainError, check_alpha, check_count
 from .ks_distribution import ks_sup_quantile, ks_sup_tail
 
@@ -42,23 +44,6 @@ __all__ = [
 _MIN_N = 16  # loglog n must be positive and the trim below 1/2
 _TRIM_CAP = 0.2
 _GRID_POINTS = 512  # grid points of the evaluation set, besides ghat's jumps
-# Elements in one (rows x width) temporary of a block of replicates: a block
-# stays within a few MB (see replicate_blocks).  Such a temporary is 256 KiB,
-# above glibc's 128 KiB mmap threshold, so one allocated per block is mapped,
-# faulted in and unmapped every block (~6,600 minor page faults in a
-# 999-replication bootstrap at n = 518); the block kernels therefore write
-# into buffers allocated once per call.  Smaller blocks also avoid the
-# faults, but pay the fixed cost of a block (~0.4 ms there) more often.
-_BLOCK_ELEMENTS = 1 << 15
-# Columns in one tile of a block kernel.  A block of two or more rows has
-# tiles this narrow already; the cap bounds the one-row calls behind every
-# CLI `test` and `estimate --band`, whose (1, width) temporaries are then
-# 128 KiB, not 256 KiB.  At n = 1e5 that halves the traced peaks of `test`
-# and the band, and takes the band's minor page faults per call from ~480
-# to none and the test's from ~860 to ~200-400.  2^13 columns would remove
-# the test's too, but adds ~0.8 ms to a 4.7 ms band.
-_TILE_COLUMNS = 1 << 14
-
 # A bootstrap statistic computed from a gamma shape table is re-scored with
 # exact quantiles and density when it lies within this relative distance of
 # the observed statistic.  The table's quantiles are within TABLE_REL_ERROR;
@@ -217,16 +202,6 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _tile_width(rows: int) -> int:
-    """Columns in one tile of a block kernel over ``rows`` rows: at most _BLOCK_ELEMENTS values and _TILE_COLUMNS columns, and at least one."""
-    return min(_TILE_COLUMNS, max(1, _BLOCK_ELEMENTS // rows))
-
-
-def _block_rows(width: int) -> int:
-    """Rows in a block of ``replicate_blocks`` whose widest per-block temporary has ``width`` columns."""
-    return max(1, _BLOCK_ELEMENTS // width)
-
-
 def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key=()):
     """Replicates 0 .. replications-1 of a seeded study, a block of rows of n draws at a time.
 
@@ -249,44 +224,53 @@ def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key
     seed_words = _pcg64_seed_words(seed, tuple(key), replications)
     block = _block_rows(width)
     buffer = np.empty((min(block, replications), n))
-    for start in range(0, replications, block):
-        reps = range(start, min(start + block, replications))
+    for start, stop in _tiles(replications, block):
+        reps = range(start, stop)
         rows = buffer[: len(reps)]
         for i, rep in enumerate(reps):
             rows[i] = draw(np.random.Generator(np.random.PCG64(_SeedWords(seed_words[rep]))))
         yield reps, rows
 
 
+def _law_at(dist, points, start: int, stop: int):
+    """dist's (quantiles, density) at columns start .. stop - 1 of ``points``: the default ``law_values`` of ``_statistic_rows``."""
+    return quantile_density(dist, points.u(start, stop))
+
+
+def _sliced(x: np.ndarray, density: np.ndarray):
+    """A ``law_values`` of ``_statistic_rows`` that hands over the columns of precomputed (x, density) planes."""
+    return lambda start, stop: (x[:, start:stop], density[:, start:stop])
+
+
 def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None, out=None):
     """Statistic of every row of a (rows, n) array of sorted samples, with a status per row.
 
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
-    columns; ``points`` is _evaluation_set(n).  ``law_values`` is dist's
-    (quantiles, density) at all the points, computed here by
-    ``distributions.quantile_density`` when not given.  The points are
-    walked in tiles of columns: a tile's u, law values, h, h' and weighted
-    gaps are built in ``out``, three (R, width) float arrays with R >= rows
-    (``_statistic_buffers``, allocated here when None), and the row keeps a
-    running max, so no temporary grows with n.  The tiles give every value
-    bit for bit, and the max, its x and the status are those of one tile
-    over all the points.  Status 0 marks a defined statistic; any other
+    columns; ``points`` is _evaluation_set(n).  ``law_values(start, stop)``
+    gives dist's (quantiles, density) at columns start .. stop - 1 of the
+    points, each (1 or rows, stop - start): ``_law_at`` when None, a shape
+    table's ``quantile_density`` or ``_sliced`` precomputed planes.  The
+    points are walked in tiles of columns: a tile's law values, h, h' and
+    weighted gaps are built in ``out``, three (R, width) float arrays with
+    R >= rows (``_block_buffers``, allocated here when None), and the row
+    keeps a running max, so no temporary grows with n.  The tiles give every
+    value bit for bit, and the max, its x and the status are those of one
+    tile over all the points.  Status 0 marks a defined statistic; any other
     status is a key of _ROW_ERRORS, and that row's statistic is meaningless.
     ``argmax_x`` is the x at which each row's sup is attained (the first
     such point, or the first NaN, as np.argmax picks it).
     """
     rows, n = sorted_rows.shape
+    if law_values is None:
+        law_values = partial(_law_at, dist, points)
     if out is None:
-        out = _statistic_buffers(rows, points.size)
+        out = _block_buffers(3, rows, points.size)
     grid, g, j0 = points.grid, points.grid.size, points.jumps.start
     index = np.arange(rows)
-    best = None
+    best, best_x = np.full(rows, -math.inf), np.zeros(rows)  # every gap of a row with status 0 is >= 0 or NaN
     bad_law = bad_h = bad_derivative = np.zeros(1, dtype=bool)  # per law after the first tile
-    for start in range(0, points.size, out[0].shape[1]):
-        stop = min(start + out[0].shape[1], points.size)
-        if law_values is None:
-            x, density = quantile_density(dist, points.u(start, stop))
-        else:
-            x, density = law_values[0][:, start:stop], law_values[1][:, start:stop]
+    for start, stop in _tiles(points.size, out[0].shape[1]):
+        x, density = law_values(start, stop)
         bad_law = bad_law | ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
         if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
             x = np.where(bad_law[:, None], 0.0, x)
@@ -312,26 +296,13 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
             gap *= weight
         where = np.argmax(gap, axis=1)
         tile_best, tile_x = gap[index, where], x[index if x.shape[0] > 1 else 0, where]
-        if best is None:
-            best, best_x = tile_best, tile_x
-        else:  # np.argmax keeps the first max, and a NaN beats any number
-            later = (tile_best > best) | (np.isnan(tile_best) & ~np.isnan(best))
-            best, best_x = np.where(later, tile_best, best), np.where(later, tile_x, best_x)
+        later = (tile_best > best) | (np.isnan(tile_best) & ~np.isnan(best))  # np.argmax keeps the first max; a NaN beats any number
+        best, best_x = np.where(later, tile_best, best), np.where(later, tile_x, best_x)
     with np.errstate(over="ignore"):
         stats = math.sqrt(n) * best
     # a failed law is the reason, whatever h did at the x = 0 its row is scored at; then h', then h, then an overflow
     status = np.select([bad_law, bad_derivative, bad_h, ~np.isfinite(stats)], [_BAD_LAW, _BAD_DERIVATIVE, _BAD_H, _OVERFLOW], 0)
     return stats, status, best_x
-
-
-def _statistic_buffers(rows: int, size: int) -> tuple:
-    """``out`` of ``_statistic_rows`` for blocks of up to ``rows`` rows: tiles of ``_tile_width(rows)`` columns."""
-    return _block_buffers(3, rows, min(size, _tile_width(rows)))
-
-
-def _block_buffers(count: int, rows: int, size: int) -> tuple:
-    """``count`` separate (rows, size) float arrays, for a block kernel's ``out``."""
-    return tuple(np.empty((rows, size)) for _ in range(count))
 
 
 def _checked_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, points, law_values=None, out=None):
@@ -443,9 +414,9 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
     points = _evaluation_set(n)
     size = points.size
     table = gamma_quantile_table(fitted.shape, n, points.u()) if isinstance(fitted, Gamma) else None
-    # every block writes its law values and statistic temporaries over the last block's
-    work = _statistic_buffers(_block_rows(size), size)
-    law_buffer = None if table is None else _block_buffers(2, _block_rows(size), size)
+    # every block writes its statistic temporaries, and each tile its table values, over the last one's
+    work = _block_buffers(3, _block_rows(size), size)
+    planes = None if table is None else _block_buffers(2, _block_rows(size), size)
     exceed = refit_failures = stat_failures = 0
     for reps, draws in replicate_blocks(seed, replications, n, size, partial(fitted.rvs, n)):
         refits, fit_status = type(fitted).fit_rows(draws)
@@ -459,7 +430,7 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
             continue
         rows = draws if np.all(fitted_ok) else draws[fitted_ok]
         rows.sort(axis=1)
-        law_values = None if table is None else table.quantile_density(refits, law_buffer)
+        law_values = None if table is None else partial(table.quantile_density, refits, out=planes)
         stats, status, _ = _statistic_rows(rows, refits, hyp, points, law_values, work)
         if table is not None:
             # a statistic from the table could lie on the wrong side of the observed one only within the window

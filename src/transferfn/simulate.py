@@ -17,17 +17,10 @@ import numpy as np
 
 from .density_band import _band_edges, _band_setup, _kde_rows
 from .distributions import KnownDistribution, Normal, quantile_density
+from .empirical import _block_buffers, _block_rows
 from .errors import ArgumentError, DomainError, check_alpha, check_count, check_name
 from .estimator import _interior_grid, estimator_ranks
-from .gof_test import (
-    HypothesisFunction,
-    _block_rows,
-    _checked_rows,
-    _evaluation_set,
-    _statistic_buffers,
-    replicate_blocks,
-    replication_rng,
-)
+from .gof_test import HypothesisFunction, _checked_rows, _evaluation_set, _sliced, replicate_blocks, replication_rng
 from .ks_distribution import ks_sup_quantile
 from .subsampling import _check_block, _subsample_half_widths
 
@@ -169,7 +162,7 @@ def generate(config: DGPConfig, rng: np.random.Generator | None = None):
     """
     if rng is None:
         rng = replication_rng(config.seed, ())
-    return _finite_pair(partial(_draw_z, config), rng, get_transfer(config.transfer), config.law)
+    return _finite_pair(partial(_draw_z, config), rng, get_transfer(config.transfer), config.marginal())
 
 
 def _draw_z(config: DGPConfig, rng: np.random.Generator) -> np.ndarray:
@@ -181,7 +174,7 @@ def _draw_z(config: DGPConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _finite_pair(draw, rng, g: HypothesisFunction, law):
-    """(z, y) of the first of up to 100 draws z = ``draw(rng)`` whose transfer y = g(z) is finite."""
+    """(z, y) of the first of up to 100 draws z = ``draw(rng)`` whose transfer y = g(z) is finite; ``law`` is z's, for the message."""
     for _ in range(100):
         z = draw(rng)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -283,7 +276,7 @@ def run_coverage_study(
     flagged_points = 0
     flagged_reps = 0
     draw = partial(_draw_z, config)
-    for reps, ys in _finite_blocks(config.seed, replications, config.n, config.n, draw, g, config.law):
+    for reps, ys in _finite_blocks(config.seed, replications, config.n, config.n, draw, g, marginal):
         if method == "subsample":
             ghat = np.sort(ys, axis=1)[:, ranks.ghat]
             half = _subsample_half_widths(ys, ghat, ranks.p, b, alpha)
@@ -346,8 +339,8 @@ def run_test_table(
     critical = ks_sup_quantile(1.0 - alpha)
     points = _evaluation_set(n)
     size = points.size
-    law_values = quantile_density(dist, points.u())
-    work = _statistic_buffers(_block_rows(size), size)  # every block's statistic temporaries
+    law_values = _sliced(*quantile_density(dist, points.u()))
+    work = _block_buffers(3, _block_rows(size), size)  # every block's statistic temporaries
     cells = {}
     for row, h_name in enumerate(h_names):
         h = get_transfer(h_name)

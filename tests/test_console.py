@@ -138,6 +138,8 @@ CASES = [
         ("data-ma-overflows", "data --transfer (x+4)^2 --n 5 --ma-order 2 --ma-decay 1e100", "ma_decay 1e+100 overflows the MA(2) law"),
         ("data-seed-negative", "data --transfer identity --n 10 --seed -1", "a seed must be an integer >= 0"),
         ("data-g-overflows", "data --transfer e^x --n 16 --ma-order 2 --ma-decay 1e10", "transfer kept leaving its domain: 'e^x'"),
+        ("coverage-g-overflows-names-the-marginal", "coverage --transfer e^x --n 200 --reps 3 --x 0 --ma-order 1 --ma-decay 1e3 --seed 1",
+         "transfer kept leaving its domain: 'e^x' under Normal(mean=0.0, sd=1000.000499999875)"),  # the MA(1) law, not its innovations'
         ("table2-reps-0", "table2 --n 200 --reps 0", "the repetition count must be an integer >= 1"),
         ("table2-n-10", "table2 --n 10", "the trimmed statistic's n must be an integer >= 16"),
         ("table2-seed-negative", "table2 --n 200 --reps 1 --seed -1", "a seed must be an integer >= 0"),
@@ -177,6 +179,8 @@ CASES = [
          "the Gamma(shape=0.001, rate=1.0) quantile at level 0.01 is"),
         ("band-data-range-overflows", BAND, column("6.48648100598784e293", "-1.7976931348623093e308", 1, 2),
          "the data range [-1.7976931348623093e+308, 6.48648100598784e+293] is wider than the largest float"),
+        ("coverage-band-data-range-overflows", "simulate coverage --transfer x^3 --n 200 --reps 20 --method band --x 1e100 1e101 "
+         "--ma-order 1 --ma-decay 1.4e102 --seed 1", None, "the data range [-9.380364830146849e+307, 1.5645738966966918e+308]"),
         ("subsample-deviations-overflow", f"subsample-ci {Y} --dist normal:0,1 --x 0 --alpha 0.1 --block 2",
          column(0, 0, 0, 0, "-1.5e308"), "the scaled block deviations sqrt(b)|ghat_b,i - ghat| (b = 2) overflow"),
         ("test-bootstrap-gamma-underflow", f"test {Y} --dist gamma --h identity --mc-reps 99", TINY,

@@ -16,8 +16,11 @@ from transferfn import (
     ks_sup_quantile,
 )
 
-import transferfn.gof_test as gof_module
-from transferfn.density_band import _bandwidth, _kde_rows, _tiles
+import transferfn.density_band as band_module
+import transferfn.empirical as empirical_module
+from transferfn.density_band import _bandwidth, _kde_rows
+from transferfn.empirical import _tiles
+from transferfn.errors import ArgumentError
 
 from oracles import naive_kde
 
@@ -52,6 +55,21 @@ def test_kde_on_data_whose_range_overflows_names_the_range():
             with pytest.raises(DomainError, match=re.escape(message)) as info:
                 kde(s, 0.0, bandwidth=bandwidth)
             assert type(info.value) is DomainError  # not the ArgumentError that blames the bandwidth
+
+
+def test_kde_rows_check_every_rows_range_then_its_cell_keys():
+    # the band study calls _kde_rows without kde(): a row whose range overflows is a DomainError, even
+    # after a row whose cell keys span/(4 pi h) overflow; without it the keys blame the bandwidth
+    keys = np.array([0.0, 3e10, 4e10, 5e10])
+    wide = np.array([-1.7976931348623093e308, 0.0, 1.0, 6.48648100598784e293])
+    ys = np.zeros((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("the data range [-1.7976931348623093e+308, 6.48648100598784e+293]")) as info:
+            _kde_rows(np.stack([keys, wide]), ys, 1e-300)
+        assert type(info.value) is DomainError
+        with pytest.raises(ArgumentError, match=re.escape("bandwidth 1e-300 is too small for values spanning 50000000000.0")):
+            _kde_rows(np.stack([keys, keys]), ys, 1e-300)
 
 
 def test_kde_consistency_standard_normal():
@@ -202,6 +220,11 @@ def test_kde_rows_match_one_row_kde_bit_for_bit():
     assert straddles > 20 and empties > 20
 
 
+def _kde_tiles(rows, n):
+    """The number of tiles ``_kde_rows`` walks a (rows, n) block in."""
+    return len(_tiles(n, band_module._tile_width(rows)))
+
+
 @pytest.mark.floor
 def test_kde_tiles_match_one_tile_bit_for_bit(monkeypatch):
     # the prefix sums built a tile of at most 64 values at a time, with the
@@ -210,21 +233,21 @@ def test_kde_tiles_match_one_tile_bit_for_bit(monkeypatch):
     cases = [(values[None, :], ys[None, :], h) for values, h, ys in _dense_oracle_cases()]
     cases.append(_kde_block())
     whole = [_kde_rows(np.sort(rows, axis=1), ys, h) for rows, ys, h in cases]
-    # one row at n = 40,000, where the column cap binds: production's tiles against one tile with the cap lifted
+    # one row at n = 40,000, wider than a one-row tile: production's tiles against one tile over all of it
     n = 40_000
     row = np.sort(1e3 + 2.0 * np.random.default_rng(17).standard_normal((1, n)), axis=1)
     ys = np.concatenate([row[0, ::199], np.linspace(row[0, 0] - 1.0, row[0, -1] + 1.0, 301)])[None, :]
     h = n ** (-1.0 / 6.0)
-    assert len(_tiles(1, n)) > 1
+    assert _kde_tiles(1, n) > 1
     tiled = _kde_rows(row, ys, h)
     with monkeypatch.context() as patch:
-        patch.setattr(gof_module, "_tile_width", lambda rows: n)
-        assert len(_tiles(1, n)) == 1
+        patch.setattr(band_module, "_tile_width", lambda rows: n)
+        assert _kde_tiles(1, n) == 1
         assert np.array_equal(_kde_rows(row, ys, h).view(np.int64), tiled.view(np.int64))
-    monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(empirical_module, "_BLOCK_ELEMENTS", 64)
     tiles = 0
     for (rows, ys, h), one in zip(cases, whole):
-        tiles += len(_tiles(*rows.shape))
+        tiles += _kde_tiles(*rows.shape)
         assert np.array_equal(_kde_rows(np.sort(rows, axis=1), ys, h).view(np.int64), one.view(np.int64)), (rows[0, 0], h)
     assert tiles > 10 * len(cases)
 

@@ -26,10 +26,11 @@ from transferfn import (
 from transferfn import test as gof
 from transferfn import test_statistic as gof_statistic
 import transferfn.distributions as distributions_module
+import transferfn.empirical as empirical_module
 import transferfn.gof_test as gof_module
 from oracles import naive_trimmed_argmax, naive_trimmed_sup
 from transferfn.distributions import FAMILIES, FIT_NO_CONVERGENCE, FIT_OK, TABLE_REL_ERROR, gamma_quantile_table
-from transferfn.gof_test import _checked_rows, _evaluation_set
+from transferfn.gof_test import _checked_rows, _evaluation_set, _sliced
 
 
 def gof_statistic_rows(sorted_rows, dist, hyp):
@@ -321,9 +322,10 @@ def _whole_and_tiled(monkeypatch, *args):
     The statuses agree, and so do the statistic and its x on every row with status 0 (elsewhere they are meaningless).
     """
     whole = gof_module._statistic_rows(*args)
-    assert args[3].size <= gof_module._tile_width(args[0].shape[0])
+    assert args[3].size <= empirical_module._tile_width(args[0].shape[0])
     with monkeypatch.context() as patch:
-        patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+        patch.setattr(empirical_module, "_BLOCK_ELEMENTS", 64)
+        assert args[3].size > empirical_module._tile_width(args[0].shape[0])  # more than one tile
         tiled = gof_module._statistic_rows(*args)
     ok = whole[1] == 0
     assert np.array_equal(whole[1], tiled[1])
@@ -343,19 +345,20 @@ def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
             sample = Sample(np.asarray(h.fn(law.rvs(n, rng))) + rng.normal(0.0, 0.01, n))
             whole = gof(sample, law, h, 0.15)
             with monkeypatch.context() as patch:
-                patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
+                patch.setattr(empirical_module, "_BLOCK_ELEMENTS", 64)
+                assert empirical_module._tile_width(1) < _evaluation_set(n).size  # more than one tile
                 tiled = gof(sample, law, h, 0.15)
             assert _same_bits(whole.statistic, tiled.statistic) and _same_bits(whole.argmax_x, tiled.argmax_x), (law, n)
-    # one row at n = 40,000, where the column cap binds: production's tiles against one tile with the cap lifted
+    # one row at n = 40,000, wider than a one-row tile: production's tiles against one tile over all of it
     big = np.random.default_rng(31)
     for law, h_name in zip(laws, ("(x+4)^2", "identity", "x^3")):
         h = get_transfer(h_name)
         sample = Sample(np.asarray(h.fn(law.rvs(40_000, big))) + big.normal(0.0, 0.01, 40_000))
         size = _evaluation_set(sample.n).size
-        assert gof_module._statistic_buffers(1, size)[0].shape[1] < size
+        assert empirical_module._tile_width(1) < size
         tiled = gof(sample, law, h, 0.15)
         with monkeypatch.context() as patch:
-            patch.setattr(gof_module, "_tile_width", lambda rows: size)
+            patch.setattr(empirical_module, "_tile_width", lambda rows: size)
             whole = gof(sample, law, h, 0.15)
         assert _same_bits(whole.statistic, tiled.statistic) and _same_bits(whole.argmax_x, tiled.argmax_x), law
     n = 200
@@ -377,21 +380,21 @@ def test_statistic_tiles_match_one_tile_bit_for_bit(monkeypatch):
     steep = HypothesisFunction(fn=lambda x: np.where(np.asarray(x) < -0.8, np.inf, x), deriv=lambda x: np.ones_like(x))
     failing = density.copy()
     failing[1, -5] = np.nan
-    _, status, _ = _whole_and_tiled(monkeypatch, rows[:2], Normal(), steep, points, (x, failing))
+    _, status, _ = _whole_and_tiled(monkeypatch, rows[:2], Normal(), steep, points, _sliced(x, failing))
     assert status.tolist() == [gof_module._BAD_H, gof_module._BAD_LAW]
 
     # gaps tied at columns 70 and 330, in the second tile and the sixth: the first is the max
     flat = HypothesisFunction(fn=lambda x: 0.0 * np.asarray(x), deriv=lambda x: np.ones_like(x))
     tied = np.full((1, points.size), 0.5)
     tied[0, [70, 330]] = 1.0
-    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.ones((1, n)), Normal(), flat, points, (x[:1], tied))
+    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.ones((1, n)), Normal(), flat, points, _sliced(x[:1], tied))
     assert stats[0] == math.sqrt(n) and argmax_x[0] == x[0, 70] and status[0] == 0
     # inf * 0 is a NaN gap at columns 200 and 400: np.argmax picks the first, and so do the tiles; the
     # overflowing gap is the row's status, without a warning
     low = HypothesisFunction(fn=lambda x: np.full_like(x, -1e308), deriv=lambda x: np.ones_like(x))
     holes = np.ones((1, points.size))
     holes[0, [200, 400]] = 0.0
-    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.full((1, n), 1e308), Normal(), low, points, (x[:1], holes))
+    stats, status, argmax_x = _whole_and_tiled(monkeypatch, np.full((1, n), 1e308), Normal(), low, points, _sliced(x[:1], holes))
     assert np.isnan(stats[0]) and argmax_x[0] == x[0, 200] and status[0] == gof_module._OVERFLOW
 
 
@@ -448,7 +451,7 @@ def test_shape_table_block_with_rows_outside_the_band_matches_exact():
     outside = np.abs(t) > 1.0
     for h_name in ("identity", "log(x+5)", "(x+4)^2"):
         hyp = get_transfer(h_name)
-        stats, status, argmax_x = gof_module._statistic_rows(rows, law, hyp, points, table.quantile_density(law))
+        stats, status, argmax_x = gof_module._statistic_rows(rows, law, hyp, points, functools.partial(table.quantile_density, law))
         exact, exact_status, exact_argmax = gof_module._statistic_rows(rows, law, hyp, points)
         assert not np.any(status) and not np.any(exact_status)
         assert stats == pytest.approx(exact, rel=_TABLE_STAT_REL, abs=0.0), h_name
@@ -474,7 +477,7 @@ def test_no_shape_table_above_the_shape_cap():
     rows = np.sort(rng.gamma(law.shape, 1.0 / law.rate, size=(t.size, n)), axis=1)
     for h_name in ("identity", "log(x+5)", "(x+4)^2"):
         hyp = get_transfer(h_name)
-        stats, status, _ = gof_module._statistic_rows(rows, law, hyp, points, table.quantile_density(law))
+        stats, status, _ = gof_module._statistic_rows(rows, law, hyp, points, functools.partial(table.quantile_density, law))
         exact, exact_status, _ = gof_module._statistic_rows(rows, law, hyp, points)
         assert not np.any(status) and not np.any(exact_status)
         assert stats == pytest.approx(exact, rel=_TABLE_STAT_REL, abs=0.0), h_name
@@ -488,9 +491,9 @@ def test_monte_carlo_p_value_with_a_shape_table_is_the_exact_one(monkeypatch):
     quantile_density = distributions_module.GammaQuantileTable.quantile_density
     left_band = []
 
-    def spy(table, law, out=None):
+    def spy(table, law, start=0, stop=None, out=None):
         left_band.append(int(np.count_nonzero(np.abs(np.log(law.shape) - table.center) > table.half_width)))
-        return quantile_density(table, law, out)
+        return quantile_density(table, law, start, stop, out)
 
     for n, shape, seed, replications in ((50, 2.0, 1, 999), (50, 8.0, 1, 999), (300, 3.0, 0, 199)):
         data = Sample(np.random.default_rng(seed + 40).gamma(shape, 1.5, size=n))
@@ -531,7 +534,7 @@ def test_monte_carlo_matches_per_replicate_loop(monkeypatch):
     rng = np.random.default_rng(89)
     data = Sample(rng.gamma(3.0, 2.0, size=300))
     width = gof_module._evaluation_set(300).size  # the bootstrap's block width at n = 300
-    assert 99 % (gof_module._BLOCK_ELEMENTS // width) != 0  # the last block is partial
+    assert 99 % empirical_module._block_rows(width) != 0  # the last block is partial
     for seed in (0, 5, 17):
         with monkeypatch.context() as patch:
             exceed, failures = _check_against_reference(patch, data, "gamma", fit_gamma_mle, 99, seed)
@@ -652,6 +655,15 @@ def test_monte_carlo_counts_undefined_statistics_apart_from_refits():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1")
+def test_monte_carlo_rejects_a_wrong_transfer_under_a_fitted_input_law():
+    # Y = (Z + 4)^2 tested against h = e^x, Z standard normal: the known-law test gives 217.6 with
+    # p = 0, but the bootstrap fits the normal family to Y and draws Y from that law, so it tests
+    # g = h correctly only for h = identity
+    z = np.random.default_rng(5).standard_normal(1000)
+    assert monte_carlo_p_value(Sample((z + 4.0) ** 2), "normal", get_transfer("e^x"), 199, 0) <= 0.05
+
+
 def test_monte_carlo_rejects_gamma_draws_that_underflow():
     # at fitted shapes 0.0064, 0.0078 and 0.0086 numpy's gamma sampler returns
     # exact zeros, outside the law's support: the sampler failed, not the data,
@@ -694,8 +706,9 @@ def test_replicate_blocks_streams_match_seed_sequence(monkeypatch):
     seeds += [int(pick.integers(0, 2**62)) >> int(pick.integers(0, 62)) for _ in range(10)]
     seeds += [int.from_bytes(pick.bytes(int(pick.integers(5, 24))), "little") for _ in range(10)]
     width = 1000  # blocks of 32 rows: 32 and a partial 13
-    for elements in (gof_module._BLOCK_ELEMENTS, 1):
-        monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", elements)
+    for elements in (empirical_module._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(empirical_module, "_BLOCK_ELEMENTS", elements)
+        assert gof_module._block_rows(width) < 45  # more than one block
         for seed in seeds:
             for key in ((), (7,), (2**33 + 5, 0)):
                 states, rows = _recorded_streams(seed, 45, width, key)
@@ -710,8 +723,9 @@ def test_replicate_blocks_rewrite_one_buffer_with_each_familys_draws(monkeypatch
     # every block is a view of one array that the next block rewrites, and
     # row i holds the family's draw on replicate reps[i]'s own stream
     laws = (Gamma(2.0, 1.5), Normal(0.3, 1.7), Uniform(-1.0, 2.5))
-    for elements in (gof_module._BLOCK_ELEMENTS, 1):
-        monkeypatch.setattr(gof_module, "_BLOCK_ELEMENTS", elements)
+    for elements in (empirical_module._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(empirical_module, "_BLOCK_ELEMENTS", elements)
+        assert gof_module._block_rows(1000) < 45  # more than one block
         for law in laws:
             seen, previous = [], None
             # width 1000: blocks of 32 rows, 32 and a partial 13, or of one row
@@ -740,20 +754,45 @@ def test_row_kernels_into_reused_buffers_match_allocating_calls():
     law = Gamma(shape=np.exp(table.center + table.half_width * t)[:, None], rate=rng.uniform(0.1, 5.0, t.size)[:, None])
     rows = np.sort(rng.gamma(law.shape, 1.0 / law.rate, size=(t.size, n)), axis=1)
     law_buffer = (rng.normal(size=(t.size + 2, size)), rng.normal(size=(t.size + 2, size)))
-    x, density = table.quantile_density(law, law_buffer)
+    x, density = table.quantile_density(law, out=law_buffer)
     assert np.shares_memory(x, law_buffer[0]) and np.shares_memory(density, law_buffer[1])
     assert all(_same_bits(a, b) for a, b in zip((x, density), table.quantile_density(law)))
     # finite quantiles (~1e-310) where the second law's density overflows, as in test_statistic_domain_errors
     bad = Gamma(shape=np.array([[2.0], [0.5]]), rate=np.array([[1.5], [1e308]]))
     bad_rows = np.sort(np.stack([rng.gamma(2.0, 1.0 / 1.5, n), rng.gamma(0.5, 1e-308, n)]), axis=1)
     work = tuple(rng.normal(size=(t.size + 2, size)) for _ in range(3))
-    cases = [(rows, law, (x, density), h) for h in ("identity", "log(x+5)", "(x+4)^2")]
+    cases = [(rows, law, _sliced(x, density), h) for h in ("identity", "log(x+5)", "(x+4)^2")]
+    cases.append((rows, law, functools.partial(table.quantile_density, law, out=law_buffer), "identity"))
     cases += [(rows, law, None, "log(x+5)"), (rows, Normal(), None, "(x+4)^2"), (bad_rows, bad, None, "identity")]
     for block, dist, law_values, h_name in cases:
         allocated = gof_module._statistic_rows(block, dist, get_transfer(h_name), points, law_values)
         reused = gof_module._statistic_rows(block, dist, get_transfer(h_name), points, law_values, work)
         assert all(_same_bits(a, b) for a, b in zip(allocated, reused)), (h_name, dist)
     assert list(reused[1]) == [0, gof_module._BAD_LAW]  # the last case's second law fails
+
+
+@pytest.mark.floor
+def test_shape_table_tiles_match_one_full_width_call_bit_for_bit():
+    # past 2^14 points the bootstrap's blocks are one row, and the table's quantiles and density
+    # come a tile at a time into tile-wide planes: each tile equals those columns of one
+    # full-width call bit for bit, inside the band and outside it
+    n = 20_000
+    points = gof_module._evaluation_set(n)
+    size = points.size
+    rows = empirical_module._block_rows(size)
+    planes = empirical_module._block_buffers(2, rows, size)
+    tiles = empirical_module._tiles(size, planes[0].shape[1])
+    assert rows == 1 and len(tiles) > 1
+    table = gamma_quantile_table(3.0, n, points.u())
+    t = np.array([-1.5, -1.0, -0.3, 0.0, 0.8, 1.0, 2.0])
+    rates = np.random.default_rng(33).uniform(0.1, 5.0, t.size)
+    for shape, rate in zip(np.exp(table.center + table.half_width * t), rates):
+        law = Gamma(shape=np.array([[shape]]), rate=np.array([[rate]]))
+        x, density = table.quantile_density(law)
+        for start, stop in tiles:
+            tile = table.quantile_density(law, start, stop, out=planes)
+            assert all(np.shares_memory(values, plane) for values, plane in zip(tile, planes))
+            assert _same_bits(tile[0], x[:, start:stop]) and _same_bits(tile[1], density[:, start:stop]), (shape, start)
 
 
 @pytest.mark.floor

@@ -26,7 +26,7 @@ from transferfn import (
 )
 from transferfn import test_statistic as gof_statistic
 from transferfn.empirical import quantile_rank
-from transferfn.errors import ArgumentError
+from transferfn.errors import ArgumentError, DomainError
 import transferfn.gof_test as gof_module
 import transferfn.simulate as simulate
 
@@ -246,7 +246,7 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     # x = +-4 at n = 100 clamps the CI levels at 1/n and 1
     ci_cfg = DGPConfig(transfer="(x+4)^2", n=100, seed=21)
     ci_xs = [-4.0, -1.5, 0.0, 0.3, 2.0, 4.0]
-    assert 700 % (gof_module._BLOCK_ELEMENTS // 100) != 0  # the last block is partial
+    assert 700 % gof_module._block_rows(100) != 0  # the last block is partial
     rep = _check_study(ci_cfg, ci_xs, 0.01, 700, "ci")
     assert any(0.0 < c < 1.0 for c in rep.cells.values())  # some misses, so a misread row shows
     rep = _check_study(ci_cfg, [-1.0, 0.0, 1.0], 0.05, 700, "ci")
@@ -264,6 +264,18 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
     _check_study(ci_cfg, ci_xs, 0.01, 57, "ci")
     _check_study(band_cfg, band_xs, 0.01, 5, "band")
     _check_study(ma_cfg, [0.0], 0.05, 3, "subsample", block=55)
+
+
+def test_band_study_applies_the_kde_rules_to_every_replicate():
+    # replicate 8's range overflows a float: the study raises the DomainError that the band on that
+    # replicate alone raises, not an overflow warning and a coverage of 0
+    cfg = DGPConfig(transfer="x^3", n=200, seed=1, ma_order=1, ma_decay=1.4e102)
+    xs = [1e100, 1e101]
+    with pytest.raises(DomainError, match="is wider than the largest float") as alone:
+        confidence_band(Sample(generate(cfg, replication_rng(1, (8,)))[1]), cfg.marginal(), xs, 0.01)
+    with pytest.raises(DomainError) as study:
+        run_coverage_study(cfg, xs, 0.01, 20, "band")
+    assert str(study.value) == str(alone.value)
 
 
 def _reference_table_draw(g, n, seed, key):

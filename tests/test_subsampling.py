@@ -21,7 +21,6 @@ from transferfn import (
     subsample_distribution,
 )
 
-import transferfn.gof_test as gof_module
 from oracles import long_run_variance, ma_series
 from transferfn.empirical import block_quantiles
 from transferfn.estimator import estimator_ranks
@@ -129,10 +128,9 @@ def test_snb_converges_to_normal_limit():
 
 
 @pytest.mark.floor
-def test_in_place_deviations_match_the_out_of_place_formula(monkeypatch):
+def test_in_place_deviations_match_the_out_of_place_formula():
     # the deviations are built in the rank filter's output and partitioned
-    # in place; d is the inf-quantile of sqrt(b)|ghat_b,i - ghat| bit for
-    # bit, whatever the block bound of the tiled kernels
+    # in place; d is the inf-quantile of sqrt(b)|ghat_b,i - ghat| bit for bit
     rng = np.random.default_rng(43)
     d = Normal()
     for n in (500, 3001):
@@ -144,10 +142,7 @@ def test_in_place_deviations_match_the_out_of_place_formula(monkeypatch):
                 deviations = math.sqrt(b) * np.abs(block_quantiles(s, b, float(ranks.p[0])) - ghat)
                 want = sample_quantile(Sample(deviations), 1.0 - alpha)
                 got = subsample_ci(s, d, x, alpha, b)
-                with monkeypatch.context() as patch:
-                    patch.setattr(gof_module, "_BLOCK_ELEMENTS", 64)
-                    tiled = subsample_ci(s, d, x, alpha, b)
-                assert got.d_quantile == tiled.d_quantile == want and got.ghat == ghat, (n, b, x)
+                assert got.d_quantile == want and got.ghat == ghat, (n, b, x)
 
 
 def test_overflowing_deviations_are_a_domain_error():

@@ -4,7 +4,7 @@ numpy reports its allocations to tracemalloc, so the traced peak of a call
 is the same on every run.  The sample is built before tracing starts, so a
 peak counts what the call itself holds: the reader's buffers and the
 kernels' temporaries.  A one-row tiled kernel's temporaries are bounded by
-_TILE_COLUMNS values each, whatever n is.
+_tile_width(1) values each, whatever n is.
 """
 
 import os
@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 import scipy.ndimage  # noqa: F401  (imported before any tracing: see test_subsampling_holds_one_array_of_deviations)
 
-from transferfn import Normal, Sample, confidence_band, default_grid, get_transfer, subsample_ci
+from transferfn import Normal, Sample, confidence_band, default_grid, get_transfer, monte_carlo_p_value, subsample_ci
 from transferfn import test as gof
 from transferfn.cli import read_column
-from transferfn.gof_test import _TILE_COLUMNS
+from transferfn.empirical import _tile_width
 
 N = 200_000
 MIB = 1 << 20
-TILE_ARRAY = 8 * _TILE_COLUMNS  # bytes of one float temporary of a one-row tile: 128 KiB
+TILE_ARRAY = 8 * _tile_width(1)  # bytes of one float temporary of a one-row tile: 128 KiB
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,14 @@ def test_band_builds_its_prefix_sums_in_bounded_tiles(data):
     _, sample = data
     xs = default_grid(Normal(), 201, 0.01, 0.99)
     assert _traced_peak(lambda: confidence_band(sample, Normal(), xs, 0.01)) < 4 * TILE_ARRAY  # 512 KiB
+
+
+def test_gamma_bootstrap_holds_its_table_values_a_tile_at_a_time():
+    # at n = 1e5 the blocks are one row, and the shape table's quantiles and density come a tile at a
+    # time into tile-wide planes: 11,166,777 B traced, against 12,908,278 B with full-width planes
+    n = 100_000
+    sample = Sample(np.random.default_rng(5).gamma(10.97, 37.0, n))
+    assert _traced_peak(lambda: monte_carlo_p_value(sample, "gamma", get_transfer("identity"), 99, 0)) < 15 * 8 * n
 
 
 def test_subsampling_holds_one_array_of_deviations(data):
