@@ -409,7 +409,7 @@ def _cmd_test(args) -> int:
 
     if args.mc_reps is not None:
         alpha = check_alpha(args.alpha)  # the decision below compares alpha here, not in the library
-        p_value, statistic, fitted = _bootstrap(sample, family.strip().lower(), hyp, args.mc_reps, args.seed)
+        p_value, statistic, fitted, argmax_x = _bootstrap(sample, family.strip().lower(), hyp, args.mc_reps, args.seed)
         payload = {
             "statistic": statistic,
             "critical": ks_sup_quantile(1.0 - alpha),
@@ -419,6 +419,7 @@ def _cmd_test(args) -> int:
             "replications": args.mc_reps,
             "level": 1.0 - alpha,
             "fitted": repr(fitted),
+            "argmax_x": argmax_x,
         }
     else:
         result = test(sample, parse_dist(args.dist), hyp, args.alpha)

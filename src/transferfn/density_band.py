@@ -12,7 +12,7 @@ experiment exhibits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ def _bandwidth(n: int, bandwidth: float | None = None) -> float:
     return h
 
 
-@dataclass(frozen=True)
-class BandResult:
+class BandResult(NamedTuple):
     xs: np.ndarray
     ghat: np.ndarray
     band_lo: np.ndarray
@@ -68,10 +67,13 @@ def kde(sample_y: Sample, y, bandwidth: float | None = None):
     K is the raised cosine K(u) = (1 + cos u) / (2 pi) on [-pi, pi], zero
     outside; it is C^1 and integrates to 1.  h is ``bandwidth``, or n^(-1/6)
     when it is None.  This is the one-row call of ``_kde_rows``, which
-    checks the data against h.
+    checks the data against h.  A NaN point is an ArgumentError; at +-inf
+    the estimate is 0.
     """
     h = _bandwidth(sample_y.n, bandwidth)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.any(np.isnan(ys)):
+        raise ArgumentError("kde points must not be NaN")
     out = _kde_rows(sample_y.sorted_values[None, :], ys[None, :], h)[0]
     if np.ndim(y) == 0:
         return float(out[0])

@@ -74,7 +74,9 @@ class Sample:
 
 
 def ecdf(sample: Sample, x):
-    """F_n(x) = (#{Y_i <= x}) / n, right-continuous, exact counting."""
+    """F_n(x) = (#{Y_i <= x}) / n, right-continuous, exact counting; ArgumentError for a NaN x."""
+    if np.any(np.isnan(x)):
+        raise ArgumentError("ecdf points must not be NaN")
     pos = np.searchsorted(sample.sorted_values, x, side="right")
     out = np.asarray(pos, dtype=float) / sample.n
     if np.ndim(x) == 0:

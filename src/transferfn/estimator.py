@@ -7,7 +7,6 @@ dependent data; only the interval construction differs (see subsampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +19,7 @@ from .errors import ArgumentError, DomainError, check_alpha, check_count
 __all__ = ["EstimateResult", "estimate", "estimate_with_ci", "default_grid"]
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     xs: np.ndarray
     ghat: np.ndarray
     ci_lo: np.ndarray

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -60,8 +59,7 @@ _ROW_ERRORS = {
 }
 
 
-@dataclass(frozen=True)
-class HypothesisFunction:
+class HypothesisFunction(NamedTuple):
     """Candidate transfer function h with its analytic derivative.
 
     h must be continuously differentiable with h' > 0 wherever the statistic
@@ -73,8 +71,7 @@ class HypothesisFunction:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     critical: float
     p_value: float
@@ -401,18 +398,18 @@ def monte_carlo_p_value(
 
 
 def _bootstrap(data: Sample, family, hyp, replications, seed):
-    """(p-value, observed statistic, law fitted to the data) of ``monte_carlo_p_value``.
+    """(p-value, observed statistic, law fitted to the data, the statistic's argmax_x) of ``monte_carlo_p_value``.
 
-    The CLI prints all three, so the data are fitted and the observed
-    statistic computed once.
+    The CLI prints all four, so the data are fitted and the observed
+    statistic computed once, as ``test_statistic`` computes it.
     """
     replications = check_count(replications, "the bootstrap replication count", 99)
     fitted = family_fitter(family)(data.values)
-    observed = test_statistic(data, fitted, hyp)
-
     n = data.n
     points = _evaluation_set(n)
     size = points.size
+    row_stats, row_x = _checked_rows(data.sorted_values[None, :], fitted, hyp, points)
+    observed, argmax_x = float(row_stats[0]), float(row_x[0])
     table = gamma_quantile_table(fitted.shape, n, points.u()) if isinstance(fitted, Gamma) else None
     # every block writes its statistic temporaries, and each tile its table values, over the last one's
     work = _block_buffers(3, _block_rows(size), size)
@@ -452,4 +449,4 @@ def _bootstrap(data: Sample, family, hyp, replications, seed):
             last=fitted,
         )
     successful = replications - failures
-    return (1 + exceed) / (successful + 1), observed, fitted
+    return (1 + exceed) / (successful + 1), observed, fitted, argmax_x

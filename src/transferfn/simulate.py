@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,16 +199,15 @@ def _finite_blocks(seed: int, replications: int, n: int, width: int, draw, g: Hy
         yield reps, ys
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """Outcome table of a seeded study plus the frame that produced it."""
 
     kind: str
     cells: dict
     replications: int
     seed: int
-    params: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    params: dict
+    extras: dict
 
     def to_rows(self) -> list[tuple]:
         if self.kind == "test_table":
@@ -250,7 +250,10 @@ def run_coverage_study(
     2 <= b < n, default ceil(n^(4/5))) are checked before any draw too, by
     the rules ``confidence_band`` and ``subsample_ci`` apply.  The report's
     ``block`` param is the subsampling block length used, as an int; None
-    for the other methods.
+    for the other methods.  A ``DomainError`` or ``ArgumentError`` raised
+    while a block is scored carries the block's message plus
+    " (replicate r of R)", r being the stream key of the first of its
+    replicates that raises that error type alone.
     """
     check_count(replications, "the replication count", 1)
     check_name(method, ("ci", "band", "subsample"), "coverage method")
@@ -275,22 +278,29 @@ def run_coverage_study(
     simultaneous = 0
     flagged_points = 0
     flagged_reps = 0
-    draw = partial(_draw_z, config)
-    for reps, ys in _finite_blocks(config.seed, replications, config.n, config.n, draw, g, marginal):
+
+    def score(ys):
+        """(lo, hi, flagged) of every row of a block of replicates; flagged is None but for bands."""
         if method == "subsample":
             ghat = np.sort(ys, axis=1)[:, ranks.ghat]
             half = _subsample_half_widths(ys, ghat, ranks.p, b, alpha)
-            lo, hi = ghat - half, ghat + half
-        else:
-            ys.sort(axis=1)
-            if method == "ci":
-                lo, hi = ys[:, ranks.lo], ys[:, ranks.hi]
-            else:
-                ghat = ys[:, ranks.ghat]
-                lo, hi, flagged = _band_edges(ghat, _kde_rows(ys, ghat, h), critical, config.n, h)
-                nflag = np.count_nonzero(flagged, axis=1)
-                flagged_points += int(np.sum(nflag))
-                flagged_reps += int(np.count_nonzero(nflag))
+            return ghat - half, ghat + half, None
+        ys.sort(axis=1)
+        if method == "ci":
+            return ys[:, ranks.lo], ys[:, ranks.hi], None
+        ghat = ys[:, ranks.ghat]
+        return _band_edges(ghat, _kde_rows(ys, ghat, h), critical, config.n, h)
+
+    draw = partial(_draw_z, config)
+    for reps, ys in _finite_blocks(config.seed, replications, config.n, config.n, draw, g, marginal):
+        try:
+            lo, hi, flagged = score(ys)
+        except DomainError as error:
+            raise _replicate_error(error, score, ys, reps, replications) from None
+        if flagged is not None:
+            nflag = np.count_nonzero(flagged, axis=1)
+            flagged_points += int(np.sum(nflag))
+            flagged_reps += int(np.count_nonzero(nflag))
         covered = (lo <= g_true) & (g_true <= hi)
         hits += np.count_nonzero(covered, axis=0)
         simultaneous += int(np.count_nonzero(np.all(covered, axis=1)))
@@ -315,6 +325,21 @@ def run_coverage_study(
         },
         extras=extras,
     )
+
+
+def _replicate_error(error: DomainError, score, ys: np.ndarray, reps, replications: int) -> DomainError:
+    """``error``, raised by ``score(ys)`` on a block of replicates, naming the first of them that raises its type alone.
+
+    Only this error path scores the rows one at a time.  The message is the
+    block's, plus " (replicate r of R)" with r the replicate's stream key.
+    """
+    for row, rep in zip(ys, reps):
+        try:
+            score(row[None, :])
+        except DomainError as alone:
+            if type(alone) is type(error):
+                return type(error)(f"{error} (replicate {rep} of {replications})")
+    return error
 
 
 def run_test_table(
@@ -360,4 +385,5 @@ def run_test_table(
         replications=repetitions,
         seed=seed,
         params={"n": n, "alpha": alpha, "h_names": list(h_names), "perturbations": list(perturbations)},
+        extras={},
     )

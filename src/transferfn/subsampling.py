@@ -18,7 +18,7 @@ small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .estimator import estimator_ranks
 __all__ = ["SubsampleResult", "default_block_length", "subsample_distribution", "subsample_ci"]
 
 
-@dataclass(frozen=True)
-class SubsampleResult:
+class SubsampleResult(NamedTuple):
     x: float
     ghat: float
     d_quantile: float

@@ -501,11 +501,11 @@ def test_test_command_monte_carlo_fits_once(capsys, gamma_file, monkeypatch):
 
         return wrapped
 
-    fit, statistic = FAMILIES["gamma"], gof_module.test_statistic
+    fit, statistic = FAMILIES["gamma"], gof_module._checked_rows
     argv = ["test", "--data", str(gamma_file), "--y-col", "DQO-E", "--dist", "gamma", "--h", "identity", "--mc-reps", "99", "--seed", "3"]
     with monkeypatch.context() as patch:
         patch.setitem(FAMILIES, "gamma", counting("fit", fit))
-        patch.setattr(gof_module, "test_statistic", counting("statistic", statistic))
+        patch.setattr(gof_module, "_checked_rows", counting("statistic", statistic))
         out, _ = run_cli(capsys, *argv, "--json")
         assert calls == {"fit": 1, "statistic": 1}
         text, _ = run_cli(capsys, *argv)
@@ -515,7 +515,7 @@ def test_test_command_monte_carlo_fits_once(capsys, gamma_file, monkeypatch):
     result = test(sample, fit(sample.values), hyp, 0.15)
     p_value = monte_carlo_p_value(sample, "gamma", hyp, replications=99, seed=3)
     payload = json.loads(out)
-    assert "argmax_x" not in payload  # the bootstrap payload is unchanged
+    assert payload["argmax_x"] == result.argmax_x  # the observed statistic's, as the asymptotic test finds it
     assert (payload["statistic"], payload["critical"], payload["p_value"]) == (result.statistic, result.critical, p_value)
     assert text == "".join(
         f"{key}: {value}\n"

@@ -42,8 +42,13 @@ def test_kde_far_outside_the_data_is_zero_without_warnings():
         assert kde(s, 1e300, bandwidth=1e-10) == 0.0
         values = kde(s, [2.0, 1e300, -1e300, 1.7e308], bandwidth=1e-10)
         alone = kde(s, 2.0, bandwidth=1e-10)
-    assert values[0] == alone > 0.0
+        infinite = kde(s, [-np.inf, 2.0, np.inf], bandwidth=1e-10)
+    assert values[0] == alone == infinite[1] > 0.0
     assert np.array_equal(values[1:], np.zeros(3))
+    assert infinite[0] == infinite[2] == 0.0
+    for y in (np.nan, [2.0, np.nan]):  # a NaN point is no point
+        with pytest.raises(ArgumentError, match="kde points must not be NaN"):
+            kde(s, y)
 
 
 def test_kde_on_data_whose_range_overflows_names_the_range():

@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from transferfn import DomainError, Sample, block_quantiles, ecdf, sample_quantile
+from transferfn import ArgumentError, DomainError, Sample, block_quantiles, ecdf, sample_quantile
 from transferfn.empirical import _block_quantile_rows
 
 from oracles import naive_inf_quantile, naive_window_quantiles, ma_series
@@ -17,6 +17,11 @@ def test_ecdf_counts():
     assert ecdf(s, 1.5) == pytest.approx(1 / 3)
     assert ecdf(s, 0.0) == 0.0
     assert ecdf(s, 3.0) == 1.0
+    # the infinities keep their limits; a NaN point has no count
+    assert np.array_equal(ecdf(s, [-np.inf, np.inf]), [0.0, 1.0])
+    for x in (np.nan, [2.0, np.nan]):
+        with pytest.raises(ArgumentError, match="ecdf points must not be NaN"):
+            ecdf(s, x)
 
 
 def test_ecdf_right_continuous_with_ties():

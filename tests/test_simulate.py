@@ -268,14 +268,14 @@ def test_coverage_study_matches_per_replicate_loop(monkeypatch):
 
 def test_band_study_applies_the_kde_rules_to_every_replicate():
     # replicate 8's range overflows a float: the study raises the DomainError that the band on that
-    # replicate alone raises, not an overflow warning and a coverage of 0
+    # replicate alone raises, naming the replicate, not an overflow warning and a coverage of 0
     cfg = DGPConfig(transfer="x^3", n=200, seed=1, ma_order=1, ma_decay=1.4e102)
     xs = [1e100, 1e101]
     with pytest.raises(DomainError, match="is wider than the largest float") as alone:
         confidence_band(Sample(generate(cfg, replication_rng(1, (8,)))[1]), cfg.marginal(), xs, 0.01)
     with pytest.raises(DomainError) as study:
         run_coverage_study(cfg, xs, 0.01, 20, "band")
-    assert str(study.value) == str(alone.value)
+    assert type(study.value) is DomainError and str(study.value) == f"{alone.value} (replicate 8 of 20)"
 
 
 def _reference_table_draw(g, n, seed, key):
