@@ -1,8 +1,9 @@
 """Command-line surface: data ingestion and drivers for every capability.
 
 Exit codes: 0 ok; 2 for a flag argparse rejects and for any argument the
-library rejects (ArgumentError); 3 for data that cannot be
-read; 4 for a numeric or convergence failure.  The library checks each
+library rejects (ArgumentError); 3 for data that cannot be read; 4 for a
+numeric or convergence failure; 141 (128 + SIGPIPE), with nothing on
+stderr, when the reader of stdout has closed it.  The library checks each
 argument where it uses it, so a bad flag value is reported after the input
 is read.  All delimited output starts with a ``# schema:`` comment so
 downstream readers can pin the column layout.
@@ -329,14 +330,16 @@ def parse_grid(spec: str) -> tuple[float, float, int]:
 
 
 def _delimiter(value: str) -> str:
-    """argparse type of --delim: one character that csv accepts and no number contains.
+    """argparse type of --delim: one character that csv accepts, no number contains and no reader takes for a comment.
 
     float() takes letters (inf, e), Unicode digits and each of ``. + - _``
     inside a finite token, so such a delimiter would split numbers apart.
+    The reader skips lines that start with '#', among them the ``# schema:``
+    line every output starts with, and declines '#' in the body.
     """
-    if len(value) != 1 or value in "\r\n.+-_" or value.isalnum():
+    if len(value) != 1 or value in "\r\n.+-_#" or value.isalnum():
         raise argparse.ArgumentTypeError(
-            f"must be one character other than a line end, a letter, a digit or one of . + - _ (got {value!r})"
+            f"must be one character other than a line end, a letter, a digit, one of . + - _ or the comment mark # (got {value!r})"
         )
     return value
 
@@ -589,7 +592,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the reader of stdout has gone: not an error of the data
+        with contextlib.suppress(AttributeError, ValueError, OSError):  # a stdout without a file descriptor is left as it is
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)  # what is left in its buffer goes nowhere, quietly
+        return 141  # 128 + SIGPIPE, as a shell reports a command that a signal ended
     except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -89,19 +89,22 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
     row give every window sum.  The anchor a is not global: each row is cut
     into cells of width 4 pi h, each anchored at its own first value, so both
     phases stay within a few multiples of 2 pi however large |Y|/h is (a
-    global anchor loses the phase to rounding as |Y|/h grows).  A window of
-    width 2 pi h overlaps at most two consecutive cells of its row.
+    global anchor loses the phase to rounding as |Y|/h grows).
 
     The block is walked once, in tiles of ``_tile_width(rows)`` columns, so
     no temporary grows with n.  A cell's key floor((Y - Y_0)/(4 pi h))
     never decreases along a row, so each tile's keys add to the counts, per
-    window, of where its cells start.  The same tile's
-    prefix sums are built with the running sum added to its first term, as
-    a sequential cumsum adds it, and kept only at the window ends: ``split``
-    is read at its count so far, and its last read lands in the tile where
-    the count stops.  The cell open at a tile's end carries its anchor into
+    window, of where the first value's cell and the cell after it start.
+    The same tile's prefix sums are built with the running sum added to its
+    first term, as a sequential cumsum adds it, and kept only at lo, hi and
+    min(split, hi).  The cell open at a tile's end carries its anchor into
     the next tile.  Every row equals the one-row result, and every tiling
     the one-tile result, bit for bit.
+
+    A window of width 2 pi h overlaps at most two consecutive cells of its
+    row, so its values split in two parts: lo .. min(split, hi) in the first
+    value's cell, and split .. hi, when split < hi, in the cell that starts
+    at split.
 
     A row whose range overflows a float raises DomainError; then a row whose
     cell keys span/(4 pi h) overflow raises ArgumentError (h is too small).
@@ -122,15 +125,10 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
         for r in range(rows):
             lo[r] = np.searchsorted(sorted_rows[r], y_rows[r] - math.pi * h, side="left")
             hi[r] = np.searchsorted(sorted_rows[r], y_rows[r] + math.pi * h, side="right")
-    # the cells of a window's first and last values: their keys, and the first positions at or past them
-    first_key, last_key = (
-        np.floor((sorted_rows[row, end] - sorted_rows[:, :1]) / scale) for end in (np.minimum(lo, n - 1), np.maximum(hi - 1, 0))
-    )
+    first_key = np.floor((sorted_rows[row, np.minimum(lo, n - 1)] - sorted_rows[:, :1]) / scale)  # the first value's cell
     first = np.zeros(y_rows.shape, dtype=np.intp)  # where the first value's cell starts
     split = np.zeros(y_rows.shape, dtype=np.intp)  # where the cell after it starts (n past the last)
-    last = np.zeros(y_rows.shape, dtype=np.intp)  # where the last value's cell starts
-    ends = (lo, split, hi)  # where the prefix sums are read: the sum at p is over the first p terms
-    sums = [[np.zeros(y_rows.shape) for _ in ends] for _ in (np.cos, np.sin)]
+    sums = [[np.zeros(y_rows.shape) for _ in range(3)] for _ in (np.cos, np.sin)]  # at lo, min(split, hi) and hi
     running = np.zeros((2, rows))  # the cos and sin sums before the tile
     for start, stop in _tiles(n, _tile_width(rows)):
         tile = sorted_rows[:, start:stop]
@@ -138,7 +136,9 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
         for r in range(rows):
             first[r] += np.searchsorted(keys[r], first_key[r], side="left")
             split[r] += np.searchsorted(keys[r], first_key[r], side="right")
-            last[r] += np.searchsorted(keys[r], last_key[r], side="left")
+        # where the prefix sums are read, the sum at p being over the first p terms; split is read at its count so
+        # far, so its last read inside a tile lands at min(split, hi) of the final count
+        ends = (lo, np.minimum(split, hi), hi)
         opens = np.empty(keys.shape, dtype=bool)
         np.not_equal(keys[:, 1:], keys[:, :-1], out=opens[:, 1:])
         opens[:, 0] = True  # each row's cells are numbered from its first column, in flat order
@@ -166,15 +166,14 @@ def _kde_rows(sorted_rows: np.ndarray, y_rows: np.ndarray, h: float) -> np.ndarr
                 np.clip(column, 0, stop - start, out=column)
                 np.copyto(out, np.take_along_axis(prefix, column, axis=1), where=inside)
         del theta, prefix
-    for _, at_split, at_hi in sums:  # a window that ends in its first value's cell: the cell's part ends at hi
-        np.copyto(at_split, at_hi, where=split > hi)
 
     total = (hi - lo).astype(float)
     filled = hi > lo
     # an empty window's phase stays 0: far from the data (y - a)/h can overflow there, and the window is masked below
     phi = np.zeros(y_rows.shape)
-    (c_lo, c_split, c_hi), (s_lo, s_split, s_hi) = sums
-    for cell_start, c, s in ((first, c_split - c_lo, s_split - s_lo), (last, c_hi - c_split, s_hi - s_split)):
+    (c_lo, c_mid, c_hi), (s_lo, s_mid, s_hi) = sums
+    second = np.where(split < hi, split, first)  # where the second part's cell starts; an empty part (split may be n) adds 0
+    for cell_start, c, s in ((first, c_mid - c_lo, s_mid - s_lo), (second, c_hi - c_mid, s_hi - s_mid)):
         np.subtract(y_rows, sorted_rows[row, cell_start], out=phi, where=filled)
         phi /= h
         total += np.cos(phi) * c + np.sin(phi) * s

@@ -6,7 +6,7 @@ ConvergenceError 4.
 
 import numpy as np
 
-__all__ = ["DomainError", "ArgumentError", "ConfigError", "ConvergenceError"]
+__all__ = ["DomainError", "ArgumentError", "ConvergenceError"]
 
 
 class DomainError(ValueError):
@@ -15,9 +15,6 @@ class DomainError(ValueError):
 
 class ArgumentError(DomainError):
     """A caller-chosen argument (a level, bandwidth, block length, point, count or name) is malformed or out of its domain."""
-
-
-ConfigError = ArgumentError  # its former name for an unknown name or bad configuration, kept for imports and ``except``
 
 
 class ConvergenceError(RuntimeError):

@@ -229,11 +229,6 @@ def replicate_blocks(seed: int, replications: int, n: int, width: int, draw, key
         yield reps, rows
 
 
-def _law_at(dist, points, start: int, stop: int):
-    """dist's (quantiles, density) at columns start .. stop - 1 of ``points``: the default ``law_values`` of ``_statistic_rows``."""
-    return quantile_density(dist, points.u(start, stop))
-
-
 def _sliced(x: np.ndarray, density: np.ndarray):
     """A ``law_values`` of ``_statistic_rows`` that hands over the columns of precomputed (x, density) planes."""
     return lambda start, stop: (x[:, start:stop], density[:, start:stop])
@@ -245,12 +240,13 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     ``dist`` is one law for all rows or a law with (rows, 1) parameter
     columns; ``points`` is _evaluation_set(n).  ``law_values(start, stop)``
     gives dist's (quantiles, density) at columns start .. stop - 1 of the
-    points, each (1 or rows, stop - start): ``_law_at`` when None, a shape
-    table's ``quantile_density`` or ``_sliced`` precomputed planes.  The
-    points are walked in tiles of columns: a tile's law values, h, h' and
-    weighted gaps are built in ``out``, three (R, width) float arrays with
-    R >= rows (``_block_buffers``, allocated here when None), and the row
-    keeps a running max, so no temporary grows with n.  The tiles give every
+    points, each (1 or rows, stop - start): ``quantile_density`` of dist at
+    ``points.u(start, stop)`` when None, a shape table's
+    ``quantile_density`` or ``_sliced`` precomputed planes.  The points are
+    walked in tiles of columns: a tile's law values, h, h' and weighted gaps
+    are built in ``out``, three (R, width) float arrays with R >= rows
+    (``_block_buffers``, allocated here when None), and the row keeps a
+    running max, so no temporary grows with n.  The tiles give every
     value bit for bit, and the max, its x and the status are those of one
     tile over all the points.  Status 0 marks a defined statistic; any other
     status is a key of _ROW_ERRORS, and that row's statistic is meaningless.
@@ -258,8 +254,6 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     such point, or the first NaN, as np.argmax picks it).
     """
     rows, n = sorted_rows.shape
-    if law_values is None:
-        law_values = partial(_law_at, dist, points)
     if out is None:
         out = _block_buffers(3, rows, points.size)
     grid, g, j0 = points.grid, points.grid.size, points.jumps.start
@@ -267,7 +261,7 @@ def _statistic_rows(sorted_rows: np.ndarray, dist, hyp: HypothesisFunction, poin
     best, best_x = np.full(rows, -math.inf), np.zeros(rows)  # every gap of a row with status 0 is >= 0 or NaN
     bad_law = bad_h = bad_derivative = np.zeros(1, dtype=bool)  # per law after the first tile
     for start, stop in _tiles(points.size, out[0].shape[1]):
-        x, density = law_values(start, stop)
+        x, density = quantile_density(dist, points.u(start, stop)) if law_values is None else law_values(start, stop)
         bad_law = bad_law | ~np.all(np.isfinite(x) & np.isfinite(density), axis=1)
         if np.any(bad_law):  # a rejected row is scored at x = 0 with density 0, so its discarded weight cannot overflow
             x = np.where(bad_law[:, None], 0.0, x)

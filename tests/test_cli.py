@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from transferfn.cli import main, parse_dist, parse_grid, read_column, DataError
-from transferfn.cli import _buffer, _read_column_rows, _read_input
+from transferfn.cli import _buffer, _checked_size, _read_column_rows, _read_input
 from transferfn import (
     DGPConfig,
     Gamma,
@@ -304,6 +304,47 @@ def test_read_column_gives_numpy_a_regular_files_path(tmp_path, monkeypatch):
     with open(clean, "rb") as fh:
         done = subprocess.run([sys.executable, "-c", code], stdin=fh, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "True str\n"), done.stderr
+
+
+def test_read_column_reads_a_file_that_grows_under_its_checks_from_one_buffer(tmp_path, monkeypatch):
+    # the checks scan more bytes than the file had when it was opened, and its mtime stays, as for a write
+    # within one tick of the file clock: numpy never parses the path, and the values come from one read of
+    # the open handle, the grown row included
+    path = tmp_path / "growing.csv"
+    path.write_text("y\n1\n2\n3\n")
+    opened = path.stat()
+
+    def growing(fh, body_start):
+        if path.stat().st_size == opened.st_size:
+            with open(path, "a") as end:
+                end.write("4\n")
+            os.utime(path, ns=(opened.st_atime_ns, opened.st_mtime_ns))
+        return _checked_size(fh, body_start)
+
+    seen, loadtxt = [], np.loadtxt
+    monkeypatch.setattr("transferfn.cli._checked_size", growing)
+    monkeypatch.setattr(np, "loadtxt", lambda source, *a, **k: (seen.append(source), loadtxt(source, *a, **k))[1])
+    assert read_column(str(path), "y").tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert len(seen) == 1 and not isinstance(seen[0], str)
+
+
+def test_read_column_reads_a_file_unlinked_under_numpy_again_from_its_open_handle(tmp_path, monkeypatch):
+    # once numpy has parsed the path, the path is gone: the file is not known to be unchanged, so the values
+    # come from one read of the still open handle
+    path = tmp_path / "unlinked.csv"
+    path.write_text("y\n1\n2\n3\n")
+    seen, loadtxt = [], np.loadtxt
+
+    def unlinking(source, *args, **kwargs):
+        seen.append(source)
+        values = loadtxt(source, *args, **kwargs)
+        if isinstance(source, str):
+            os.unlink(source)
+        return values
+
+    monkeypatch.setattr(np, "loadtxt", unlinking)
+    assert read_column(str(path), "y").tolist() == [1.0, 2.0, 3.0]
+    assert len(seen) == 2 and seen[0] == os.path.realpath(path) and not isinstance(seen[1], str)
 
 
 def test_read_column_reads_fields_of_any_length(tmp_path):

@@ -9,6 +9,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -87,11 +88,12 @@ CASES = [
     # usage errors (exit 2): a flag argparse rejects, or an argument the library rejects
     Case("argparse-missing-flag", "estimate", code=2, err="the following arguments are required: --data, --dist"),
     Case("argparse-bad-float", f"{COVERAGE} abc", code=2, err="argument --x: invalid float value: 'abc'"),
-    *(  # a --delim that is not one character, or that can occur inside a number, before any input is read
+    *(  # a --delim that is not one character, that can occur inside a number or that the reader takes for a comment
+        # ('#', which would read an output's '# schema:' line as a record), before any input is read
         Case(f"delim-{k}-{command.split()[command.startswith('simulate')]}", f"{command} --delim {shlex.quote(d)}", code=2,
              err="argument --delim: must be one character")
-        for k, d in enumerate((";;", "", "\\t", "\n", "1", ".", "e", "+", "-", "_", "E", "٣"))  # U+0663 is a digit to float()
-        for command in (DELIM_USERS if k < 7 else DELIM_USERS[1:2])
+        for k, d in enumerate((";;", "", "\\t", "\n", "1", ".", "e", "+", "-", "_", "E", "٣", "#"))  # U+0663 is a digit to float()
+        for command in (DELIM_USERS if k < 7 or d == "#" else DELIM_USERS[1:2])
     ),
     *usage_errors(f"estimate {Y} --dist uniform:0,1", UNIFORM, [
         ("estimate-grid-reversed", "--grid 0.5..0.4x10", "grid quantile range must satisfy 0 < p_lo <= p_hi < 1"),
@@ -263,3 +265,39 @@ def test_console_script(c, tmp_path):
     if (script := shutil.which("transferfn")) is None:
         pytest.skip("no transferfn console script on PATH")
     check(c, tmp_path, functools.partial(console_script, script))
+
+
+CLOSED = "simulate data --transfer identity --n 200000"  # more than a pipe holds
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises BrokenPipeError."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_in_process_closed_stdout(failing, capsys, monkeypatch):
+    # the reader of stdout closing it is not an error of the data: nothing on stderr, and 128 + SIGPIPE, also when
+    # the output fits in the buffer and the pipe breaks at its last flush
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(failing))
+    assert main(shlex.split(CLOSED)) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_console_script_closed_pipe():
+    if (script := shutil.which("transferfn")) is None or (bash := shutil.which("bash")) is None:
+        pytest.skip("no transferfn console script or bash on PATH")
+    command = f"set -o pipefail; {shlex.quote(script)} {CLOSED} | head -2"
+    done = subprocess.run([bash, "-c", command], stdin=subprocess.DEVNULL, capture_output=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (141, b"# schema: transferfn.dgp.v1\nz,y\n", b"")

@@ -351,6 +351,13 @@ def test_gamma_quantile_table_evaluations(monkeypatch, n, shape, most):
     assert 0 < sum(evaluations) <= most
 
 
+def test_gamma_quantile_table_declines_more_pieces_than_its_cap(monkeypatch):
+    # with the cap at 8, the logit-u pieces at n = 518 and shape 10.97 split into more than 8 while the
+    # log-a grid stays within it (9 nodes): no table
+    monkeypatch.setattr(distributions, "_TABLE_MAX_INTERVALS", 8)
+    assert gamma_quantile_table(10.97, 518, _evaluation_set(518).u()) is None
+
+
 def _counted_evaluations(monkeypatch):
     """The sizes of the inverse-gamma calls made after this, as the table builder makes them."""
     evaluations = []

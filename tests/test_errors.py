@@ -30,7 +30,7 @@ from transferfn import (
 )
 from transferfn import gof_test, simulate
 from transferfn.distributions import family_fitter
-from transferfn.errors import ArgumentError, ConfigError, DomainError, check_alpha
+from transferfn.errors import ArgumentError, DomainError, check_alpha
 from transferfn.estimator import estimator_ranks
 
 _SAMPLE = Sample(np.random.default_rng(12).normal(size=200))
@@ -139,8 +139,3 @@ UNKNOWN_NAMES = {
 def test_unknown_names_are_worded_alike(what):
     with pytest.raises(ArgumentError, match=f"^unknown {what} 'nope'; known: "):
         UNKNOWN_NAMES[what]()
-
-
-def test_config_error_is_argument_error():
-    # the former name still imports and still catches every bad configuration
-    assert ConfigError is ArgumentError

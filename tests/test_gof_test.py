@@ -7,7 +7,6 @@ import pytest
 
 from transferfn import (
     ArgumentError,
-    ConfigError,
     ConvergenceError,
     DomainError,
     Gamma,
@@ -203,7 +202,7 @@ def test_monte_carlo_validation():
     data = Sample(rng.gamma(2.0, 1.0, size=50))
     with pytest.raises(DomainError):
         monte_carlo_p_value(data, "gamma", get_transfer("identity"), replications=50)
-    with pytest.raises(ConfigError, match="known: " + ", ".join(FAMILIES)):
+    with pytest.raises(ArgumentError, match="known: " + ", ".join(FAMILIES)):
         monte_carlo_p_value(data, "Gamma", get_transfer("identity"), replications=99)
 
 
@@ -213,7 +212,7 @@ def test_monte_carlo_rejects_callable_family():
     data = Sample(rng.normal(5.0, 2.0, size=120))
     from transferfn import fit_normal
 
-    with pytest.raises(ConfigError, match="known: " + ", ".join(FAMILIES)):
+    with pytest.raises(ArgumentError, match="known: " + ", ".join(FAMILIES)):
         monte_carlo_p_value(data, fit_normal, get_transfer("identity"), replications=99, seed=2)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from transferfn import (
-    ConfigError,
     DGPConfig,
     HypothesisFunction,
     Normal,
@@ -34,7 +33,7 @@ import transferfn.simulate as simulate
 def test_registry_contents():
     assert set(TRANSFERS) == {"(x+4)^2", "log(x+5)", "log(x+10)", "x^3", "e^x", "identity"}
     assert get_transfer("exp(x)") is TRANSFERS["e^x"]
-    with pytest.raises(ConfigError, match="unknown transfer"):
+    with pytest.raises(ArgumentError, match="unknown transfer"):
         get_transfer("sinh")
     assert PERTURBATIONS == ("none", "x/n^(1/8)", "x/sqrt(n)")
 
@@ -45,7 +44,7 @@ def test_perturbed_transfers_stay_increasing():
             g = perturbed(get_transfer(name), kind, 1000)
             xs = np.linspace(-2.0, 2.0, 501)
             assert np.all(np.diff(np.asarray(g.fn(xs), dtype=float)) > 0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError):
         perturbed(get_transfer("identity"), "x^2", 1000)
     # a caller's h that decreases on [-2, 2] stays decreasing after a small perturbation
     falling = HypothesisFunction(fn=lambda x: -np.asarray(x), deriv=lambda x: np.full(np.shape(x), -1.0), name="-x")
@@ -121,19 +120,19 @@ def test_studies_raise_when_the_transfer_keeps_leaving_its_domain():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError):
         DGPConfig(transfer="nope", n=100, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError):
         DGPConfig(transfer="identity", n=0, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError):
         DGPConfig(transfer="identity", n=100, seed=0, ma_order=3, law=Uniform(0.0, 1.0))
     for decay in (float("inf"), float("-inf"), float("nan")):
         for order in (0, 2):
-            with pytest.raises(ConfigError, match="ma_decay must be finite"):
+            with pytest.raises(ArgumentError, match="ma_decay must be finite"):
                 DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
     # a finite decay whose coefficients or stationary SD overflow
     for decay, order in ((1e200, 2), (-1e200, 2), (1e100, 2), (1e160, 1), (10.0, 400)):
-        with pytest.raises(ConfigError, match="overflows the MA"):
+        with pytest.raises(ArgumentError, match="overflows the MA"):
             DGPConfig(transfer="identity", n=100, seed=0, ma_order=order, ma_decay=decay)
     assert DGPConfig(transfer="identity", n=100, ma_order=2, ma_decay=1e50).marginal().sd == pytest.approx(1e100)
 
@@ -176,7 +175,7 @@ def test_coverage_methods_and_rows():
     assert band.params["block"] is None
     rows = band.to_rows()
     assert rows[0] == ("x", "coverage")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ArgumentError):
         run_coverage_study(cfg, [0.0], 0.05, 5, method="bootstrap")
 
 
@@ -276,6 +275,17 @@ def test_band_study_applies_the_kde_rules_to_every_replicate():
     with pytest.raises(DomainError) as study:
         run_coverage_study(cfg, xs, 0.01, 20, "band")
     assert type(study.value) is DomainError and str(study.value) == f"{alone.value} (replicate 8 of 20)"
+
+
+def test_an_error_no_replicate_raises_alone_stays_the_blocks():
+    # a block that fails only as a whole names no replicate: the block's error comes back unchanged
+    error = DomainError("the block fails")
+
+    def score(ys):
+        if ys.shape[0] > 1:
+            raise error
+
+    assert simulate._replicate_error(error, score, np.zeros((3, 5)), range(10, 13), 20) is error
 
 
 def _reference_table_draw(g, n, seed, key):
